@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fockbench, interference, squid, twomode
+from . import fockbench, interference, squid, twomode, verify
 from .states import (
     ChargeCoupling,
     CoherentState,
@@ -272,12 +272,21 @@ def _diff_phases(params):
 
 
 def _coherent_convergence(params, policy):
-    """Converged two-mode truncation diagnostics for the coherent-pair oracle,
-    probed at a representative time inside the plotted window."""
+    """One-point oracle cross-check for the manifest: the converged two-mode
+    truncation of <sin^2 sin^2> for the entangled coherent pair at a
+    representative time inside the plotted window.  The figure data come from
+    the two-mode Weyl function, not from this truncation."""
     coupling, wa, wb, w1, w2, _, _, a1, a2 = _squid_params(params)
     t = (0.5 * params["periods"] * 2.0 * math.pi) / (w1 - w2)
-    _, info = squid.two_squid_currents_coherent(
-        a1, a2, True, coupling, wa, wb, w1, w2, t, policy=policy, with_info=True
+
+    def sin2(omega_mw, omega_ramp):
+        def build(dim):
+            s = verify.sin_phase_operator(dim, coupling.qprime, omega_mw, omega_ramp, t)
+            return s @ s
+        return build
+
+    _, info = fockbench.converged_two_mode_expectation(
+        twomode.coherent_pair_entangled(a1, a2).state, sin2(w1, wa), sin2(w2, wb), policy
     )
     return {
         "two_mode_dim": int(info.dim),
@@ -295,7 +304,7 @@ def _fig14(params, policy):
     singular = []
     for ph in _diff_phases(params):
         t = ph / (w1 - w2)
-        mom = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t, policy=policy)
+        mom = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
         try:
             rc_coh = squid.ratio_c(mom)
         except squid.SingularPointError:
@@ -322,8 +331,8 @@ def _fig15(params, policy):
             )
         except squid.SingularPointError:
             d_num = math.nan
-        mom_sep = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t, policy=policy)
-        mom_ent = squid.two_squid_currents_coherent(a1, a2, True, coupling, wa, wb, w1, w2, t, policy=policy)
+        mom_sep = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
+        mom_ent = squid.two_squid_currents_coherent(a1, a2, True, coupling, wa, wb, w1, w2, t)
         try:
             d_coh = squid.ratio_c(mom_sep) - squid.ratio_c(mom_ent)
         except squid.SingularPointError:
@@ -343,8 +352,8 @@ def _fig16(params, policy):
     rows = []
     for ph in _diff_phases(params):
         t = ph / (w1 - w2)
-        mom_sep = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t, policy=policy)
-        mom_ent = squid.two_squid_currents_coherent(a1, a2, True, coupling, wa, wb, w1, w2, t, policy=policy)
+        mom_sep = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
+        mom_ent = squid.two_squid_currents_coherent(a1, a2, True, coupling, wa, wb, w1, w2, t)
         rows.append((ph, mom_sep.ia - mom_ent.ia, mom_sep.ia2 - mom_ent.ia2))
     manifest = {"convergence": _coherent_convergence(params, policy)}
     return ExperimentResult(["omega_diff_t", "d_ia_coh", "d_ia2_coh"], rows, manifest)
@@ -357,8 +366,8 @@ def _fig17(params, policy):
         t = ph / (w1 - w2)
         num_sep = squid.two_squid_currents_number(n1, n2, False, coupling, wa, wb, w1, w2, t)
         num_ent = squid.two_squid_currents_number(n1, n2, True, coupling, wa, wb, w1, w2, t)
-        mom_sep = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t, policy=policy)
-        mom_ent = squid.two_squid_currents_coherent(a1, a2, True, coupling, wa, wb, w1, w2, t, policy=policy)
+        mom_sep = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
+        mom_ent = squid.two_squid_currents_coherent(a1, a2, True, coupling, wa, wb, w1, w2, t)
         rows.append(
             (ph, num_sep.ia_ib - num_ent.ia_ib, mom_sep.ia_ib - mom_ent.ia_ib)
         )
@@ -375,8 +384,8 @@ def _fig18(params, policy):
         t = ph / (w1 - w2)
         num_sep = squid.two_squid_currents_number(n1, n2, False, coupling, wa, wb, w1, w2, t)
         num_ent = squid.two_squid_currents_number(n1, n2, True, coupling, wa, wb, w1, w2, t)
-        mom_sep = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t, policy=policy)
-        mom_ent = squid.two_squid_currents_coherent(a1, a2, True, coupling, wa, wb, w1, w2, t, policy=policy)
+        mom_sep = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
+        mom_ent = squid.two_squid_currents_coherent(a1, a2, True, coupling, wa, wb, w1, w2, t)
         try:
             d_num = squid.ratio_c2(num_sep) - squid.ratio_c2(num_ent)
         except squid.SingularPointError:

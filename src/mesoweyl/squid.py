@@ -12,8 +12,10 @@ coefficient); finite-window numeric averages exist only as test oracles.
 
 Two distant rings couple to the swapped two-mode families
 (|n1 n2>, |n2 n1>) and (|a1 a2>, |a2 a1>); number-pair moments have closed
-forms, coherent-pair products and second moments are computed with the
-Fock-space oracle, which is how they were obtained originally.
+forms.  Coherent-pair first moments have closed forms too; their products and
+second moments compose two-mode Weyl values W2(j sigma_A, k sigma_B), with
+sin(phi + X) and sin^2(phi + X) written as sums of D(j sigma), j in
+{0, +-1, +-2}, the same route ``twomode.joint_intensity`` takes.
 """
 
 import cmath
@@ -21,20 +23,11 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
-from . import fockbench, specfun
+from . import specfun
 from .exceptions import SingularPointError
 from .harmonics import HarmonicSeries
-from .states import (
-    ChargeCoupling,
-    CoherentState,
-    NumberState,
-    TwoModeProductSuperposition,
-    TwoModeSeparableMixture,
-    weyl,
-    weyl_drive_coeffs,
-)
+from .states import ChargeCoupling, weyl, weyl_drive_coeffs
+from .twomode import coherent_pair_entangled, coherent_pair_separable, two_mode_weyl
 
 __all__ = [
     "SquidDrive",
@@ -274,76 +267,55 @@ def _coherent_ent_current(a1, a2, qp: float, omega_ramp: float, omega_mw: float,
     return 2.0 * norm2 * sep + norm2 * e_fac * f_fac * math.exp(-qp * qp / 2.0) * i_c
 
 
-def _sin_phase_matrix(dim: int, qp: float, omega_mw: float, omega_ramp: float, t: float) -> np.ndarray:
-    """sin(omega_ramp t + q'[e^{i w t} a^dag + e^{-i w t} a]) on the truncated basis."""
-    d = fockbench.displacement_matrix(1j * qp * cmath.exp(1j * omega_mw * t), dim)
-    ph = cmath.exp(1j * omega_ramp * t)
-    return (ph * d - np.conj(ph) * d.conj().T) / 2j
-
-
-def _coherent_pair_state(a1, a2, entangled: bool):
-    if entangled:
-        norm = (2.0 + 2.0 * math.exp(-abs(complex(a1) - complex(a2)) ** 2)) ** -0.5
-        return TwoModeProductSuperposition(
-            ((norm, CoherentState(a1), CoherentState(a2)),
-             (norm, CoherentState(a2), CoherentState(a1)))
-        )
-    return TwoModeSeparableMixture(
-        ((0.5, CoherentState(a1), CoherentState(a2)),
-         (0.5, CoherentState(a2), CoherentState(a1)))
-    )
+def _sin_power_terms(phase: float, power: int) -> dict:
+    """sin(phase + X) (power 1) or sin^2(phase + X) (power 2) as {j: c_j},
+    meaning sum_j c_j D(j sigma), where D(sigma) = e^{iX} and D(sigma)^2 = D(2 sigma)."""
+    e = cmath.exp(1j * phase)
+    if power == 1:
+        return {1: e / 2j, -1: -e.conjugate() / 2j}
+    e2 = e * e
+    return {0: 0.5, 2: -0.25 * e2, -2: -0.25 * e2.conjugate()}
 
 
 def two_squid_currents_coherent(a1, a2, entangled: bool, coupling: ChargeCoupling,
                                 omega_a: float, omega_b: float, omega1: float, omega2: float,
-                                t: float, i1: float = 1.0, i2: float = 1.0,
-                                policy: fockbench.TruncationPolicy = None,
-                                with_info: bool = False):
+                                t: float, i1: float = 1.0, i2: float = 1.0) -> TwoSquidMoments:
     """Current moments for the swapped coherent pair.
 
-    First moments use the closed forms; products and second moments are
-    evaluated with the two-mode Fock oracle under its truncation policy.
-    With ``with_info`` the converged truncation diagnostics are returned too.
+    First moments use the closed forms.  Products and second moments expand
+    sin(omega t + X) = (e^{i omega t} D(sigma) - e^{-i omega t} D(-sigma))/2i
+    and sin^2 = (2 - e^{2i omega t} D(2 sigma) - e^{-2i omega t} D(-2 sigma))/4
+    on each ring, sigma = i q' e^{i w t}, and sum the two-mode Weyl values of
+    the pair at (j sigma_A, k sigma_B).
     """
     qp = coupling.qprime
-    state2 = _coherent_pair_state(a1, a2, entangled)
-    policy = policy or fockbench.TruncationPolicy(tol=1e-11)
+    pair = coherent_pair_entangled if entangled else coherent_pair_separable
+    state2 = pair(a1, a2).state
+    current = _coherent_ent_current if entangled else _coherent_sep_current
+    ia = current(a1, a2, qp, omega_a, omega1, t, i1)
+    ib = current(a1, a2, qp, omega_b, omega2, t, i2)
 
-    if entangled:
-        ia = _coherent_ent_current(a1, a2, qp, omega_a, omega1, t, i1)
-        ib = _coherent_ent_current(a1, a2, qp, omega_b, omega2, t, i2)
-    else:
-        ia = _coherent_sep_current(a1, a2, qp, omega_a, omega1, t, i1)
-        ib = _coherent_sep_current(a1, a2, qp, omega_b, omega2, t, i2)
+    sigma_a = 1j * qp * cmath.exp(1j * omega1 * t)
+    sigma_b = 1j * qp * cmath.exp(1j * omega2 * t)
 
-    def sin_a(dim):
-        return _sin_phase_matrix(dim, qp, omega1, omega_a, t)
+    def moment(terms_a, terms_b):
+        # <f_A g_B> = Re sum_jk a_j b_k W2(j sigma_A, k sigma_B)
+        total = 0j
+        for j, ca in terms_a.items():
+            for k, cb in terms_b.items():
+                total += ca * cb * two_mode_weyl(state2, j * sigma_a, k * sigma_b)
+        return total.real
 
-    def sin_b(dim):
-        return _sin_phase_matrix(dim, qp, omega2, omega_b, t)
-
-    def sin2_a(dim):
-        s = sin_a(dim)
-        return s @ s
-
-    def sin2_b(dim):
-        s = sin_b(dim)
-        return s @ s
-
-    eye = lambda dim: np.eye(dim, dtype=complex)
-    ia2, _ = fockbench.converged_two_mode_expectation(state2, sin2_a, eye, policy)
-    ib2, _ = fockbench.converged_two_mode_expectation(state2, eye, sin2_b, policy)
-    ia_ib, _ = fockbench.converged_two_mode_expectation(state2, sin_a, sin_b, policy)
-    ia2_ib2, info = fockbench.converged_two_mode_expectation(state2, sin2_a, sin2_b, policy)
-
-    moments = TwoSquidMoments(
+    one = {0: 1.0}
+    sin_a, sin2_a = _sin_power_terms(omega_a * t, 1), _sin_power_terms(omega_a * t, 2)
+    sin_b, sin2_b = _sin_power_terms(omega_b * t, 1), _sin_power_terms(omega_b * t, 2)
+    return TwoSquidMoments(
         ia, ib,
-        i1 * i1 * ia2.real, i2 * i2 * ib2.real,
-        i1 * i2 * ia_ib.real, i1 * i1 * i2 * i2 * ia2_ib2.real,
+        i1 * i1 * moment(sin2_a, one),
+        i2 * i2 * moment(one, sin2_b),
+        i1 * i2 * moment(sin_a, sin_b),
+        i1 * i1 * i2 * i2 * moment(sin2_a, sin2_b),
     )
-    if with_info:
-        return moments, info
-    return moments
 
 
 # ---------------------------------------------------------------------------

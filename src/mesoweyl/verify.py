@@ -371,7 +371,7 @@ def squid_suite(policy=None) -> dict:
             mom = squid.two_squid_currents_number(
                 1, 3, entangled, coupling, wa, wb, w1, w2, float(t)
             )
-            oracle = _squid_moments_oracle(state2, coupling.qprime, wa, wb, w1, w2, float(t), policy)
+            oracle = _squid_oracle_moments_generic(state2, coupling.qprime, wa, wb, w1, w2, float(t), policy)
             scale = max(abs(np.array(oracle)))
             err = max(err, max(abs(np.array(mom) - np.array(oracle))) / scale)
     checks.append(_check("two-squid-number-moments-vs-oracle", err, 1e-8))
@@ -394,10 +394,6 @@ def _number_pair_crossed(n1, n2, entangled):
     return TwoModeSeparableMixture(
         ((0.5, NumberState(n1), NumberState(n2)), (0.5, NumberState(n2), NumberState(n1)))
     )
-
-
-def _squid_moments_oracle(state2, qp, wa, wb, w1, w2, t, policy):
-    return _squid_oracle_moments_generic(state2, qp, wa, wb, w1, w2, t, policy)
 
 
 def _squid_oracle_moments_generic(state2, qp, wa, wb, w1, w2, t, policy) -> squid.TwoSquidMoments:

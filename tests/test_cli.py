@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import mesoweyl
 from mesoweyl import cli
 from mesoweyl.experiments import EXPERIMENTS
 
@@ -107,9 +108,12 @@ def test_verify_cli_reports(capsys):
 
 
 def test_console_entry_point_runs():
+    # the child imports the same mesoweyl as this process, installed or not
+    src = os.path.dirname(os.path.dirname(mesoweyl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "mesoweyl", "list-experiments"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert "fig9" in proc.stdout

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from mesoweyl import fockbench, specfun, squid, verify
+from mesoweyl import fockbench, specfun, squid, twomode, verify
 from mesoweyl.exceptions import SingularPointError
 from mesoweyl.states import (
     ChargeCoupling,
@@ -248,42 +248,45 @@ def test_cross_term_spectrum_is_exactly_on_predicted_lines():
     assert live == predicted
 
 
+SIXTEEN_TIMES = (np.arange(16) + 0.5) / 16.0 * 2.0 * math.pi / abs(W1 - W2)
+
+
 def test_coherent_first_moment_closed_forms_sixteen_times():
     a1, a2 = 1.0, math.sqrt(3.0)
-    ts = (np.arange(16) + 0.5) / 16.0 * 2.0 * math.pi / abs(W1 - W2)
     dim = 64
+    eye = np.eye(dim, dtype=complex)
     for entangled in (False, True):
-        state2 = squid._coherent_pair_state(a1, a2, entangled)
-        fn = squid._coherent_ent_current if entangled else squid._coherent_sep_current
-        for t in ts:
-            op = verify.sin_phase_operator(dim, COUPLING.qprime, W1, W1, float(t))
-            oracle = fockbench.two_mode_expectation(
-                state2, op, np.eye(dim, dtype=complex)
-            ).real
-            got = fn(a1, a2, COUPLING.qprime, W1, W1, float(t), 1.0)
-            assert abs(got - oracle) <= 1e-8 * max(1.0, abs(oracle))
+        pair = twomode.coherent_pair_entangled if entangled else twomode.coherent_pair_separable
+        state2 = pair(a1, a2).state
+        for t in SIXTEEN_TIMES:
+            t = float(t)
+            mom = squid.two_squid_currents_coherent(a1, a2, entangled, COUPLING, W1, W2, W1, W2, t)
+            op_a = verify.sin_phase_operator(dim, COUPLING.qprime, W1, W1, t)
+            op_b = verify.sin_phase_operator(dim, COUPLING.qprime, W2, W2, t)
+            oracle_a = fockbench.two_mode_expectation(state2, op_a, eye).real
+            oracle_b = fockbench.two_mode_expectation(state2, eye, op_b).real
+            assert abs(mom.ia - oracle_a) <= 1e-8 * max(1.0, abs(oracle_a))
+            assert abs(mom.ib - oracle_b) <= 1e-8 * max(1.0, abs(oracle_b))
 
 
 def test_two_squid_coherent_against_oracle_and_degeneracy():
-    ts = (np.arange(4) + 0.5) / 4.0 * 2.0 * math.pi / abs(W1 - W2)
-    a1, a2 = 1.0, math.sqrt(3.0)
-    for entangled in (False, True):
-        state2 = squid._coherent_pair_state(a1, a2, entangled)
-        for t in ts:
-            mom = squid.two_squid_currents_coherent(
-                a1, a2, entangled, COUPLING, W1, W2, W1, W2, float(t), policy=POLICY
-            )
-            oracle = verify._squid_oracle_moments_generic(
-                state2, COUPLING.qprime, W1, W2, W1, W2, float(t), POLICY
-            )
-            assert mom.ia == pytest.approx(oracle.ia, abs=1e-8)
-            assert mom.ib == pytest.approx(oracle.ib, abs=1e-8)
-            assert mom.ia_ib == pytest.approx(oracle.ia_ib, abs=1e-9)
-            assert mom.ia2_ib2 == pytest.approx(oracle.ia2_ib2, abs=1e-9)
+    for a1, a2 in ((1.0, math.sqrt(3.0)), (0.7 + 0.4j, -1.1 + 0.2j)):
+        for entangled in (False, True):
+            pair = twomode.coherent_pair_entangled if entangled else twomode.coherent_pair_separable
+            state2 = pair(a1, a2).state
+            for t in SIXTEEN_TIMES:
+                mom = squid.two_squid_currents_coherent(
+                    a1, a2, entangled, COUPLING, W1, W2, W1, W2, float(t)
+                )
+                oracle = verify._squid_oracle_moments_generic(
+                    state2, COUPLING.qprime, W1, W2, W1, W2, float(t), POLICY
+                )
+                for name in squid.TwoSquidMoments._fields:
+                    assert getattr(mom, name) == pytest.approx(getattr(oracle, name), abs=1e-12)
     # equal amplitudes: the superposition collapses to a product state
-    t = float(ts[1])
-    ent = squid.two_squid_currents_coherent(a1, a1, True, COUPLING, W1, W2, W1, W2, t, policy=POLICY)
-    sep = squid.two_squid_currents_coherent(a1, a1, False, COUPLING, W1, W2, W1, W2, t, policy=POLICY)
+    a1, t = 1.0, float(SIXTEEN_TIMES[4])
+    ent = squid.two_squid_currents_coherent(a1, a1, True, COUPLING, W1, W2, W1, W2, t)
+    sep = squid.two_squid_currents_coherent(a1, a1, False, COUPLING, W1, W2, W1, W2, t)
     assert ent.ia == pytest.approx(sep.ia, abs=1e-12)
     assert squid.ratio_c(ent) == pytest.approx(1.0, abs=1e-10)
     assert squid.ratio_c2(ent) == pytest.approx(1.0, abs=1e-10)
