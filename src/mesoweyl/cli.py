@@ -152,15 +152,11 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", help="JSON config path")
     p_run.add_argument("--out", help="output directory")
     p_run.add_argument("--dim-cap", type=int, default=4096, help="Fock truncation cap")
-    p_run.add_argument("--threads", type=int, default=1,
-                       help="parallelism hint; results are identical regardless")
     p_run.set_defaults(func=_cmd_run)
 
     p_ver = sub.add_parser("verify", help="run an oracle-equivalence suite")
     p_ver.add_argument("suite", choices=sorted(verify.SUITES))
     p_ver.add_argument("--dim-cap", type=int, default=4096)
-    p_ver.add_argument("--threads", type=int, default=1,
-                       help="parallelism hint; results are identical regardless")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_list = sub.add_parser("list-experiments", help="list shipped experiments")

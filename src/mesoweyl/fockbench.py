@@ -64,7 +64,6 @@ class TruncationPolicy:
     dim_cap."""
 
     initial_dim: int = 0  # 0: derive from the state
-    growth: int = 2
     tol: float = 1e-10
     dim_cap: int = 4096
 
@@ -262,7 +261,7 @@ def weyl_numeric_report(state, z, policy: TruncationPolicy = DEFAULT_POLICY):
     dim = policy.initial_dim or default_dim(state)
     val, deficit = _weyl_value(state, z, dim)
     while True:
-        new_dim = dim * policy.growth
+        new_dim = 2 * dim
         if new_dim > policy.dim_cap:
             raise TruncationError(
                 f"weyl_numeric did not converge below dim cap {policy.dim_cap}"
@@ -357,7 +356,7 @@ def converged_two_mode_expectation(state2, build_a, build_b, policy: TruncationP
     dim = policy.initial_dim or _default_two_mode_dim(state2)
     val = two_mode_expectation(state2, build_a(dim), build_b(dim))
     while True:
-        new_dim = dim * policy.growth
+        new_dim = 2 * dim
         if new_dim > policy.dim_cap:
             raise TruncationError(
                 f"two-mode expectation did not converge below dim cap {policy.dim_cap}"

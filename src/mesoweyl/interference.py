@@ -92,25 +92,14 @@ def classical_intensity(e_phi1: float, omega: float, t: float) -> float:
     return 1.0 + math.cos(e_phi1 * math.sin(omega * t))
 
 
-def _classical_kmax(e_phi1: float) -> int:
-    k = 1
-    while specfun.bessel_j(2 * k, e_phi1) ** 2 >= 1e-16:
-        k += 1
-        if k > 400:
-            break
-    return k
-
-
 def classical_gamma_series(e_phi1: float, omega: float) -> HarmonicSeries:
     """Exact harmonic form of the classical intensity autocorrelation:
     [1+J_0]^2 at zero frequency plus J_{2K}^2 at +-2K omega."""
-    coeffs = {0: complex((1.0 + specfun.bessel_j(0, e_phi1)) ** 2)}
-    for k in range(1, _classical_kmax(e_phi1) + 1):
-        c = specfun.bessel_j(2 * k, e_phi1) ** 2
-        if c == 0.0:
-            continue
-        coeffs[k] = complex(c)
-        coeffs[-k] = complex(c)
+    js = specfun.bessel_j_harmonics(e_phi1)
+    coeffs = {0: complex((1.0 + js.get(0, 0.0)) ** 2)}
+    for n, jn in js.items():
+        if n > 0 and n % 2 == 0:
+            coeffs[n // 2] = coeffs[-(n // 2)] = complex(jn * jn)
     return HarmonicSeries(2.0 * omega, coeffs)
 
 

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from scipy.special import jv
+
 from . import specfun
 from .exceptions import SingularPointError
 from .harmonics import HarmonicSeries
@@ -93,37 +95,18 @@ def classical_current(drive: SquidDrive, t: float) -> float:
     )
 
 
-def _drive_bessel_coeffs(u_phase: float) -> dict:
-    """Harmonics of exp(i u sin theta) = sum_n J_n(u) e^{i n theta}."""
-    if u_phase == 0.0:
-        return {0: 1.0 + 0j}
-    nmax = int(abs(u_phase) + 16.0 + 10.0 * abs(u_phase) ** 0.4) + 2
-    js = specfun.bessel_j_all(nmax, abs(u_phase))
-    sign = 1.0 if u_phase > 0 else -1.0
-    out = {}
-    for n in range(-nmax, nmax + 1):
-        v = js[abs(n)]
-        if n < 0 and n & 1:
-            v = -v
-        if sign < 0 and n & 1:
-            v = -v
-        if abs(v) > 1e-18:
-            out[n] = complex(v)
-    return out
-
-
 def classical_current_expansion(drive: SquidDrive, t: float) -> float:
     """Bessel-expanded current I_c sum_n J_n(u) sin[(omega_a + n omega1)t + phase0]."""
     total = 0.0
-    for n, jn in _drive_bessel_coeffs(drive.u_phase).items():
-        total += jn.real * math.sin((drive.omega_a + n * drive.omega1) * t + drive.phase0)
+    for n, jn in specfun.bessel_j_harmonics(drive.u_phase).items():
+        total += jn * math.sin((drive.omega_a + n * drive.omega1) * t + drive.phase0)
     return drive.i_crit * total
 
 
 def classical_shapiro(drive: SquidDrive, n_step: int) -> float:
     """dc current on step n (resonance omega_a = n omega1 imposed):
     I_c J_{-n}(u_phase) sin(phase0)."""
-    return drive.i_crit * specfun.bessel_j(-n_step, drive.u_phase) * math.sin(drive.phase0)
+    return drive.i_crit * float(jv(-n_step, drive.u_phase)) * math.sin(drive.phase0)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +124,8 @@ def _quantum_drive_series(state, drive: SquidDrive, n_step: int, coupling: Charg
     """e^{i omega_a t} e^{i u sin(w1 t)} W(sigma(t)) as one harmonic series in w1."""
     w1 = drive.omega1
     ramp = HarmonicSeries(w1, {n_step: 1.0 + 0j})
-    classical = HarmonicSeries(w1, _drive_bessel_coeffs(drive.u_phase))
+    # exp(i u sin theta) = sum_n J_n(u) e^{i n theta}
+    classical = HarmonicSeries(w1, specfun.bessel_j_harmonics(drive.u_phase))
     wseries = HarmonicSeries(w1, weyl_drive_coeffs(state, coupling.qprime))
     return ramp * classical * wseries
 
@@ -298,12 +282,16 @@ def two_squid_currents_coherent(a1, a2, entangled: bool, coupling: ChargeCouplin
     sigma_a = 1j * qp * cmath.exp(1j * omega1 * t)
     sigma_b = 1j * qp * cmath.exp(1j * omega2 * t)
 
+    weyl2 = {}  # (j, k) -> W2(j sigma_A, k sigma_B): 13 distinct of the 19 terms
+
     def moment(terms_a, terms_b):
         # <f_A g_B> = Re sum_jk a_j b_k W2(j sigma_A, k sigma_B)
         total = 0j
         for j, ca in terms_a.items():
             for k, cb in terms_b.items():
-                total += ca * cb * two_mode_weyl(state2, j * sigma_a, k * sigma_b)
+                if (j, k) not in weyl2:
+                    weyl2[j, k] = two_mode_weyl(state2, j * sigma_a, k * sigma_b)
+                total += ca * cb * weyl2[j, k]
         return total.real
 
     one = {0: 1.0}

@@ -19,6 +19,9 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+from scipy.special import jv
+
 from . import specfun
 
 __all__ = [
@@ -169,16 +172,6 @@ def _ipow(k: int) -> complex:
     return (1, 1j, -1, -1j)[k % 4]
 
 
-def _signed_j(js, n: int) -> float:
-    v = js[abs(n)]
-    return -v if (n < 0 and n & 1) else v
-
-
-def _order_cutoff(x: float) -> int:
-    """Order beyond which J_n(x), I_n(x) fall under ~1e-18."""
-    return int(x + 16.0 + 10.0 * x ** 0.4) + 2
-
-
 def weyl_drive_coeffs(state, c, tol: float = 1e-18) -> dict:
     """Fourier coefficients a_k of theta -> W(i c e^{i theta}).
 
@@ -192,57 +185,57 @@ def weyl_drive_coeffs(state, c, tol: float = 1e-18) -> dict:
         return {0: weyl(state, 1j * rho)}
     if isinstance(state, CoherentState):
         a = complex(state.amplitude)
-        amp = 2.0 * rho * abs(a)
-        if amp == 0.0:
-            return {0: complex(math.exp(-rho * rho / 2.0))}
         delta = cmath.phase(c) - cmath.phase(a)
-        kmax = _order_cutoff(amp)
-        js = specfun.bessel_j_all(kmax, amp)
         base = math.exp(-rho * rho / 2.0)
         out = {}
-        for k in range(-kmax, kmax + 1):
-            val = base * _ipow(k) * _signed_j(js, k) * cmath.exp(1j * k * delta)
+        for k, jk in specfun.bessel_j_harmonics(2.0 * rho * abs(a)).items():
+            val = base * _ipow(k) * jk * cmath.exp(1j * k * delta)
             if abs(val) > tol:
                 out[k] = val
         return out
     if isinstance(state, SqueezedState):
-        a = complex(state.amplitude)
-        r, ph = state.r, state.varphi
-        u = math.pi / 2.0 + cmath.phase(c)
-        base = math.exp(-0.5 * rho * rho * math.cosh(r))
-        v = 0.5 * rho * rho * math.sinh(r)
-        chi = 2.0 * u + ph
-        if a != 0:
-            w = 2.0 * abs(a) * rho * (
-                math.cosh(r / 2.0) * cmath.exp(1j * (u - cmath.phase(a)))
-                - math.sinh(r / 2.0) * cmath.exp(1j * (u + cmath.phase(a) + ph))
-            )
-        else:
-            w = 0j
-        nmax = _order_cutoff(abs(w))
-        mmax = _order_cutoff(v)
-        js = specfun.bessel_j_all(nmax, abs(w)) if w != 0 else None
-        ims = specfun.bessel_i_all(mmax, v) if v > 0 else None
-        psi = cmath.phase(w) if w != 0 else 0.0
+        pref, v, chi, w = _squeezed_drive(state, c)
+        js = specfun.bessel_j_harmonics(abs(w))
+        psi = cmath.phase(w)
+        ims = specfun.bessel_ive_all(v)
+        mmax = len(ims) - 1
         out = {}
         for m in range(-mmax, mmax + 1):
-            im = 1.0 if ims is None and m == 0 else (0.0 if ims is None else ims[abs(m)])
-            fm = base * (-1 if m & 1 else 1) * im
+            fm = pref * (-1 if m & 1 else 1) * ims[abs(m)]
             if abs(fm) <= tol:
                 continue
             fm = fm * cmath.exp(1j * m * chi)
-            if js is None:
-                k = 2 * m
-                out[k] = out.get(k, 0j) + fm
-                continue
-            for n in range(-nmax, nmax + 1):
-                jn = _signed_j(js, n)
+            for n, jn in js.items():
                 if abs(fm) * abs(jn) <= tol:
                     continue
                 k = n + 2 * m
                 out[k] = out.get(k, 0j) + fm * jn * cmath.exp(1j * n * psi)
         return {k: val for k, val in out.items() if abs(val) > tol}
     raise TypeError(f"unsupported state {state!r}")
+
+
+def _squeezed_drive(state, c: complex):
+    """(pref, v, chi, w) with W(i c e^{i theta}) =
+    pref exp(-v (1 + cos(2 theta + chi))) exp(i Im[w e^{i theta}]).
+
+    pref = exp(-|c|^2 e^{-r} / 2) multiplies e^{-v} I_m(v), so no factor
+    overflows at strong squeezing.
+    """
+    a = complex(state.amplitude)
+    rho = abs(c)
+    r, ph = state.r, state.varphi
+    u = math.pi / 2.0 + cmath.phase(c)
+    pref = math.exp(-0.5 * rho * rho * math.exp(-r))
+    v = 0.5 * rho * rho * math.sinh(r)
+    chi = 2.0 * u + ph
+    if a != 0:
+        w = 2.0 * abs(a) * rho * (
+            math.cosh(r / 2.0) * cmath.exp(1j * (u - cmath.phase(a)))
+            - math.sinh(r / 2.0) * cmath.exp(1j * (u + cmath.phase(a) + ph))
+        )
+    else:
+        w = 0j
+    return pref, v, chi, w
 
 
 def weyl_time_average(state, c) -> complex:
@@ -257,43 +250,28 @@ def weyl_time_average(state, c) -> complex:
     if isinstance(state, (NumberState, ThermalState)):
         return weyl(state, 1j * rho)
     if isinstance(state, CoherentState):
-        amp = 2.0 * rho * abs(state.amplitude)
         base = math.exp(-rho * rho / 2.0)
-        if amp == 0.0:
-            return complex(base)
-        return complex(base * specfun.bessel_j(0, amp))
+        return complex(base * float(jv(0, 2.0 * rho * abs(state.amplitude))))
     if isinstance(state, SqueezedState):
-        a = complex(state.amplitude)
-        r, ph = state.r, state.varphi
-        u = math.pi / 2.0 + cmath.phase(c)
-        base = math.exp(-0.5 * rho * rho * math.cosh(r))
-        v = 0.5 * rho * rho * math.sinh(r)
-        chi = 2.0 * u + ph
-        if a != 0:
-            w = 2.0 * abs(a) * rho * (
-                math.cosh(r / 2.0) * cmath.exp(1j * (u - cmath.phase(a)))
-                - math.sinh(r / 2.0) * cmath.exp(1j * (u + cmath.phase(a) + ph))
-            )
-        else:
-            w = 0j
+        pref, v, chi, w = _squeezed_drive(state, c)
         if v == 0.0:
             # no squeezing-induced 2-theta modulation: only the m = 0 term
-            return complex(base * (specfun.bessel_j(0, abs(w)) if w != 0 else 1.0))
-        mmax = _order_cutoff(v)
-        ims = specfun.bessel_i_all(mmax, v)
+            return complex(pref * float(jv(0, abs(w))))
+        ims = specfun.bessel_ive_all(v)
         if w == 0:
-            return complex(base * ims[0])
+            return complex(pref * ims[0])
         psi = cmath.phase(w)
-        js = specfun.bessel_j_all(2 * mmax, abs(w))
-        total = 0j
         # zero frequency requires the theta index n = -2m; J_{-2m} = J_{2m}
+        mmax = len(ims) - 1
+        js = jv(2 * np.arange(mmax + 1), abs(w)).tolist()
+        total = 0j
         for m in range(-mmax, mmax + 1):
-            term = ims[abs(m)] * js[2 * abs(m)]
+            term = ims[abs(m)] * js[abs(m)]
             if term == 0.0:
                 continue
             sign = -1.0 if m & 1 else 1.0
             total += sign * term * cmath.exp(1j * m * (chi - 2.0 * psi))
-        return base * total
+        return pref * total
     raise TypeError(f"unsupported state {state!r}")
 
 
@@ -392,7 +370,8 @@ def mean_photons(state) -> float:
     if isinstance(state, CoherentState):
         return abs(state.amplitude) ** 2
     if isinstance(state, ThermalState):
-        return 1.0 / (math.exp(state.beta_omega) - 1.0)
+        bw = state.beta_omega
+        return math.exp(-bw) / -math.expm1(-bw)
     if isinstance(state, SqueezedState):
         # sinh^2(r/2) + |<a>|^2; collapses to the familiar
         # sinh^2(r/2) + [cosh(r/2)-sinh(r/2)]^2 |A|^2 when cos(2 arg A + varphi) = 1

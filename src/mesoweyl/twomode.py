@@ -277,21 +277,14 @@ def sep_bounds(q: float, n1: int = 0, n2: int = 1):
     w2 = weyl(NumberState(n2), 1j * q).real
     alpha = 0.5 * (w1 + w2)
     excess = 0.25 * (w1 - w2) ** 2  # = gamma - alpha^2 exactly
-    one_minus = 0.5 * (_one_minus_number_weyl(n1, x) + _one_minus_number_weyl(n2, x))
+    one_minus = 0.5 * (
+        specfun.one_minus_scaled_laguerre(n1, x) + specfun.one_minus_scaled_laguerre(n2, x)
+    )
     if one_minus == 0.0 or alpha <= -1.0:
         raise ValueError("degenerate fringe coefficient alpha = +-1")
     lower = 1.0 + excess / (1.0 + alpha) ** 2
     upper = 1.0 + excess / one_minus ** 2
     return lower, upper
-
-
-def _one_minus_number_weyl(n: int, x: float) -> float:
-    """1 - e^{-x/2} L_n(x) without cancellation at small x."""
-    lag = specfun.laguerre(n, 0, x)
-    tail = lag - 1.0 if x > 0.5 else math.fsum(
-        c * x ** m for m, c in enumerate(specfun._laguerre_coeffs(n, 0)) if m > 0
-    )
-    return -lag * math.expm1(-x / 2.0) - tail
 
 
 def fit_coupling_to_anchors(target_min: float = 1.0001, target_max: float = 1.2471,

@@ -11,8 +11,9 @@ import os
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
-from mesoweyl import cli, fockbench, interference, specfun, squid, twomode, verify
+from mesoweyl import cli, fockbench, interference, squid, twomode, verify
 from mesoweyl.experiments import EXPERIMENTS
 from mesoweyl.states import (
     ChargeCoupling,
@@ -161,10 +162,10 @@ def test_criterion_06_classical_spectral_density():
     sampled = interference.autocorrelation_classical(e_phi1, MODE_OMEGA, taus)
     quad = interference.spectral_density(sampled, 2.0 * MODE_OMEGA, kmax)
 
-    j0 = specfun.bessel_j(0, e_phi1)
+    j0 = sp.jv(0, e_phi1)
     worst_formula = abs(exact.values[kmax] - (1.0 + j0) ** 2)
     for k in range(1, kmax + 1):
-        ref = specfun.bessel_j(2 * k, e_phi1) ** 2
+        ref = sp.jv(2 * k, e_phi1) ** 2
         worst_formula = max(worst_formula, abs(exact.values[kmax + k] - ref))
     worst_quad = float(np.max(np.abs(quad.values - exact.values)))
     sym = max(

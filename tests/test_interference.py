@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sp
 
 from mesoweyl import fockbench, interference, specfun, verify
 from mesoweyl.exceptions import IncommensurateError
@@ -126,9 +127,9 @@ def test_classical_autocorrelation_flat_without_drive():
 
 def test_classical_gamma_at_zero_lag():
     e_phi1 = 2.0
-    j0 = specfun.bessel_j(0, e_phi1)
+    j0 = sp.jv(0, e_phi1)
     ref = (1.0 + j0) ** 2 + 2.0 * sum(
-        specfun.bessel_j(2 * k, e_phi1) ** 2 for k in range(1, 40)
+        sp.jv(2 * k, e_phi1) ** 2 for k in range(1, 40)
     )
     series = interference.autocorrelation_classical(e_phi1, MODE.omega, [0.0])
     assert series.gamma0 == pytest.approx(ref, rel=1e-12)
@@ -190,10 +191,10 @@ def test_classical_spectral_density_exact_and_quadrature():
     kmax = 24
     series = interference.classical_gamma_series(e_phi1, MODE.omega)
     spec = interference.spectral_density(series, 2.0 * MODE.omega, kmax)
-    j0 = specfun.bessel_j(0, e_phi1)
+    j0 = sp.jv(0, e_phi1)
     assert spec.values[kmax] == pytest.approx((1.0 + j0) ** 2, rel=1e-12)
     for k in range(1, kmax + 1):
-        ref = specfun.bessel_j(2 * k, e_phi1) ** 2
+        ref = sp.jv(2 * k, e_phi1) ** 2
         assert spec.values[kmax + k] == pytest.approx(ref, abs=1e-14)
         assert spec.values[kmax - k] == spec.values[kmax + k]
 

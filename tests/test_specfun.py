@@ -78,48 +78,59 @@ def test_laguerre_three_term_recurrence():
 
 
 def test_bessel_j_basics():
-    assert specfun.bessel_j(0, 0.0) == 1.0
-    assert specfun.bessel_j(3, 0.0) == 0.0
-    assert specfun.bessel_j(-2, 1.5) == specfun.bessel_j(2, 1.5)
-    assert specfun.bessel_j(-3, 1.5) == -specfun.bessel_j(3, 1.5)
-    assert specfun.bessel_j(1, -2.0) == -specfun.bessel_j(1, 2.0)
+    assert specfun.bessel_j_harmonics(0.0) == {0: 1.0}
+    assert specfun.bessel_j_harmonics(1e-300) == {0: 1.0}
+    js = specfun.bessel_j_harmonics(1.5)
+    assert list(js) == sorted(js)
+    assert js[-2] == js[2]
+    assert js[-3] == -js[3]
+    # J_n(-x) = (-1)^n J_n(x)
+    flipped = specfun.bessel_j_harmonics(-2.0)
+    for n, jn in specfun.bessel_j_harmonics(2.0).items():
+        assert flipped[n] == (-jn if n % 2 else jn)
 
 
 @pytest.mark.parametrize("x", [1e-4, 0.3, 2.0, 10.0, math.sqrt(34.0), 50.0])
 def test_bessel_j_against_scipy(x):
-    for n in range(0, 45):
-        assert specfun.bessel_j(n, x) == pytest.approx(float(sp.jv(n, x)), abs=5e-15)
+    js = specfun.bessel_j_harmonics(x)
+    for n in range(-44, 45):
+        assert js.get(n, 0.0) == pytest.approx(float(sp.jv(n, x)), abs=5e-15)
+    # every dropped order is below the cutoff, every kept one above it
+    assert all(abs(jn) > 1e-18 for jn in js.values())
+    assert abs(sp.jv(max(js) + 1, x)) <= 1e-18
 
 
 def test_bessel_jacobi_anger_identity():
-    # sum_n J_n(2) e^{i n pi/3} = e^{i 2 sin(pi/3)}
-    lhs = sum(
-        specfun.bessel_j(n, 2.0) * cmath.exp(1j * n * math.pi / 3.0)
-        for n in range(-40, 41)
-    )
-    rhs = cmath.exp(2j * math.sin(math.pi / 3.0))
-    assert abs(lhs - rhs) <= 1e-12
+    # sum_n J_n(x) e^{i n theta} = e^{i x sin theta}, for either sign of x
+    for x in (2.0, -2.0, 7.5):
+        for theta in (0.0, math.pi / 3.0, 2.0):
+            lhs = sum(
+                jn * cmath.exp(1j * n * theta)
+                for n, jn in specfun.bessel_j_harmonics(x).items()
+            )
+            assert abs(lhs - cmath.exp(1j * x * math.sin(theta))) <= 1e-12
 
 
 @pytest.mark.parametrize("x", [0.5, 2.0, 5.0, 10.0])
 def test_bessel_sum_of_squares(x):
-    total = sum(specfun.bessel_j(n, x) ** 2 for n in range(-60, 61))
+    total = sum(jn ** 2 for jn in specfun.bessel_j_harmonics(x).values())
     assert abs(total - 1.0) <= 1e-12
 
 
 def test_bessel_i_against_scipy():
+    assert specfun.bessel_ive_all(0.0) == [1.0] + [0.0] * specfun.order_cutoff(0.0)
     for x in (0.2, 1.0, 4.2, 16.7):
-        for n in range(0, 30):
-            ref = float(sp.iv(n, x))
-            assert specfun.bessel_i(n, x) == pytest.approx(ref, rel=1e-13, abs=1e-300)
-    assert specfun.bessel_i(-3, 2.0) == specfun.bessel_i(3, 2.0)
-    assert specfun.bessel_i(0, 0.0) == 1.0
+        ives = specfun.bessel_ive_all(x)
+        assert len(ives) == specfun.order_cutoff(x) + 1
+        for n, got in enumerate(ives[:30]):
+            assert got == pytest.approx(float(sp.ive(n, x)), rel=1e-13, abs=1e-300)
 
 
 def test_bessel_array_variants_match_scalars():
-    # scalar calls use a shorter Miller run, so agreement is to roundoff only
-    js = specfun.bessel_j_all(20, 3.3)
-    iis = specfun.bessel_i_all(20, 3.3)
-    for n in range(21):
-        assert js[n] == pytest.approx(specfun.bessel_j(n, 3.3), abs=1e-14)
-        assert iis[n] == pytest.approx(specfun.bessel_i(n, 3.3), rel=1e-13)
+    # the scaled pass neither overflows (e^{720} does) nor loses range; checked
+    # on every order that can survive the 1e-18 cutoff of the expansions
+    for x in (3.3, 600.0, 720.0):
+        for n, got in enumerate(specfun.bessel_ive_all(x)):
+            ref = float(sp.ive(n, x))
+            if ref > 1e-18:
+                assert got == pytest.approx(ref, rel=1e-13)

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mesoweyl import fockbench, specfun, squid, twomode, verify
 from mesoweyl.exceptions import SingularPointError
@@ -34,6 +37,20 @@ def test_classical_expansion_matches_direct():
         )
 
 
+@given(
+    u=st.floats(-40.0, 40.0),
+    phase0=st.floats(-math.pi, math.pi),
+    ratio=st.floats(-3.0, 3.0),
+    theta=st.floats(0.0, 2.0 * math.pi),
+)
+def test_classical_expansion_matches_direct_any_sign(u, phase0, ratio, theta):
+    # J_n(-u) = (-1)^n J_n(u) carries the sign of the drive amplitude
+    d = squid.SquidDrive(phase0=phase0, omega_a=ratio, u_phase=u, omega1=1.0)
+    assert squid.classical_current_expansion(d, theta) == pytest.approx(
+        squid.classical_current(d, theta), abs=1e-10
+    )
+
+
 def test_classical_dc_vanishes_off_resonance():
     # omega_a = 2.5 omega1: no zero-frequency term in the expansion
     d = squid.SquidDrive(phase0=0.8, omega_a=2.5e-4, u_phase=2.0, omega1=1e-4)
@@ -48,7 +65,7 @@ def test_classical_shapiro_examples():
     assert squid.classical_shapiro(d0, 0) == pytest.approx(math.sin(0.6))
     assert squid.classical_shapiro(d0, 2) == 0.0
     d1 = squid.SquidDrive(phase0=math.pi / 2.0, u_phase=2.0, omega1=1e-4)
-    assert squid.classical_shapiro(d1, 1) == pytest.approx(specfun.bessel_j(-1, 2.0), rel=1e-14)
+    assert squid.classical_shapiro(d1, 1) == pytest.approx(sp.jv(-1, 2.0), rel=1e-14)
 
 
 def test_classical_shapiro_matches_window_average():
