@@ -8,12 +8,19 @@ dimensions double under a TruncationPolicy until the observable stabilizes,
 and truncated density matrices are never renormalized; the trace deficit is
 reported instead of being hidden.
 
+Pure state vectors are built once per (state, dim) and cached, so the
+doubling loops and every z share them; the cached arrays are read-only.
+Matrix-exponential actions run with numpy's legacy global RNG seeded (scipy's
+1-norm estimator draws from it to pick the step count), so the oracle gives
+the same bits on every run, and the caller's RNG state is restored.
+
 Two-mode matrices use mode-A-major ordering: index = i_A * dim_B + i_B.
 """
 
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -98,22 +105,30 @@ def _ladder_sparse(dim: int):
 
 
 def state_vector(state, dim: int) -> np.ndarray:
-    """Fock-basis vector of a pure state, truncated to dim."""
+    """Fock-basis vector of a pure state, truncated to dim.
+
+    Built once per (state, dim); the returned array is shared and read-only.
+    """
+    return _pure_vector(state, dim)
+
+
+# The cache sits behind a plain function so that tools which wrap module
+# functions (span tracers, profilers) still see every call.
+@lru_cache(maxsize=32)
+def _pure_vector(state, dim: int) -> np.ndarray:
     if isinstance(state, NumberState):
         if state.n >= dim:
             raise ValueError("dim too small for the requested number state")
         v = np.zeros(dim, dtype=complex)
         v[state.n] = 1.0
-        return v
-    if isinstance(state, CoherentState):
+    elif isinstance(state, CoherentState):
         a = complex(state.amplitude)
         v = np.zeros(dim, dtype=complex)
         c = math.exp(-abs(a) ** 2 / 2.0)
         for n in range(dim):
             v[n] = c
             c = c * a / math.sqrt(n + 1)
-        return v
-    if isinstance(state, SqueezedState):
+    elif isinstance(state, SqueezedState):
         coh = state_vector(CoherentState(state.amplitude), dim)
         asp = _ladder_sparse(dim)
         adag2 = (asp.conj().T @ asp.conj().T).tocsc()
@@ -121,8 +136,26 @@ def state_vector(state, dim: int) -> np.ndarray:
         gen = (-(state.r / 4.0) * cmath.exp(-1j * state.varphi)) * adag2 + (
             (state.r / 4.0) * cmath.exp(1j * state.varphi)
         ) * a2
-        return expm_multiply(gen, coh)
-    raise TypeError(f"{state!r} is not a pure state with a vector form")
+        v = _expm_action(gen, coh)
+    else:
+        raise TypeError(f"{state!r} is not a pure state with a vector form")
+    v.setflags(write=False)
+    return v
+
+
+def _expm_action(gen, vec: np.ndarray) -> np.ndarray:
+    """expm(gen) @ vec by scipy's expm_multiply, reproducibly.
+
+    Its step selection calls onenormest, which draws random sign vectors from
+    numpy's legacy global RNG; that RNG is seeded here and then restored, so
+    the result is the same on every run and the caller's draws are untouched.
+    """
+    saved = np.random.get_state()
+    np.random.seed(0)
+    try:
+        return expm_multiply(gen, vec)
+    finally:
+        np.random.set_state(saved)
 
 
 def density_matrix(state, dim: int) -> np.ndarray:
@@ -163,12 +196,15 @@ def _displacement_band(absz: float, dim: int) -> np.ndarray:
         return band
     # T_1^d = T_0^d (1 + d - x) sqrt(1/(1+d))
     band[1, :] = band[0, :] * (1.0 + ds - x) / np.sqrt(1.0 + ds)
-    for k in range(1, dim - 1):
-        r1 = np.sqrt((k + 1.0) / (k + 1.0 + ds))
-        r2 = np.sqrt((k + 1.0) * k / ((k + 1.0 + ds) * (k + ds)))
-        band[k + 1, :] = (
-            (2.0 * k + 1.0 + ds - x) * r1 * band[k, :] - (k + ds) * r2 * band[k - 1, :]
-        ) / (k + 1.0)
+    # x-independent coefficients of rows k = 1 .. dim-2; the products keep the
+    # grouping of the scalar recurrence, so every entry is bit-for-bit the same
+    ks = np.arange(1.0, dim - 1.0)[:, None]
+    r1 = np.sqrt((ks + 1.0) / (ks + 1.0 + ds))
+    r2 = np.sqrt((ks + 1.0) * ks / ((ks + 1.0 + ds) * (ks + ds)))
+    c1 = 2.0 * ks + 1.0 + ds
+    c2 = (ks + ds) * r2
+    for k, c1k, r1k, c2k in zip(range(1, dim - 1), c1, r1, c2):
+        band[k + 1, :] = ((c1k - x) * r1k * band[k, :] - c2k * band[k - 1, :]) / (k + 1.0)
     return band
 
 
@@ -185,16 +221,14 @@ def displacement_matrix(z, dim: int) -> np.ndarray:
         return np.eye(dim, dtype=complex)
     band = _displacement_band(abs(z), dim)
     arg = cmath.phase(z)
+    ph = np.array([cmath.exp(1j * d * arg) for d in range(dim)])
     out = np.zeros((dim, dim), dtype=complex)
-    for d in range(dim):
-        vals = band[: dim - d, d]
-        ph = cmath.exp(1j * d * arg)
-        idx = np.arange(dim - d)
-        out[idx + d, idx] = vals * ph
-        if d > 0:
-            # <n|D(z)|n+d> = conj(<n+d|D(-z)|n>)
-            sign = -1.0 if d & 1 else 1.0
-            out[idx, idx + d] = vals * sign * np.conj(ph)
+    m, n = np.tril_indices(dim)
+    out[m, n] = band[n, m - n] * ph[m - n]
+    # <n|D(z)|n+d> = conj(<n+d|D(-z)|n>) = (-1)^d conj(<n+d|D(z)|n>)
+    m, n = np.tril_indices(dim, -1)
+    d = m - n
+    out[n, m] = band[n, d] * np.where(d & 1, -1.0, 1.0) * np.conj(ph[d])
     return out
 
 
@@ -220,7 +254,7 @@ def apply_displacement(z, vec: np.ndarray) -> np.ndarray:
     dim = vec.shape[0]
     a = _ladder_sparse(dim)
     gen = complex(z) * a.conj().T.tocsc() - complex(z).conjugate() * a.tocsc()
-    return expm_multiply(gen, vec)
+    return _expm_action(gen, vec)
 
 
 def flux_matrix(mode: ModeParams, t: float, dim: int) -> np.ndarray:

@@ -210,7 +210,8 @@ def weyl_drive_coeffs(state, c, tol: float = 1e-18) -> dict:
                     continue
                 k = n + 2 * m
                 out[k] = out.get(k, 0j) + fm * jn * cmath.exp(1j * n * psi)
-        return {k: val for k, val in out.items() if abs(val) > tol}
+        # "not <=" keeps NaN coefficients, so a NaN never reconstructs as W = 0
+        return {k: val for k, val in out.items() if not abs(val) <= tol}
     raise TypeError(f"unsupported state {state!r}")
 
 

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 from mesoweyl import fockbench
 from mesoweyl.exceptions import TruncationError
@@ -250,3 +251,89 @@ def test_converged_two_mode_expectation_reports_dim():
     assert val.real == pytest.approx(1.0, abs=1e-10)
     assert info.dim >= 64
     assert info.trace_deficit <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# caching, read-only vectors and reproducibility
+
+def _per_diagonal_displacement(z, dim):
+    """Reference D(z): the band recurrence one row at a time, then the matrix
+    filled one diagonal offset at a time."""
+    z = complex(z)
+    absz, x = abs(z), abs(z) ** 2
+    ds = np.arange(dim, dtype=float)
+    band = np.zeros((dim, dim))
+    with np.errstate(under="ignore"):
+        band[0, :] = np.exp(-x / 2.0 + ds * math.log(absz) - 0.5 * gammaln(ds + 1.0))
+    if dim > 1:
+        band[1, :] = band[0, :] * (1.0 + ds - x) / np.sqrt(1.0 + ds)
+    for k in range(1, dim - 1):
+        r1 = np.sqrt((k + 1.0) / (k + 1.0 + ds))
+        r2 = np.sqrt((k + 1.0) * k / ((k + 1.0 + ds) * (k + ds)))
+        band[k + 1, :] = (
+            (2.0 * k + 1.0 + ds - x) * r1 * band[k, :] - (k + ds) * r2 * band[k - 1, :]
+        ) / (k + 1.0)
+    arg = cmath.phase(z)
+    out = np.zeros((dim, dim), dtype=complex)
+    for d in range(dim):
+        vals = band[: dim - d, d]
+        ph = cmath.exp(1j * d * arg)
+        idx = np.arange(dim - d)
+        out[idx + d, idx] = vals * ph
+        if d > 0:
+            sign = -1.0 if d & 1 else 1.0
+            out[idx, idx + d] = vals * sign * np.conj(ph)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 48, 64, 256])
+def test_displacement_matrix_equals_per_diagonal_reference(dim):
+    for z in (0.5, 0.8 + 0.6j, -1.5j, 2.0 * cmath.exp(0.3j), 0.37j * cmath.exp(2.1j), -3.3 + 0.1j):
+        # equal values; a zero may come out with the other sign
+        assert np.array_equal(fockbench.displacement_matrix(z, dim), _per_diagonal_displacement(z, dim))
+
+
+def test_cached_state_vector_equals_a_fresh_build():
+    state = SqueezedState(0.6 + 0.2j, 1.4, 0.9)
+    cached = fockbench.state_vector(state, 160)
+    assert fockbench.state_vector(state, 160) is cached
+    fockbench._pure_vector.cache_clear()
+    fresh = fockbench.state_vector(state, 160)
+    assert fresh is not cached
+    assert fresh.tobytes() == cached.tobytes()
+
+
+@pytest.mark.parametrize("state", [NumberState(3), CoherentState(1.2 - 0.4j), SqueezedState(0.5, 1.0, 0.3)])
+def test_state_vector_is_read_only(state):
+    vec = fockbench.state_vector(state, 32)
+    with pytest.raises(ValueError):
+        vec[0] = 2.0
+    with pytest.raises(ValueError):
+        vec *= 2.0
+    assert fockbench.state_vector(state, 32)[0] == vec[0]
+
+
+def test_state_vectors_of_distinct_states_do_not_alias():
+    dim = 64
+    base = fockbench.state_vector(SqueezedState(0.5, 1.0, 0.3), dim)
+    for other in (SqueezedState(0.5, 1.1, 0.3), SqueezedState(0.5, 1.0, 0.4)):
+        vec = fockbench.state_vector(other, dim)
+        assert vec is not base
+        assert not np.array_equal(vec, base)
+    assert fockbench.state_vector(SqueezedState(0.5, 1.0, 0.3), 2 * dim).shape == (2 * dim,)
+
+
+def test_squeezed_vector_is_reproducible_and_leaves_the_global_rng_alone():
+    # unseeded, scipy's 1-norm estimator gives different bits for these seeds
+    state = SqueezedState(0j, 4.2)
+    built = []
+    for seed in (1, 2):
+        fockbench._pure_vector.cache_clear()
+        np.random.seed(seed)
+        before = np.random.get_state()
+        built.append(fockbench.state_vector(state, 1920).tobytes())
+        after = np.random.get_state()
+        assert before[0] == after[0]
+        assert np.array_equal(before[1], after[1])
+        assert before[2:] == after[2:]
+    assert built[0] == built[1]

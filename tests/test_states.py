@@ -267,6 +267,19 @@ def test_weyl_time_average_strong_squeezing_is_finite():
     assert weyl_drive_coeffs(state, 1.0)[0] == pytest.approx(ref, rel=1e-13)
 
 
+def test_weyl_drive_coeffs_keep_what_the_time_average_sees():
+    # at a Bessel I argument below about 1e-27 the coefficients are NaN; they
+    # must not be filtered out, which would rebuild W as 0
+    state, c = SqueezedState(0.5 + 0j, 1.0), 1e-17
+    coeffs = weyl_drive_coeffs(state, c)
+    avg = weyl_time_average(state, c)
+    assert 0 in coeffs
+    if cmath.isnan(avg):
+        assert cmath.isnan(coeffs[0])
+    else:
+        assert coeffs[0] == pytest.approx(avg, abs=1e-14)
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "Miller's recurrence for I_n overflows into NaN at arguments below about "
     "1e-27; a correct I also turns the NaN cells pinned in the fig6/fig7 "
