@@ -1,12 +1,14 @@
 """Truncated Fock-space matrix oracle.
 
-Everything here is built from ladder matrices, matrix exponentials and brute
-force traces, independently of the closed forms elsewhere, so that every
-closed-form result can be verified numerically.  Matrices are dense complex
-numpy arrays over the number basis |0>..|dim-1>.  Truncation is explicit:
-dimensions double under a TruncationPolicy until the observable stabilizes,
-and truncated density matrices are never renormalized; the trace deficit is
-reported instead of being hidden.
+Everything here is built from the ladder operator, matrix exponentials and
+brute force traces, independently of the closed forms elsewhere, so that
+every closed-form result can be verified numerically, on the number basis
+|0>..|dim-1>.  The one ``ladder`` and the operators built from it (flux, EMF,
+squeeze and displacement generators) are scipy.sparse arrays; displacement
+and density matrices are dense complex numpy arrays.  Truncation is explicit:
+one loop, ``converge``, doubles the dimension under a TruncationPolicy until
+the evaluated quantity stabilizes, and truncated density matrices are never
+renormalized; the trace deficit is reported instead of being hidden.
 
 Pure state vectors are built once per (state, dim) and cached, so the
 doubling loops and every z share them; the cached arrays are read-only.
@@ -45,6 +47,7 @@ __all__ = [
     "ConvergenceInfo",
     "ladder",
     "state_vector",
+    "thermal_weights",
     "density_matrix",
     "displacement_matrix",
     "displacement_diagonal",
@@ -52,6 +55,7 @@ __all__ = [
     "flux_matrix",
     "emf_matrix",
     "expectation",
+    "converge",
     "weyl_numeric",
     "weyl_numeric_report",
     "two_mode_density",
@@ -66,11 +70,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Dimension-doubling policy: start at initial_dim (or a state-derived
-    default), double until the target scalar moves by less than tol, stop at
-    dim_cap."""
+    """Dimension-doubling policy: start at a state-derived dimension, double
+    until the target moves by less than tol, stop at dim_cap."""
 
-    initial_dim: int = 0  # 0: derive from the state
     tol: float = 1e-10
     dim_cap: int = 4096
 
@@ -91,17 +93,10 @@ def default_dim(state) -> int:
     return max(32, int(math.ceil(nbar + 10.0 * math.sqrt(nbar + 1.0))))
 
 
-def ladder(dim: int) -> np.ndarray:
-    """Annihilation operator a on the truncated basis."""
-    a = np.zeros((dim, dim), dtype=complex)
+def ladder(dim: int) -> sparse.csr_array:
+    """Annihilation operator a on the truncated basis, as a sparse array."""
     ns = np.arange(1, dim)
-    a[ns - 1, ns] = np.sqrt(ns)
-    return a
-
-
-def _ladder_sparse(dim: int):
-    ns = np.arange(1, dim)
-    return sparse.csr_matrix((np.sqrt(ns), (ns - 1, ns)), shape=(dim, dim), dtype=complex)
+    return sparse.csr_array((np.sqrt(ns), (ns - 1, ns)), shape=(dim, dim), dtype=complex)
 
 
 def state_vector(state, dim: int) -> np.ndarray:
@@ -130,9 +125,9 @@ def _pure_vector(state, dim: int) -> np.ndarray:
             c = c * a / math.sqrt(n + 1)
     elif isinstance(state, SqueezedState):
         coh = state_vector(CoherentState(state.amplitude), dim)
-        asp = _ladder_sparse(dim)
-        adag2 = (asp.conj().T @ asp.conj().T).tocsc()
-        a2 = (asp @ asp).tocsc()
+        a = ladder(dim)
+        adag2 = (a.conj().T @ a.conj().T).tocsc()
+        a2 = (a @ a).tocsc()
         gen = (-(state.r / 4.0) * cmath.exp(-1j * state.varphi)) * adag2 + (
             (state.r / 4.0) * cmath.exp(1j * state.varphi)
         ) * a2
@@ -158,22 +153,22 @@ def _expm_action(gen, vec: np.ndarray) -> np.ndarray:
         np.random.set_state(saved)
 
 
+def thermal_weights(state: ThermalState, dim: int) -> np.ndarray:
+    """Occupation probabilities (1 - e^{-bw}) e^{-bw n} for n < dim."""
+    bw = state.beta_omega
+    return (1.0 - math.exp(-bw)) * np.exp(-bw * np.arange(dim))
+
+
 def density_matrix(state, dim: int) -> np.ndarray:
     """Density matrix truncated to dim (no renormalization)."""
     if isinstance(state, ThermalState):
-        bw = state.beta_omega
-        diag = (1.0 - math.exp(-bw)) * np.exp(-bw * np.arange(dim))
-        return np.diag(diag.astype(complex))
+        return np.diag(thermal_weights(state, dim).astype(complex))
     v = state_vector(state, dim)
     return np.outer(v, v.conj())
 
 
 def trace_deficit(rho: np.ndarray) -> float:
     return 1.0 - float(np.trace(rho).real)
-
-
-def _vector_deficit(vec: np.ndarray) -> float:
-    return 1.0 - float(np.vdot(vec, vec).real)
 
 
 def _displacement_band(absz: float, dim: int) -> np.ndarray:
@@ -251,60 +246,73 @@ def displacement_diagonal(z, dim: int) -> np.ndarray:
 
 def apply_displacement(z, vec: np.ndarray) -> np.ndarray:
     """D(z) |vec> through the matrix exponential acting on the vector."""
-    dim = vec.shape[0]
-    a = _ladder_sparse(dim)
+    a = ladder(vec.shape[0])
     gen = complex(z) * a.conj().T.tocsc() - complex(z).conjugate() * a.tocsc()
     return _expm_action(gen, vec)
 
 
-def flux_matrix(mode: ModeParams, t: float, dim: int) -> np.ndarray:
+def flux_matrix(mode: ModeParams, t: float, dim: int) -> sparse.csc_array:
     """(xi/sqrt2)(e^{iwt} a^dag + e^{-iwt} a)."""
     a = ladder(dim)
     ph = cmath.exp(1j * mode.omega * t)
     return mode.xi / math.sqrt(2.0) * (ph * a.conj().T + np.conj(ph) * a)
 
 
-def emf_matrix(mode: ModeParams, t: float, dim: int) -> np.ndarray:
+def emf_matrix(mode: ModeParams, t: float, dim: int) -> sparse.csc_array:
     """(omega xi/sqrt2) i (e^{iwt} a^dag - e^{-iwt} a), the dual quadrature."""
     a = ladder(dim)
     ph = cmath.exp(1j * mode.omega * t)
     return mode.omega * mode.xi / math.sqrt(2.0) * 1j * (ph * a.conj().T - np.conj(ph) * a)
 
 
-def expectation(rho: np.ndarray, obs: np.ndarray) -> complex:
-    """Tr(rho obs)."""
+def expectation(rho: np.ndarray, obs) -> complex:
+    """Tr(rho obs) for a dense or scipy.sparse observable."""
     if rho.shape != obs.shape:
         raise ValueError("dimension mismatch between rho and observable")
+    if sparse.issparse(obs):  # elementwise: ``*`` is a sparse matrix's matrix product
+        return complex(obs.T.multiply(rho).sum())
     return complex(np.sum(rho * obs.T))
+
+
+def converge(evaluate, dim: int, policy: TruncationPolicy, what: str, distance=None):
+    """The oracle's one dimension-doubling loop.
+
+    evaluate(dim) is taken at dim, 2 dim, 4 dim, ... until distance(new,
+    previous) < policy.tol; distance defaults to the modulus of the change.
+    Returns (value, dim, delta) at the first converged dimension, and raises
+    TruncationError naming ``what`` once the next doubling would pass
+    policy.dim_cap.
+    """
+    val = evaluate(dim)
+    while True:
+        new_dim = 2 * dim
+        if new_dim > policy.dim_cap:
+            raise TruncationError(f"{what} did not converge below dim cap {policy.dim_cap}")
+        new_val = evaluate(new_dim)
+        delta = distance(new_val, val) if distance else abs(new_val - val)
+        dim, val = new_dim, new_val
+        if delta < policy.tol:
+            return val, dim, delta
 
 
 def _weyl_value(state, z, dim: int):
     """One truncated evaluation of Tr[rho D(z)]; returns (value, deficit)."""
     if isinstance(state, ThermalState):
-        bw = state.beta_omega
-        p = (1.0 - math.exp(-bw)) * np.exp(-bw * np.arange(dim))
+        p = thermal_weights(state, dim)
         val = complex(np.sum(p * displacement_diagonal(z, dim)))
         return val, 1.0 - float(np.sum(p))
     vec = state_vector(state, dim)
     val = complex(np.vdot(vec, apply_displacement(z, vec)))
-    return val, _vector_deficit(vec)
+    return val, 1.0 - float(np.vdot(vec, vec).real)
 
 
 def weyl_numeric_report(state, z, policy: TruncationPolicy = DEFAULT_POLICY):
     """Oracle Weyl value with its convergence diagnostics."""
-    dim = policy.initial_dim or default_dim(state)
-    val, deficit = _weyl_value(state, z, dim)
-    while True:
-        new_dim = 2 * dim
-        if new_dim > policy.dim_cap:
-            raise TruncationError(
-                f"weyl_numeric did not converge below dim cap {policy.dim_cap}"
-            )
-        new_val, deficit = _weyl_value(state, z, new_dim)
-        delta = abs(new_val - val)
-        dim, val = new_dim, new_val
-        if delta < policy.tol:
-            return val, ConvergenceInfo(dim=dim, delta=delta, trace_deficit=deficit)
+    (val, deficit), dim, delta = converge(
+        lambda dim: _weyl_value(state, z, dim), default_dim(state), policy,
+        "weyl_numeric", lambda new, old: abs(new[0] - old[0]),
+    )
+    return val, ConvergenceInfo(dim=dim, delta=delta, trace_deficit=deficit)
 
 
 def weyl_numeric(state, z, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
@@ -387,20 +395,13 @@ def converged_two_mode_expectation(state2, build_a, build_b, policy: TruncationP
     build_a(dim) and build_b(dim) return the single-mode observable matrices.
     Returns (value, ConvergenceInfo) with the joint trace deficit.
     """
-    dim = policy.initial_dim or _default_two_mode_dim(state2)
-    val = two_mode_expectation(state2, build_a(dim), build_b(dim))
-    while True:
-        new_dim = 2 * dim
-        if new_dim > policy.dim_cap:
-            raise TruncationError(
-                f"two-mode expectation did not converge below dim cap {policy.dim_cap}"
-            )
-        new_val = two_mode_expectation(state2, build_a(new_dim), build_b(new_dim))
-        delta = abs(new_val - val)
-        dim, val = new_dim, new_val
-        if delta < policy.tol:
-            deficit = _two_mode_deficit(state2, dim)
-            return val, ConvergenceInfo(dim=dim, delta=delta, trace_deficit=deficit)
+    val, dim, delta = converge(
+        lambda dim: two_mode_expectation(state2, build_a(dim), build_b(dim)),
+        _default_two_mode_dim(state2), policy, "two-mode expectation",
+    )
+    eye = np.eye(dim, dtype=complex)
+    deficit = 1.0 - float(two_mode_expectation(state2, eye, eye).real)
+    return val, ConvergenceInfo(dim=dim, delta=delta, trace_deficit=deficit)
 
 
 def dump_matrix(mat: np.ndarray, path: str) -> None:
@@ -430,19 +431,3 @@ def _default_two_mode_dim(state2) -> int:
     dims = [default_dim(s) for _, sa, sb in comps for s in (sa, sb)]
     return max(dims) if dims else 32
 
-
-def _two_mode_deficit(state2, dim: int) -> float:
-    kind, comps = _components(state2)
-    if kind == "mixed":
-        total = 0.0
-        for p, sa, sb in comps:
-            ta = 1.0 - trace_deficit(density_matrix(sa, dim))
-            tb = 1.0 - trace_deficit(density_matrix(sb, dim))
-            total += p * ta * tb
-        return 1.0 - total
-    total = 0j
-    vecs = [(c, state_vector(ka, dim), state_vector(kb, dim)) for c, ka, kb in comps]
-    for ck, ua, ub in vecs:
-        for cl, va, vb in vecs:
-            total += ck * np.conj(cl) * np.vdot(va, ua) * np.vdot(vb, ub)
-    return 1.0 - float(total.real)

@@ -7,6 +7,7 @@ subcommand prints these as JSON; the test suite asserts on them.
 
 import cmath
 import math
+from functools import partial
 
 import numpy as np
 
@@ -132,46 +133,42 @@ def weyl_oracle_suite(policy=None) -> dict:
     return _report("weyl-oracle", checks)
 
 
-def _converged_pure_vector(state, tol=1e-10, dim_cap=4096):
-    """Double the truncation until the vector content stabilizes.
+def _content_change(new, old) -> float:
+    """Distance between successive truncations of a vector: the change of the
+    shared entries plus the weight of the new ones.
 
     A norm/deficit test is not enough: the squeeze generator is
     anti-Hermitian, so its truncated exponential is unitary and hides
     truncation error inside a rotated vector of perfect norm.
     """
-    dim = fockbench.default_dim(state)
-    vec = fockbench.state_vector(state, dim)
-    while True:
-        dim2 = 2 * dim
-        if dim2 > dim_cap:
-            raise fockbench.TruncationError("state vector did not converge")
-        vec2 = fockbench.state_vector(state, dim2)
-        err = float(np.linalg.norm(vec2[:dim] - vec)) + float(np.linalg.norm(vec2[dim:]))
-        vec, dim = vec2, dim2
-        if err < tol:
-            return vec
+    dim = old.shape[0]
+    return float(np.linalg.norm(new[:dim] - old)) + float(np.linalg.norm(new[dim:]))
 
 
 def flux_stats_suite(policy=None) -> dict:
+    policy = policy or fockbench.TruncationPolicy()
     mode = ModeParams(omega=1.0e-4, xi=1.0)
     times = [k * 2.0 * math.pi / (8.0 * mode.omega) for k in range(8)]
     checks = []
     for fam, state in acceptance_states().items():
-        if isinstance(state, ThermalState):
-            dim = 2048
-            rho = fockbench.density_matrix(state, dim)
-            def mean_var(op):
-                m = fockbench.expectation(rho, op).real
-                v = fockbench.expectation(rho, op @ op).real - m * m
-                return m, math.sqrt(v)
-        else:
-            vec = _converged_pure_vector(state)
-            dim = vec.shape[0]
-            def mean_var(op):
-                w1 = op @ vec
-                m = float(np.vdot(vec, w1).real)
+        # the state itself is converged (thermal weights or the pure vector),
+        # and the sparse operators act on it: no dense matrix is formed
+        thermal = isinstance(state, ThermalState)
+        build = fockbench.thermal_weights if thermal else fockbench.state_vector
+        psi, dim, _ = fockbench.converge(
+            partial(build, state), fockbench.default_dim(state), policy,
+            f"{fam} state", _content_change,
+        )
+
+        def mean_var(op):
+            if thermal:  # p . diag(op) and p . diag(op op)
+                m = float(psi @ op.diagonal().real)
+                v = float(psi @ (op @ op).diagonal().real) - m * m
+            else:
+                w1 = op @ psi
+                m = float(np.vdot(psi, w1).real)
                 v = float(np.vdot(w1, w1).real) - m * m
-                return m, math.sqrt(v)
+            return m, math.sqrt(v)
         err_f = err_e = 0.0
         for t in times:
             mf, sf = flux_stats(state, mode, t)
@@ -195,6 +192,7 @@ def flux_stats_suite(policy=None) -> dict:
 
 
 def autocorr_suite(policy=None) -> dict:
+    policy = policy or fockbench.TruncationPolicy()
     coupling = ChargeCoupling(twomode.DEFAULT_COUPLING_Q)
     mode = ModeParams(omega=1.0e-4)
     period = 2.0 * math.pi / mode.omega
@@ -237,7 +235,12 @@ def autocorr_suite(policy=None) -> dict:
     }
     lags = [0.0, 0.31 * period, 0.62 * period]
     for fam, state in small.items():
+        # the window oracle runs at one fixed dimension, which must fit the cap
         dim = max(48, fockbench.default_dim(state))
+        if dim > policy.dim_cap:
+            raise fockbench.TruncationError(
+                f"autocorr window oracle needs dim {dim}, above dim cap {policy.dim_cap}"
+            )
         err = 0.0
         for tau in lags:
             exact = interference.autocorrelation_quantum(state, coupling, mode, [tau]).values[0]

@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import mesoweyl
-from mesoweyl import cli
+from mesoweyl import cli, verify
 from mesoweyl.experiments import EXPERIMENTS
 
 ALL_FIGS = ["fig1", "fig4", "fig5", "fig6", "fig7", "fig9", "fig10", "fig11",
@@ -99,12 +101,18 @@ def test_all_singular_exits_4(tmp_path):
     assert rc == 4
 
 
-def test_verify_cli_reports(capsys):
-    assert cli.main(["verify", "twomode"]) == 0
+@pytest.mark.parametrize("suite", ["twomode", "flux-stats"])
+def test_verify_cli_reports(capsys, suite):
+    assert cli.main(["verify", suite]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["suite"] == "twomode"
+    assert report["suite"] == suite
     assert report["passed"] is True
     assert all("max_error" in c and "tolerance" in c for c in report["checks"])
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_verify_dim_cap_exhaustion_exits_3(suite):
+    assert cli.main(["verify", suite, "--dim-cap", "8"]) == 3
 
 
 def test_console_entry_point_runs():

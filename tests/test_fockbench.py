@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
 from scipy.special import gammaln
 
@@ -84,7 +85,7 @@ def test_displacement_inverse_and_unitarity(z):
 def test_displacement_matches_expm_and_closed_form():
     dim = 48
     z = 0.7 - 0.3j
-    a = fockbench.ladder(dim)
+    a = fockbench.ladder(dim).toarray()
     ref = expm(z * a.conj().T - z.conjugate() * a)
     d = fockbench.displacement_matrix(z, dim)
     inner = slice(0, 24)
@@ -113,7 +114,7 @@ def test_weyl_numeric_pure_path_equals_dense_trace():
 
 
 def test_weyl_numeric_raises_when_capped():
-    policy = fockbench.TruncationPolicy(initial_dim=8, dim_cap=16, tol=1e-30)
+    policy = fockbench.TruncationPolicy(dim_cap=16, tol=1e-30)
     with pytest.raises(TruncationError):
         fockbench.weyl_numeric(SqueezedState(0j, 4.2), 0.5, policy)
 
@@ -126,6 +127,35 @@ def test_flux_matrix_elements_and_vacuum_variance():
     assert np.max(np.abs(m - m.conj().T)) <= 1e-14
     rho = fockbench.density_matrix(NumberState(0), 16)
     assert fockbench.expectation(rho, m @ m).real == pytest.approx(0.5, rel=1e-14)
+
+
+def test_expectation_of_a_sparse_operator_is_the_trace():
+    # with a sparse *matrix*, rho * obs.T would be a matrix product
+    mode = ModeParams(1.0, xi=1.0)
+    dim = 40
+    rho = fockbench.density_matrix(CoherentState(0.8 + 0.3j), dim)
+    op = fockbench.flux_matrix(mode, 0.3, dim)
+    assert sparse.issparse(op)
+    dense = complex(np.trace(rho @ op.toarray()))
+    assert dense == pytest.approx(1.2062, abs=1e-4)
+    for obs in (op, sparse.csr_matrix(op), op.toarray()):
+        assert fockbench.expectation(rho, obs) == pytest.approx(dense, abs=1e-13)
+
+
+def test_converge_doubles_until_the_change_is_below_tol():
+    seen = []
+
+    def evaluate(dim):
+        seen.append(dim)
+        return 2.0 ** -dim
+
+    policy = fockbench.TruncationPolicy(tol=1e-3, dim_cap=32)
+    val, dim, delta = fockbench.converge(evaluate, 4, policy, "probe")
+    assert seen == [4, 8, 16, 32] and dim == 32
+    assert val == 2.0 ** -32 and delta == 2.0 ** -16 - 2.0 ** -32
+    capped = fockbench.TruncationPolicy(tol=1e-3, dim_cap=16)
+    with pytest.raises(TruncationError, match="probe did not converge below dim cap 16"):
+        fockbench.converge(evaluate, 4, capped, "probe")
 
 
 def test_expectation_examples():
