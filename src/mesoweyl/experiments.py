@@ -188,26 +188,30 @@ def _fig7(params, policy):
 # ---------------------------------------------------------------------------
 
 def _ratio_surface_rows(params, entangled, t):
+    """Rows (x_a, x_b, R) over the square screen grid, and the R surface."""
     q = params["q"]
     n1, n2 = params["n1"], params["n2"]
     n = params["grid_points"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"grid_points must be an integer >= 1, got {n!r}")
     xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, n)
-    rows = []
-    for xa in xs:
-        for xb in xs:
-            if entangled:
-                val = twomode.ratio_ent_closed(q, xa, xb, t, params["omega_1"], params["omega_2"], n1, n2)
-            else:
-                val = twomode.ratio_sep_closed(q, xa, xb, n1, n2)
-            rows.append((xa, xb, val))
-    return xs, rows
+    if entangled:
+        vals = twomode.ratio_ent_closed(
+            q, xs[:, None], xs[None, :], t, params["omega_1"], params["omega_2"], n1, n2
+        )
+    else:
+        vals = twomode.ratio_sep_closed(q, xs[:, None], xs[None, :], n1, n2)
+    grid = xs.tolist()
+    # one screen line at a time: the whole surface as nested lists on top of
+    # the rows raises the run's peak RSS by about 0.5 MB
+    rows = [(xa, xb, v) for xa, line in zip(grid, vals) for xb, v in zip(grid, line.tolist())]
+    return rows, vals
 
 
 def _fig9(params, policy):
     q = params["q"]
-    xs, rows = _ratio_surface_rows(params, entangled=False, t=0.0)
     lower, upper = twomode.sep_bounds(q, params["n1"], params["n2"])
-    vals = np.array([r[2] for r in rows])
+    rows, vals = _ratio_surface_rows(params, entangled=False, t=0.0)
     manifest = {
         "anchors": {
             "corner_min_reported": lower,
@@ -223,9 +227,8 @@ def _fig9(params, policy):
 
 def _fig10(params, policy):
     t = math.pi / (params["omega_1"] + params["omega_2"])
-    _, rows = _ratio_surface_rows(params, entangled=True, t=t)
     lower, upper = twomode.sep_bounds(params["q"], params["n1"], params["n2"])
-    vals = np.array([r[2] for r in rows])
+    rows, vals = _ratio_surface_rows(params, entangled=True, t=t)
     manifest = {
         "anchors": {
             "sep_bounds": [lower, upper],
@@ -243,15 +246,12 @@ def _fig11(params, policy):
     xa, xb = params["x_a"], params["x_b"]
     w1, w2 = params["omega_1"], params["omega_2"]
     phases = np.linspace(0.0, params["periods"] * 2.0 * math.pi, params["samples"])
-    rows = []
-    for ph in phases:
-        t = ph / (w1 + w2)
-        rows.append(
-            (ph,
-             twomode.ratio_sep_closed(q, xa, xb, n1, n2),
-             twomode.ratio_ent_closed(q, xa, xb, t, w1, w2, n1, n2))
-        )
-    return ExperimentResult(["omega_sum_t", "r_sep", "r_ent"], rows)
+    r_sep = twomode.ratio_sep_closed(q, xa, xb, n1, n2)
+    r_ent = twomode.ratio_ent_closed(q, xa, xb, phases / (w1 + w2), w1, w2, n1, n2)
+    rows = [(ph, r_sep, v) for ph, v in zip(phases.tolist(), r_ent.tolist())]
+    # a screen point on a marginal zero (q = 0, x = pi) is a 0/0 pole
+    n_sing = int(np.count_nonzero(np.isnan(r_ent)))
+    return ExperimentResult(["omega_sum_t", "r_sep", "r_ent"], rows, n_singular=n_sing)
 
 
 # ---------------------------------------------------------------------------

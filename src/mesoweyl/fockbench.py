@@ -63,8 +63,6 @@ __all__ = [
     "two_mode_expectation",
     "converged_two_mode_expectation",
     "default_dim",
-    "dump_matrix",
-    "load_matrix",
 ]
 
 
@@ -402,28 +400,6 @@ def converged_two_mode_expectation(state2, build_a, build_b, policy: TruncationP
     eye = np.eye(dim, dtype=complex)
     deficit = 1.0 - float(two_mode_expectation(state2, eye, eye).real)
     return val, ConvergenceInfo(dim=dim, delta=delta, trace_deficit=deficit)
-
-
-def dump_matrix(mat: np.ndarray, path: str) -> None:
-    """Debug dump: header row "re,im", then one row-major entry per line.
-
-    The first line is "# dim_rows,dim_cols"; reload with load_matrix.
-    """
-    mat = np.asarray(mat, dtype=complex)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# {mat.shape[0]},{mat.shape[1]}\n")
-        fh.write("re,im\n")
-        for v in mat.ravel(order="C"):
-            fh.write(f"{float(v.real)!r},{float(v.imag)!r}\n")
-
-
-def load_matrix(path: str) -> np.ndarray:
-    """Inverse of dump_matrix."""
-    with open(path, "r", encoding="utf-8") as fh:
-        shape = tuple(int(s) for s in fh.readline().lstrip("# ").split(","))
-        fh.readline()
-        data = [complex(float(a), float(b)) for a, b in (line.split(",") for line in fh)]
-    return np.array(data, dtype=complex).reshape(shape)
 
 
 def _default_two_mode_dim(state2) -> int:

@@ -25,7 +25,6 @@ __all__ = [
     "SpectrumCoeffs",
     "intensity_static",
     "intensity_quantum",
-    "intensity_quantum_from_trace",
     "visibility",
     "classical_intensity",
     "classical_gamma_series",
@@ -68,15 +67,6 @@ def intensity_quantum(state, coupling: ChargeCoupling, mode: ModeParams, x: floa
     """1 + |W(lam)| cos(x - arg W(lam)), lam = i q e^{iwt}."""
     w = weyl(state, _lam(coupling, mode, t))
     return 1.0 + abs(w) * math.cos(x - cmath.phase(w))
-
-
-def intensity_quantum_from_trace(state, coupling: ChargeCoupling, mode: ModeParams, x: float, t: float) -> float:
-    """Same fringe from the displacement half-sum Tr[rho cos(x - e flux)]."""
-    lam = _lam(coupling, mode, t)
-    val = 1.0 + 0.5 * (
-        cmath.exp(1j * x) * weyl(state, -lam) + cmath.exp(-1j * x) * weyl(state, lam)
-    )
-    return val.real
 
 
 def visibility(state, coupling: ChargeCoupling, mode: ModeParams, t: float) -> float:

@@ -32,7 +32,6 @@ from .states import (
 
 __all__ = [
     "TwoModeField",
-    "RatioSurface",
     "DEFAULT_COUPLING_Q",
     "number_pair_separable",
     "number_pair_entangled",
@@ -42,7 +41,6 @@ __all__ = [
     "marginal_intensity",
     "joint_intensity",
     "ratio_R",
-    "ratio_surface",
     "number_pair_alpha_gamma",
     "ratio_sep_closed",
     "ratio_ent_closed",
@@ -67,14 +65,6 @@ class TwoModeField:
     state: object
     mode_a: ModeParams
     mode_b: ModeParams
-
-
-@dataclass(frozen=True)
-class RatioSurface:
-    x_a: np.ndarray
-    x_b: np.ndarray
-    values: np.ndarray           # shape (len(x_a), len(x_b)); nan at singular points
-    n_singular: int
 
 
 def _default_modes():
@@ -199,22 +189,6 @@ def ratio_R(field: TwoModeField, coupling: ChargeCoupling, x_a: float, x_b: floa
     return joint_intensity(field, coupling, x_a, x_b, t) / (ia * ib)
 
 
-def ratio_surface(field: TwoModeField, coupling: ChargeCoupling, x_a, x_b, t: float) -> RatioSurface:
-    """R over a screen grid; singular points are reported as nan, not patched."""
-    x_a = np.asarray(x_a, dtype=float)
-    x_b = np.asarray(x_b, dtype=float)
-    vals = np.empty((len(x_a), len(x_b)))
-    n_sing = 0
-    for i, xa in enumerate(x_a):
-        for j, xb in enumerate(x_b):
-            try:
-                vals[i, j] = ratio_R(field, coupling, xa, xb, t)
-            except SingularPointError:
-                vals[i, j] = math.nan
-                n_sing += 1
-    return RatioSurface(x_a=x_a, x_b=x_b, values=vals, n_singular=n_sing)
-
-
 def number_pair_alpha_gamma(q: float, n1: int = 0, n2: int = 1):
     """Fringe and cross coefficients of the equal-occupation number pair:
     alpha = (W_n1 + W_n2)/2, gamma = (W_n1^2 + W_n2^2)/2 at |z| = q."""
@@ -223,16 +197,24 @@ def number_pair_alpha_gamma(q: float, n1: int = 0, n2: int = 1):
     return 0.5 * (w1 + w2), 0.5 * (w1 * w1 + w2 * w2)
 
 
-def ratio_sep_closed(q: float, x_a: float, x_b: float, n1: int = 0, n2: int = 1) -> float:
-    """Closed form of R for the separable number pair."""
-    alpha, gamma = number_pair_alpha_gamma(q, n1, n2)
-    ca, cb = math.cos(x_a), math.cos(x_b)
+def _ratio_sep(alpha, gamma, ca, cb):
     return (1.0 + alpha * (ca + cb) + gamma * ca * cb) / ((1.0 + alpha * ca) * (1.0 + alpha * cb))
 
 
-def ratio_ent_closed(q: float, x_a: float, x_b: float, t: float,
+def ratio_sep_closed(q: float, x_a, x_b, n1: int = 0, n2: int = 1):
+    """Closed form of R for the separable number pair.
+
+    x_a and x_b broadcast against each other (a column of x_a and a row of
+    x_b give the whole screen surface); each element is the same float as
+    the scalar call.
+    """
+    alpha, gamma = number_pair_alpha_gamma(q, n1, n2)
+    return _ratio_sep(alpha, gamma, np.cos(x_a), np.cos(x_b))
+
+
+def ratio_ent_closed(q: float, x_a, x_b, t,
                      omega_1: float = FIG_OMEGA_1, omega_2: float = FIG_OMEGA_2,
-                     n1: int = 0, n2: int = 1) -> float:
+                     n1: int = 0, n2: int = 1):
     """Closed form of R for the entangled number pair.
 
     The off-diagonal |n1 n1><n2 n2| elements add, with d = |n2 - n1| and
@@ -244,20 +226,23 @@ def ratio_ent_closed(q: float, x_a: float, x_b: float, t: float,
     over the marginal product.  The sign of the d = 1 term follows the
     first-principles trace (matrix-oracle checked); the published (0,1) form
     carries the opposite sign, equivalent to a half-period shift in t.
+
+    x_a, x_b and t broadcast against each other, as in ratio_sep_closed.
     """
-    alpha, _ = number_pair_alpha_gamma(q, n1, n2)
-    base = ratio_sep_closed(q, x_a, x_b, n1, n2)
+    alpha, gamma = number_pair_alpha_gamma(q, n1, n2)
+    ca, cb = np.cos(x_a), np.cos(x_b)
+    base = _ratio_sep(alpha, gamma, ca, cb)
     d = abs(n2 - n1)
-    if d == 0:
-        return base
-    g = abs(number_displacement_element(max(n1, n2), 1j * q, min(n1, n2))) ** 2
-    osc = math.cos(d * (omega_1 + omega_2) * t)
+    # for n1 == n2 there are no off-diagonal elements, and adding the zero
+    # term leaves base unchanged while keeping the broadcast shape
+    g = abs(number_displacement_element(max(n1, n2), 1j * q, min(n1, n2))) ** 2 if d else 0.0
+    osc = np.cos(d * (omega_1 + omega_2) * t)
     if d % 2:
-        angular = math.sin(x_a) * math.sin(x_b)
+        angular = np.sin(x_a) * np.sin(x_b)
     else:
-        angular = math.cos(x_a) * math.cos(x_b)
+        angular = ca * cb
     corr = g * osc * angular
-    return base + corr / ((1.0 + alpha * math.cos(x_a)) * (1.0 + alpha * math.cos(x_b)))
+    return base + corr / ((1.0 + alpha * ca) * (1.0 + alpha * cb))
 
 
 def sep_bounds(q: float, n1: int = 0, n2: int = 1):

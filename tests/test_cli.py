@@ -81,6 +81,10 @@ def test_invalid_configs_exit_2(tmp_path):
     bad.write_text(json.dumps({"experiment": "fig4", "params": {"bogus": 1}}))
     assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert cli.main(["run", "--out", str(tmp_path)]) == 2
+    for fig in ("fig9", "fig10"):
+        for grid_points in ("x", 2.5, 0, True):
+            bad.write_text(json.dumps({"experiment": fig, "params": {"grid_points": grid_points}}))
+            assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
 
 def test_dim_cap_exhaustion_exits_3(tmp_path):
@@ -99,6 +103,10 @@ def test_all_singular_exits_4(tmp_path):
     path.write_text(json.dumps(config))
     rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 4
+    # uncoupled device (q = 0) watched at its fringe zero: R is 0/0 at every phase
+    config = {"experiment": "fig11", "params": {"q": 0.0, "x_a": math.pi}}
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 4
 
 
 @pytest.mark.parametrize("suite", ["twomode", "flux-stats"])

@@ -265,14 +265,6 @@ def test_two_mode_expectation_matches_kron_trace():
         assert abs(val - ref) <= 1e-10 * max(1.0, abs(ref))
 
 
-def test_matrix_dump_round_trip(tmp_path):
-    mat = fockbench.displacement_matrix(0.4 + 0.2j, 12)
-    path = tmp_path / "d.csv"
-    fockbench.dump_matrix(mat, str(path))
-    back = fockbench.load_matrix(str(path))
-    assert np.array_equal(back, mat)
-
-
 def test_converged_two_mode_expectation_reports_dim():
     state = TwoModeFactorizable(CoherentState(1.0), CoherentState(0.5))
     val, info = fockbench.converged_two_mode_expectation(

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mesoweyl import fockbench, twomode, verify
 from mesoweyl.exceptions import SingularPointError
@@ -102,22 +104,45 @@ def test_ratio_factorizable_is_unity():
                 assert abs(twomode.ratio_R(field, COUPLING, xa, xb, t) - 1.0) <= 1e-12
 
 
-def test_ratio_closed_forms_match_generic_path():
-    sep = twomode.number_pair_separable(0, 1)
-    ent = twomode.number_pair_entangled(0, 1)
-    for xa, xb in ((0.4, -1.1), (2.0, 2.9), (-0.7, 0.3)):
-        assert twomode.ratio_R(sep, COUPLING, xa, xb, T0) == pytest.approx(
-            twomode.ratio_sep_closed(Q, xa, xb), abs=1e-12
-        )
-        assert twomode.ratio_R(ent, COUPLING, xa, xb, T0) == pytest.approx(
-            twomode.ratio_ent_closed(Q, xa, xb, T0), abs=1e-12
-        )
-    # a non-adjacent pair exercises the even-difference cross term
-    ent13 = twomode.number_pair_entangled(1, 3)
-    for xa, xb in ((0.4, -1.1), (2.0, 2.9)):
-        assert twomode.ratio_R(ent13, COUPLING, xa, xb, T0) == pytest.approx(
-            twomode.ratio_ent_closed(Q, xa, xb, T0, W1, W2, 1, 3), abs=1e-12
-        )
+_SCREEN = st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1, max_size=3)
+
+
+@given(
+    q=st.floats(0.05, 4.0),
+    n1=st.integers(0, 4),
+    n2=st.integers(0, 4),
+    x_a=_SCREEN,
+    x_b=_SCREEN,
+    t=st.lists(st.floats(0.0, 2.0 * math.pi / (W1 + W2)), min_size=1, max_size=2),
+)
+# the shipped pair and a non-adjacent one (even-difference cross term)
+@example(q=Q, n1=0, n2=1, x_a=[0.4, 2.0, -0.7], x_b=[-1.1, 2.9, 0.3], t=[T0])
+@example(q=Q, n1=1, n2=3, x_a=[0.4, 2.0], x_b=[-1.1, 2.9], t=[T0])
+def test_ratio_closed_forms_match_generic_path(q, n1, n2, x_a, x_b, t):
+    xa, xb, tt = np.array(x_a), np.array(x_b), np.array(t)
+    sep = twomode.ratio_sep_closed(q, xa[:, None], xb[None, :], n1, n2)
+    ent = twomode.ratio_ent_closed(q, xa[:, None, None], xb[None, :, None], tt, W1, W2, n1, n2)
+    assert sep.shape == (len(xa), len(xb))
+    assert ent.shape == (len(xa), len(xb), len(tt))
+    coupling = ChargeCoupling(q)
+    sep_field = twomode.number_pair_separable(n1, n2)
+    ent_field = twomode.number_pair_entangled(n1, n2)
+    alpha, _ = twomode.number_pair_alpha_gamma(q, n1, n2)
+    for i, a in enumerate(x_a):
+        for j, b in enumerate(x_b):
+            # R is I / (I_A I_B): rounding in I is amplified where the
+            # marginal product is small, so tolerances scale with it there
+            scale = 1.0 / min(1.0, (1.0 + alpha * math.cos(a)) * (1.0 + alpha * math.cos(b)))
+            assert sep[i, j] == twomode.ratio_sep_closed(q, a, b, n1, n2)
+            assert abs(sep[i, j] - twomode.ratio_R(sep_field, coupling, a, b, 0.0)) <= 1e-12 * scale
+            for k, tk in enumerate(t):
+                assert ent[i, j, k] == twomode.ratio_ent_closed(q, a, b, tk, W1, W2, n1, n2)
+                ref = twomode.ratio_R(ent_field, coupling, a, b, tk)
+                assert abs(ent[i, j, k] - ref) <= 1e-12 * scale
+            if n1 == n2:
+                # a product of equal number states is a factorizable field
+                assert abs(sep[i, j] - 1.0) <= 1e-14 * scale
+                assert np.all(np.abs(ent[i, j] - 1.0) <= 1e-14 * scale)
 
 
 def test_ratio_ent_reduces_to_sep_on_nodal_lines():
@@ -183,15 +208,6 @@ def test_fit_coupling_reproduces_anchors():
     assert abs(up - 1.2471) < 1.1e-3
 
 
-def test_ratio_surface_reports_singular_points():
-    field = twomode.number_pair_separable(0, 1)
-    surf = twomode.ratio_surface(field, COUPLING, np.array([0.0, math.pi]), np.array([0.0]), T0)
-    assert surf.n_singular == 0
-    assert surf.values.shape == (2, 1)
-    lower, _ = twomode.sep_bounds(Q)
-    assert surf.values[0, 0] == pytest.approx(lower)
-
-
 def test_ratio_raises_on_vanishing_marginal(monkeypatch):
     # marginals only vanish in the zero-visibility limit, which no physical
     # q > 0 reaches; widen the guard to exercise the reporting path
@@ -199,9 +215,6 @@ def test_ratio_raises_on_vanishing_marginal(monkeypatch):
     field = twomode.number_pair_separable(0, 1)
     with pytest.raises(SingularPointError):
         twomode.ratio_R(field, COUPLING, 0.0, 0.0, T0)
-    surf = twomode.ratio_surface(field, COUPLING, np.array([0.0]), np.array([0.0]), T0)
-    assert surf.n_singular == 1
-    assert math.isnan(surf.values[0, 0])
 
 
 def test_two_mode_weyl_unsupported_component():
