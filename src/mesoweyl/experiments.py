@@ -188,56 +188,68 @@ def _fig7(params, policy):
 # ---------------------------------------------------------------------------
 
 def _ratio_surface_rows(params, entangled, t):
-    """Rows (x_a, x_b, R) over the square screen grid, and the R surface."""
+    """Rows (x_a, x_b, R) over the square screen grid, the R surface and its
+    number of poles."""
     q = params["q"]
     n1, n2 = params["n1"], params["n2"]
     n = params["grid_points"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"grid_points must be an integer >= 1, got {n!r}")
     xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, n)
-    if entangled:
-        vals = twomode.ratio_ent_closed(
-            q, xs[:, None], xs[None, :], t, params["omega_1"], params["omega_2"], n1, n2
-        )
-    else:
-        vals = twomode.ratio_sep_closed(q, xs[:, None], xs[None, :], n1, n2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # poles are counted below
+        if entangled:
+            vals = twomode.ratio_ent_closed(
+                q, xs[:, None], xs[None, :], t, params["omega_1"], params["omega_2"], n1, n2
+            )
+        else:
+            vals = twomode.ratio_sep_closed(q, xs[:, None], xs[None, :], n1, n2)
+    n_sing = _poles_as_nan(vals)
     grid = xs.tolist()
     # one screen line at a time: the whole surface as nested lists on top of
     # the rows raises the run's peak RSS by about 0.5 MB
     rows = [(xa, xb, v) for xa, line in zip(grid, vals) for xb, v in zip(grid, line.tolist())]
-    return rows, vals
+    return rows, vals, n_sing
+
+
+def _poles_as_nan(vals):
+    """Report the poles of R in place as nan and return their count.  A pole
+    is a marginal zero (1 + alpha cos x = 0, as alpha -> 1 at x = pi), where
+    the closed form gives 0/0 or c/0."""
+    pole = ~np.isfinite(vals)
+    vals[pole] = math.nan
+    return int(np.count_nonzero(pole))
 
 
 def _fig9(params, policy):
     q = params["q"]
     lower, upper = twomode.sep_bounds(q, params["n1"], params["n2"])
-    rows, vals = _ratio_surface_rows(params, entangled=False, t=0.0)
+    rows, vals, n_sing = _ratio_surface_rows(params, entangled=False, t=0.0)
     manifest = {
         "anchors": {
             "corner_min_reported": lower,
             "corner_max_reported": upper,
             "bounds_lower": lower,
             "bounds_upper": upper,
-            "grid_min": float(vals.min()),
-            "grid_max": float(vals.max()),
+            "grid_min": float(np.nanmin(vals)),
+            "grid_max": float(np.nanmax(vals)),
         }
     }
-    return ExperimentResult(["x_a", "x_b", "r_sep"], rows, manifest)
+    return ExperimentResult(["x_a", "x_b", "r_sep"], rows, manifest, n_singular=n_sing)
 
 
 def _fig10(params, policy):
     t = math.pi / (params["omega_1"] + params["omega_2"])
     lower, upper = twomode.sep_bounds(params["q"], params["n1"], params["n2"])
-    rows, vals = _ratio_surface_rows(params, entangled=True, t=t)
+    rows, vals, n_sing = _ratio_surface_rows(params, entangled=True, t=t)
     manifest = {
         "anchors": {
             "sep_bounds": [lower, upper],
-            "grid_min": float(vals.min()),
-            "grid_max": float(vals.max()),
+            "grid_min": float(np.nanmin(vals)),
+            "grid_max": float(np.nanmax(vals)),
             "phase_sum_t": math.pi,
         }
     }
-    return ExperimentResult(["x_a", "x_b", "r_ent"], rows, manifest)
+    return ExperimentResult(["x_a", "x_b", "r_ent"], rows, manifest, n_singular=n_sing)
 
 
 def _fig11(params, policy):
@@ -246,11 +258,13 @@ def _fig11(params, policy):
     xa, xb = params["x_a"], params["x_b"]
     w1, w2 = params["omega_1"], params["omega_2"]
     phases = np.linspace(0.0, params["periods"] * 2.0 * math.pi, params["samples"])
-    r_sep = twomode.ratio_sep_closed(q, xa, xb, n1, n2)
-    r_ent = twomode.ratio_ent_closed(q, xa, xb, phases / (w1 + w2), w1, w2, n1, n2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # poles are counted below
+        r_sep = twomode.ratio_sep_closed(q, xa, xb, n1, n2)
+        r_ent = twomode.ratio_ent_closed(q, xa, xb, phases / (w1 + w2), w1, w2, n1, n2)
+    # a screen point on a marginal zero puts every row on the pole
+    r_sep = r_sep if math.isfinite(r_sep) else math.nan
+    n_sing = _poles_as_nan(r_ent)
     rows = [(ph, r_sep, v) for ph, v in zip(phases.tolist(), r_ent.tolist())]
-    # a screen point on a marginal zero (q = 0, x = pi) is a 0/0 pole
-    n_sing = int(np.count_nonzero(np.isnan(r_ent)))
     return ExperimentResult(["omega_sum_t", "r_sep", "r_ent"], rows, n_singular=n_sing)
 
 

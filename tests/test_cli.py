@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -82,7 +83,7 @@ def test_invalid_configs_exit_2(tmp_path):
     assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert cli.main(["run", "--out", str(tmp_path)]) == 2
     for fig in ("fig9", "fig10"):
-        for grid_points in ("x", 2.5, 0, True):
+        for grid_points in ("x", 2.5, 0, -3, True, None):
             bad.write_text(json.dumps({"experiment": fig, "params": {"grid_points": grid_points}}))
             assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
@@ -107,6 +108,31 @@ def test_all_singular_exits_4(tmp_path):
     config = {"experiment": "fig11", "params": {"q": 0.0, "x_a": math.pi}}
     path.write_text(json.dumps(config))
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 4
+    # at q = 1e-10 alpha rounds to 1 but sep_bounds still accepts q: at this
+    # x_b about half the rows on the x_a = pi marginal zero are c/0 (+-inf)
+    # rather than 0/0
+    config = {"experiment": "fig11", "params": {"q": 1e-10, "x_a": math.pi, "x_b": 2.0}}
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 4
+
+
+@pytest.mark.parametrize("fig", ["fig9", "fig10"])
+def test_surface_poles_are_counted_and_reported_as_nan(tmp_path, fig):
+    # alpha rounds to 1 at q = 1e-10, so the screen lines x = +-pi are poles
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": fig, "params": {"q": 1e-10, "grid_points": 5}}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+    # the manifest is standard JSON: its range covers the finite points only
+    manifest = json.loads(
+        (tmp_path / f"{fig}.manifest.json").read_text(), parse_constant=pytest.fail
+    )
+    with open(tmp_path / f"{fig}.csv") as fh:
+        rows = list(csv.reader(fh))[1:]
+    poles = [r for r in rows if abs(abs(float(r[0])) - math.pi) < 1e-12
+             or abs(abs(float(r[1])) - math.pi) < 1e-12]
+    assert manifest["n_singular"] == len(poles) == 16
+    assert all(r[2] == "nan" for r in poles)
+    assert all(math.isfinite(float(r[2])) for r in rows if r not in poles)
 
 
 @pytest.mark.parametrize("suite", ["twomode", "flux-stats"])
