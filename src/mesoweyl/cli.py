@@ -8,7 +8,6 @@ Environment: MESOWEYL_OUT overrides the output directory (and nothing else).
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -27,19 +26,12 @@ class ConfigError(ValueError):
     pass
 
 
-def _format_value(v) -> str:
-    v = float(v)
-    if math.isnan(v):
-        return "nan"
-    return repr(v)
-
-
 def write_csv(path: str, columns, rows) -> None:
     """Comma-separated, header row, LF endings, shortest-roundtrip floats."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_format_value(v) for v in row) + "\n")
+            fh.write(",".join(map(repr, map(float, row))) + "\n")
 
 
 def write_manifest(path: str, manifest: dict) -> None:

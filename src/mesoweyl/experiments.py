@@ -56,6 +56,19 @@ def _states_nbar(params):
 
 # ---------------------------------------------------------------------------
 
+def _size(params, name, least=1):
+    """params[name], which must be an integer >= least."""
+    n = params[name]
+    if isinstance(n, bool) or not isinstance(n, int) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+    return n
+
+
+def _phase_grid(params):
+    """The plotted phases: samples points over periods * 2 pi."""
+    return np.linspace(0.0, params["periods"] * 2.0 * math.pi, _size(params, "samples"))
+
+
 def _fig1(params, policy):
     mode = ModeParams(params["omega"], params["xi"])
     r = params["squeezing_r"]
@@ -64,7 +77,7 @@ def _fig1(params, policy):
     # e^{r/2} so that <a> matches the coherent one
     coh = CoherentState(complex(amp_coh))
     sq = SqueezedState(complex(amp_coh * math.exp(r / 2.0)), r)
-    wt = np.linspace(0.0, params["periods"] * 2.0 * math.pi, params["samples"])
+    wt = _phase_grid(params)
     rows = []
     for w in wt:
         t = w / mode.omega
@@ -86,7 +99,7 @@ def _fig4(params, policy):
         # mean photon number ~1e-22: the zero-photon thermal limit
         "th": ThermalState(params["thermal_beta_omega"]),
     }
-    wt = np.linspace(0.0, params["periods"] * 2.0 * math.pi, params["samples"])
+    wt = _phase_grid(params)
     rows = []
     for w in wt:
         t = w / mode.omega
@@ -113,7 +126,7 @@ def _fig5(params, policy):
     coupling = ChargeCoupling(params["q"])
     states = _states_nbar(params)
     e_phi1 = params["classical_e_phi1"]
-    wt = np.linspace(0.0, params["periods"] * 2.0 * math.pi, params["samples"])
+    wt = _phase_grid(params)
     rows = []
     for w in wt:
         t = w / mode.omega
@@ -135,7 +148,7 @@ def _fig6(params, policy):
     coupling = ChargeCoupling(params["q"])
     states = _states_nbar(params)
     e_phi1 = params["classical_e_phi1"]
-    wtau = np.linspace(0.0, params["periods"] * 2.0 * math.pi, params["samples"])
+    wtau = _phase_grid(params)
     taus = wtau / mode.omega
     series = {
         k: interference.normalized_gamma(
@@ -164,8 +177,8 @@ def _fig7(params, policy):
     coupling = ChargeCoupling(params["q"])
     states = _states_nbar(params)
     e_phi1 = params["classical_e_phi1"]
-    kmax = params["kmax"]
-    nsamp = params["spectral_samples"]
+    kmax = _size(params, "kmax", least=0)
+    nsamp = _size(params, "spectral_samples", least=2)
     period = 2.0 * math.pi / mode.omega
     taus = np.arange(nsamp) / nsamp * period
     spectra = {}
@@ -192,10 +205,7 @@ def _ratio_surface_rows(params, entangled, t):
     number of poles."""
     q = params["q"]
     n1, n2 = params["n1"], params["n2"]
-    n = params["grid_points"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"grid_points must be an integer >= 1, got {n!r}")
-    xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, n)
+    xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, _size(params, "grid_points"))
     with np.errstate(divide="ignore", invalid="ignore"):  # poles are counted below
         if entangled:
             vals = twomode.ratio_ent_closed(
@@ -257,7 +267,7 @@ def _fig11(params, policy):
     n1, n2 = params["n1"], params["n2"]
     xa, xb = params["x_a"], params["x_b"]
     w1, w2 = params["omega_1"], params["omega_2"]
-    phases = np.linspace(0.0, params["periods"] * 2.0 * math.pi, params["samples"])
+    phases = _phase_grid(params)
     with np.errstate(divide="ignore", invalid="ignore"):  # poles are counted below
         r_sep = twomode.ratio_sep_closed(q, xa, xb, n1, n2)
         r_ent = twomode.ratio_ent_closed(q, xa, xb, phases / (w1 + w2), w1, w2, n1, n2)
@@ -279,10 +289,6 @@ def _squid_params(params):
         params["n1"], params["n2"],
         complex(params["a1"]), complex(params["a2"]),
     )
-
-
-def _diff_phases(params):
-    return np.linspace(0.0, params["periods"] * 2.0 * math.pi, params["samples"])
 
 
 def _coherent_convergence(params, policy):
@@ -316,7 +322,7 @@ def _fig14(params, policy):
     rows = []
     rc_num = squid.ratio_c_sep_number(n1, n2, coupling)
     singular = []
-    for ph in _diff_phases(params):
+    for ph in _phase_grid(params):
         t = ph / (w1 - w2)
         mom = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
         try:
@@ -336,7 +342,7 @@ def _fig15(params, policy):
     rows = []
     n_sing = 0
     singular = []
-    for ph in _diff_phases(params):
+    for ph in _phase_grid(params):
         t = ph / (w1 - w2)
         try:
             d_num = (
@@ -364,7 +370,7 @@ def _fig15(params, policy):
 def _fig16(params, policy):
     coupling, wa, wb, w1, w2, n1, n2, a1, a2 = _squid_params(params)
     rows = []
-    for ph in _diff_phases(params):
+    for ph in _phase_grid(params):
         t = ph / (w1 - w2)
         mom_sep = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
         mom_ent = squid.two_squid_currents_coherent(a1, a2, True, coupling, wa, wb, w1, w2, t)
@@ -376,7 +382,7 @@ def _fig16(params, policy):
 def _fig17(params, policy):
     coupling, wa, wb, w1, w2, n1, n2, a1, a2 = _squid_params(params)
     rows = []
-    for ph in _diff_phases(params):
+    for ph in _phase_grid(params):
         t = ph / (w1 - w2)
         num_sep = squid.two_squid_currents_number(n1, n2, False, coupling, wa, wb, w1, w2, t)
         num_ent = squid.two_squid_currents_number(n1, n2, True, coupling, wa, wb, w1, w2, t)
@@ -394,7 +400,7 @@ def _fig18(params, policy):
     rows = []
     n_sing = 0
     singular = []
-    for ph in _diff_phases(params):
+    for ph in _phase_grid(params):
         t = ph / (w1 - w2)
         num_sep = squid.two_squid_currents_number(n1, n2, False, coupling, wa, wb, w1, w2, t)
         num_ent = squid.two_squid_currents_number(n1, n2, True, coupling, wa, wb, w1, w2, t)

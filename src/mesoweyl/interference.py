@@ -105,31 +105,27 @@ def autocorrelation_classical(e_phi1: float, omega: float, taus) -> CorrelationS
 # ---------------------------------------------------------------------------
 # quantum drive
 
-def _gamma_quantum_point(state, q: float, omega: float, tau: float, singles: complex) -> complex:
-    e = cmath.exp(1j * omega * tau)
-    quad = 0j
-    for sa in (1.0, -1.0):
-        for sb in (1.0, -1.0):
-            phase = cmath.exp(-1j * sa * sb * q * q * math.sin(omega * tau))
-            quad += phase * weyl_time_average(state, q * (sa + sb * e))
-    return 1.0 + singles + 0.25 * quad
-
-
 def autocorrelation_quantum(state, coupling: ChargeCoupling, mode: ModeParams, taus) -> CorrelationSeries:
     """Operator autocorrelation of I(t) = 1 + cos[e flux(t)] at x = 0.
 
     cos is expanded into displacements D(+-lam); products collapse through the
     composition law, and the t-average keeps only zero-frequency harmonics.
+    Each of the four sign quadrants is one time-average call over all lags,
+    with lag 0 appended for Gamma(0).
     """
     q, omega = coupling.q, mode.omega
     singles = (weyl_time_average(state, q) + weyl_time_average(state, -q)).real
     taus = np.asarray(taus, dtype=float)
-    vals = np.array(
-        [_gamma_quantum_point(state, q, omega, tau, singles) for tau in taus],
-        dtype=complex,
-    )
-    g0 = _gamma_quantum_point(state, q, omega, 0.0, singles)
-    return CorrelationSeries(taus=taus, values=vals, gamma0=g0.real)
+    lags = np.append(taus, 0.0)
+    e = np.exp(1j * omega * lags)
+    s = np.sin(omega * lags)
+    quad = 0j
+    for sa in (1.0, -1.0):
+        for sb in (1.0, -1.0):
+            phase = np.exp(-1j * sa * sb * q * q * s)
+            quad += phase * weyl_time_average(state, q * (sa + sb * e))
+    vals = 1.0 + singles + 0.25 * quad
+    return CorrelationSeries(taus=taus, values=vals[:-1], gamma0=vals[-1].real)
 
 
 def normalized_gamma(series: CorrelationSeries) -> CorrelationSeries:

@@ -2,11 +2,14 @@
 
 Generalized Laguerre polynomials with an integer upper index of either sign
 (displacement matrix elements need L_n^{m-n} for both orderings of m and n),
-and the integer-order Bessel harmonics of the drive expansions: J_n from
-``scipy.special.jv`` (Amos, ACM TOMS 644), exponentially scaled I_n by
-Miller's downward recurrence with normalization.  This module owns the order
-cutoff and the sign conventions of both Bessel series.  Everything is double
-precision; only integer orders and moderate arguments occur in this package.
+the scaled Laguerre function e^{-x/2} L_n(x) of the number-state Weyl
+function, and the integer-order Bessel harmonics of the drive expansions:
+J_n from ``scipy.special.jv`` (Amos, ACM TOMS 644), exponentially scaled I_n
+by Miller's downward recurrence with normalization.  ``scaled_laguerre`` and
+``bessel_ive_all`` take arrays, so a whole lag grid of time averages is one
+call.  This module owns the order cutoff and the sign conventions of both
+Bessel series.  Everything is double precision; only integer orders and
+moderate arguments occur in this package.
 """
 
 import math
@@ -18,6 +21,7 @@ from scipy.special import jv
 
 __all__ = [
     "laguerre",
+    "scaled_laguerre",
     "one_minus_scaled_laguerre",
     "order_cutoff",
     "bessel_j_harmonics",
@@ -79,6 +83,21 @@ def laguerre(n: int, alpha: int, x: float) -> float:
     return val
 
 
+def scaled_laguerre(n: int, x):
+    """e^{-x/2} L_n(x) for x >= 0, a float or an array of them.
+
+    The upward three-term recurrence (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}
+    runs on the pre-scaled values, which are bounded by one, so nothing
+    overflows at large n or x.  The accuracy is absolute, not relative near a
+    zero of L_n; ``laguerre`` keeps that.
+    """
+    exp = np.exp if isinstance(x, np.ndarray) else math.exp
+    prev, cur = 0.0, exp(-0.5 * x)
+    for k in range(n):
+        prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
+    return cur
+
+
 def one_minus_scaled_laguerre(n: int, x: float) -> float:
     """1 - e^{-x/2} L_n(x) without cancellation at small x."""
     lag = laguerre(n, 0, x)
@@ -88,9 +107,10 @@ def one_minus_scaled_laguerre(n: int, x: float) -> float:
     return -lag * math.expm1(-x / 2.0) - tail
 
 
-def order_cutoff(x: float) -> int:
-    """Order beyond which J_n(x) and e^{-x} I_n(x) fall under ~1e-18 (x >= 0)."""
-    return int(x + 16.0 + 10.0 * x ** 0.4) + 2
+def order_cutoff(x):
+    """Order beyond which J_n(x) and e^{-x} I_n(x) fall under ~1e-18 (x >= 0,
+    a float or an array of them)."""
+    return np.int_(x + 16.0 + 10.0 * x ** 0.4) + 2
 
 
 def bessel_j_harmonics(x: float) -> dict:
@@ -106,24 +126,48 @@ def bessel_j_harmonics(x: float) -> dict:
     return {n: v for n, v in zip(orders.tolist(), values) if abs(v) > 1e-18}
 
 
-def bessel_ive_all(x: float) -> list:
-    """[e^{-x} I_0(x), ..., e^{-x} I_N(x)] for x >= 0, N = order_cutoff(x).
+def bessel_ive_all(x) -> np.ndarray:
+    """Table of e^{-x} I_n(x), n = 0 .. N, of shape (N + 1, *x.shape), for
+    x >= 0 and N = order_cutoff(max x).
 
-    One Miller pass normalized by e^{-x}(I_0 + 2 sum_k I_k) = 1, so no
-    exponential is formed and large arguments neither overflow nor lose
-    range.  I_{-n} = I_n.  Below x ~ 1e-27 the recurrence overflows and
-    the entries come out NaN; x = 0 gives [1, 0, ..., 0].
+    Each element runs its own Miller pass from its own start order,
+    normalized by e^{-x}(I_0 + 2 sum_k I_k) = 1, so no exponential is formed
+    and large arguments neither overflow nor lose range.  I_{-n} = I_n.
+    Entries above an element's own order_cutoff are zero; x = 0 gives
+    [1, 0, ..., 0].  Below x ~ 1e-27 the recurrence overflows and the
+    element's entries come out NaN.
     """
+    shape = np.shape(x)
+    x = np.asarray(x, dtype=float).ravel()
     nmax = order_cutoff(x)
-    if x == 0.0:
-        return [1.0] + [0.0] * nmax
-    m = max(nmax, int(x)) + 18 + int(2.5 * math.sqrt(max(nmax, x, 1.0)))
-    f = [0.0] * (m + 2)
-    f[m] = 1e-300
-    for k in range(m, 0, -1):
-        f[k - 1] = (2.0 * k / x) * f[k] + f[k + 1]
-        if abs(f[k - 1]) > 1e280:
-            for i in range(k - 1, m + 2):
-                f[i] *= 1e-280
-    norm = f[0] + 2.0 * math.fsum(f[1 : m + 1])
-    return [v / norm for v in f[: nmax + 1]]
+    start = (np.maximum(nmax, x.astype(int)) + 18
+             + (2.5 * np.sqrt(np.maximum(nmax, np.maximum(x, 1.0)))).astype(int))
+    top = start.max(initial=0)
+    out = np.zeros((nmax.max(initial=0) + 1, x.size))
+    # the orders above the table are only summed into the norm; the recurrence
+    # keeps two of them, f_k and f_{k+1}
+    f_k = np.where(start == top, 1e-300, 0.0)
+    f_k1 = np.zeros(x.size)
+    above = f_k.copy()
+    # x = 0 has no pass; its column is set to [1, 0, ...] below
+    xs = np.where(x == 0.0, 1.0, x)
+    with np.errstate(over="ignore", invalid="ignore"):  # the tiny-x NaN above
+        for k in range(top, 0, -1):
+            f = (2.0 * k / xs) * f_k + f_k1
+            f[start == k - 1] = 1e-300
+            big = np.abs(f) > 1e280
+            if big.any():
+                for row in (f, f_k, above):
+                    row[big] *= 1e-280
+                out[k:, big] *= 1e-280
+            if k - 1 < len(out):
+                out[k - 1] = f
+            else:
+                above += f
+            f_k, f_k1 = f, f_k
+        out /= out[0] + 2.0 * (out[1:].sum(axis=0) + above)
+    for n, row in enumerate(out):
+        row[nmax < n] = 0.0
+    out[:, x == 0.0] = 0.0
+    out[0, x == 0.0] = 1.0
+    return out.reshape((len(out),) + shape)

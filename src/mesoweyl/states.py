@@ -149,7 +149,7 @@ def weyl(state, z) -> complex:
     z = complex(z)
     x = abs(z) ** 2
     if isinstance(state, NumberState):
-        return complex(math.exp(-x / 2.0) * specfun.laguerre(state.n, 0, x))
+        return complex(specfun.scaled_laguerre(state.n, x))
     if isinstance(state, CoherentState):
         a = complex(state.amplitude)
         return cmath.exp(-x / 2.0 + z * a.conjugate() - z.conjugate() * a)
@@ -215,65 +215,61 @@ def weyl_drive_coeffs(state, c, tol: float = 1e-18) -> dict:
     raise TypeError(f"unsupported state {state!r}")
 
 
-def _squeezed_drive(state, c: complex):
+def _squeezed_drive(state, c):
     """(pref, v, chi, w) with W(i c e^{i theta}) =
-    pref exp(-v (1 + cos(2 theta + chi))) exp(i Im[w e^{i theta}]).
+    pref exp(-v (1 + cos(2 theta + chi))) exp(i Im[w e^{i theta}]), for a
+    complex c or an array of them.
 
     pref = exp(-|c|^2 e^{-r} / 2) multiplies e^{-v} I_m(v), so no factor
     overflows at strong squeezing.
     """
     a = complex(state.amplitude)
-    rho = abs(c)
+    rho = np.abs(c)
     r, ph = state.r, state.varphi
-    u = math.pi / 2.0 + cmath.phase(c)
-    pref = math.exp(-0.5 * rho * rho * math.exp(-r))
+    u = math.pi / 2.0 + np.angle(c)
+    pref = np.exp(-0.5 * rho * rho * math.exp(-r))
     v = 0.5 * rho * rho * math.sinh(r)
     chi = 2.0 * u + ph
-    if a != 0:
-        w = 2.0 * abs(a) * rho * (
-            math.cosh(r / 2.0) * cmath.exp(1j * (u - cmath.phase(a)))
-            - math.sinh(r / 2.0) * cmath.exp(1j * (u + cmath.phase(a) + ph))
-        )
-    else:
-        w = 0j
+    w = 2.0 * abs(a) * rho * (
+        math.cosh(r / 2.0) * np.exp(1j * (u - cmath.phase(a)))
+        - math.sinh(r / 2.0) * np.exp(1j * (u + cmath.phase(a) + ph))
+    )
     return pref, v, chi, w
 
 
-def weyl_time_average(state, c) -> complex:
+def weyl_time_average(state, c):
     """Exact average over theta of W(i c e^{i theta}).
 
-    Collapses the harmonic expansion to its zero-frequency entry without
-    building the full coefficient map (this sits in the inner loop of the
-    autocorrelation and spectral-density computations).
+    c is a complex number, which gives a complex, or an array of them, which
+    gives a complex array of its shape: one call covers a whole lag grid of
+    the autocorrelation.  The harmonic expansion collapses to its
+    zero-frequency entry without building the full coefficient map.
     """
-    c = complex(c)
-    rho = abs(c)
-    if isinstance(state, (NumberState, ThermalState)):
-        return weyl(state, 1j * rho)
-    if isinstance(state, CoherentState):
-        base = math.exp(-rho * rho / 2.0)
-        return complex(base * float(jv(0, 2.0 * rho * abs(state.amplitude))))
-    if isinstance(state, SqueezedState):
+    c = np.asarray(c, dtype=complex)
+    rho = np.abs(c)
+    x = rho * rho
+    if isinstance(state, NumberState):
+        avg = specfun.scaled_laguerre(state.n, x)
+    elif isinstance(state, ThermalState):
+        avg = np.exp(-0.5 * x / math.tanh(state.beta_omega / 2.0))
+    elif isinstance(state, CoherentState):
+        avg = np.exp(-x / 2.0) * jv(0, 2.0 * rho * abs(state.amplitude))
+    elif isinstance(state, SqueezedState):
         pref, v, chi, w = _squeezed_drive(state, c)
-        if v == 0.0:
-            # no squeezing-induced 2-theta modulation: only the m = 0 term
-            return complex(pref * float(jv(0, abs(w))))
         ims = specfun.bessel_ive_all(v)
-        if w == 0:
-            return complex(pref * ims[0])
-        psi = cmath.phase(w)
-        # zero frequency requires the theta index n = -2m; J_{-2m} = J_{2m}
-        mmax = len(ims) - 1
-        js = jv(2 * np.arange(mmax + 1), abs(w)).tolist()
-        total = 0j
-        for m in range(-mmax, mmax + 1):
-            term = ims[abs(m)] * js[abs(m)]
-            if term == 0.0:
-                continue
-            sign = -1.0 if m & 1 else 1.0
-            total += sign * term * cmath.exp(1j * m * (chi - 2.0 * psi))
-        return pref * total
-    raise TypeError(f"unsupported state {state!r}")
+        absw = np.abs(w)
+        # zero frequency needs the theta index n = -2m; J_{-2m} = J_{2m}, so
+        # the +-m terms pair into 2 cos(m (chi - 2 psi)), and J_{2m} is below
+        # 1e-18 beyond the order cutoff of |w|
+        phi = chi - 2.0 * np.angle(w)
+        total = ims[0] * jv(0, absw)
+        for m in range(1, min(len(ims) - 1, specfun.order_cutoff(absw.max(initial=0.0)) // 2) + 1):
+            total += (-2.0 if m & 1 else 2.0) * ims[m] * jv(2 * m, absw) * np.cos(m * phi)
+        avg = pref * total
+    else:
+        raise TypeError(f"unsupported state {state!r}")
+    avg = np.asarray(avg, dtype=complex)
+    return complex(avg) if avg.ndim == 0 else avg
 
 
 # ---------------------------------------------------------------------------

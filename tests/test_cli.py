@@ -72,7 +72,7 @@ def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
     assert not (tmp_path / "flag").exists()
 
 
-def test_invalid_configs_exit_2(tmp_path):
+def test_invalid_configs_exit_2(tmp_path, capsys):
     assert cli.main(["run", "nosuchfig", "--out", str(tmp_path)]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -82,10 +82,33 @@ def test_invalid_configs_exit_2(tmp_path):
     bad.write_text(json.dumps({"experiment": "fig4", "params": {"bogus": 1}}))
     assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
     assert cli.main(["run", "--out", str(tmp_path)]) == 2
-    for fig in ("fig9", "fig10"):
-        for grid_points in ("x", 2.5, 0, -3, True, None):
-            bad.write_text(json.dumps({"experiment": fig, "params": {"grid_points": grid_points}}))
-            assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    # every size parameter must be an integer with its own lower bound; the
+    # error names the parameter
+    sizes = [(fig, "grid_points", bad_value) for fig in ("fig9", "fig10")
+             for bad_value in ("x", 2.5, 0, -3, True, None)]
+    sizes += [(fig, "samples", bad_value) for fig in ("fig1", "fig6", "fig11", "fig15")
+              for bad_value in ("x", 2.5, 0, -1, True, None)]
+    sizes += [("fig7", "kmax", bad_value) for bad_value in ("x", 2.5, -1, None)]
+    sizes += [("fig7", "spectral_samples", bad_value) for bad_value in ("x", 2.5, 1, 0, None)]
+    capsys.readouterr()
+    for fig, name, bad_value in sizes:
+        bad.write_text(json.dumps({"experiment": fig, "params": {name: bad_value}}))
+        assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert f"error: {name} must be an integer >= " in capsys.readouterr().err
+
+
+def test_fig6_runs_at_large_photon_numbers(tmp_path):
+    # the number-state column takes e^{-x/2} L_1000(x) at every lag, which
+    # the exact-rational Laguerre series could not deliver in a minute
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "fig6", "params": {"mean_photons": 1000, "samples": 33}}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "fig6.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 33
+    for row in rows:
+        assert math.isfinite(float(row["re_gamma_num"])) and math.isfinite(float(row["im_gamma_num"]))
+    assert float(rows[0]["re_gamma_num"]) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_dim_cap_exhaustion_exits_3(tmp_path):

@@ -2,6 +2,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import scipy.special as sp
 
@@ -77,6 +78,24 @@ def test_laguerre_three_term_recurrence():
     assert worst <= 1e-10
 
 
+def test_scaled_laguerre_matches_laguerre():
+    xs = np.linspace(0.0, 50.0, 101)
+    for n in range(41):
+        ref = np.array([math.exp(-x / 2.0) * specfun.laguerre(n, 0, x) for x in xs.tolist()])
+        assert np.max(np.abs(specfun.scaled_laguerre(n, xs) - ref)) <= 1e-13
+        scalars = [specfun.scaled_laguerre(n, x) for x in xs.tolist()]
+        assert all(isinstance(v, float) for v in scalars)
+        assert np.max(np.abs(np.array(scalars) - ref)) <= 1e-13
+
+
+def test_scaled_laguerre_is_finite_at_large_degree():
+    # e^{-x/2} L_n(x) is bounded by one for x >= 0; e^{350} L_1000(700) alone
+    # would be far outside double range
+    vals = specfun.scaled_laguerre(1000, np.linspace(0.0, 700.0, 701))
+    assert np.all(np.isfinite(vals))
+    assert np.max(np.abs(vals)) <= 1.0 + 1e-12
+
+
 def test_bessel_j_basics():
     assert specfun.bessel_j_harmonics(0.0) == {0: 1.0}
     assert specfun.bessel_j_harmonics(1e-300) == {0: 1.0}
@@ -118,12 +137,28 @@ def test_bessel_sum_of_squares(x):
 
 
 def test_bessel_i_against_scipy():
-    assert specfun.bessel_ive_all(0.0) == [1.0] + [0.0] * specfun.order_cutoff(0.0)
+    assert specfun.bessel_ive_all(0.0).tolist() == [1.0] + [0.0] * specfun.order_cutoff(0.0)
     for x in (0.2, 1.0, 4.2, 16.7):
         ives = specfun.bessel_ive_all(x)
-        assert len(ives) == specfun.order_cutoff(x) + 1
+        assert ives.shape == (specfun.order_cutoff(x) + 1,)
         for n, got in enumerate(ives[:30]):
             assert got == pytest.approx(float(sp.ive(n, x)), rel=1e-13, abs=1e-300)
+
+
+def test_bessel_i_array_against_scipy():
+    # one table for a 2-d array of arguments: each element keeps its own
+    # order cutoff, with zeros above it
+    xs = np.array([[0.0, 1e-20, 1e-10, 1e-3, 0.2], [1.0, 4.2, 16.7, 600.0, 720.0]])
+    table = specfun.bessel_ive_all(xs)
+    assert table.shape == (specfun.order_cutoff(720.0) + 1,) + xs.shape
+    for x, ives in zip(xs.ravel(), table.reshape(len(table), -1).T):
+        cut = specfun.order_cutoff(x)
+        assert not ives[cut + 1:].any()
+        for n, got in enumerate(ives[: cut + 1]):
+            ref = float(sp.ive(n, x))
+            # the orders that can survive the 1e-18 cutoff of the expansions
+            if n < 30 or ref > 1e-18:
+                assert got == pytest.approx(ref, rel=1e-13, abs=1e-300)
 
 
 def test_bessel_array_variants_match_scalars():

@@ -7,7 +7,7 @@ import scipy.special as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mesoweyl import fockbench
+from mesoweyl import fockbench, interference
 from mesoweyl.states import (
     ChargeCoupling,
     CoherentState,
@@ -254,6 +254,54 @@ def _check_drive_coeffs(state, c):
         series = sum(a * cmath.exp(1j * k * theta) for k, a in coeffs.items())
         assert abs(direct - series) <= 1e-12
     assert weyl_time_average(state, c) == pytest.approx(coeffs.get(0, 0j), abs=1e-14)
+
+
+# Amplitudes up to 2 keep |w| = 2|A||c| e^{r/2} <= 17, where the 64-point
+# trapezoid below resolves every harmonic of the drive to 1e-12.  The Bessel I
+# argument stays at zero or above 5e-9, as above.
+_AMPS = st.builds(cmath.rect, _grid(0.01, 2.0), _PHASES)
+FAMILY_STATES = {
+    "number": st.builds(NumberState, st.integers(0, 30)),
+    "coherent": st.builds(CoherentState, _AMPS),
+    "squeezed": st.builds(SqueezedState, _AMPS, _grid(0.01, 4.2), _PHASES),
+    "thermal": st.builds(ThermalState, st.floats(0.05, 5.0)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_STATES))
+@given(data=st.data(), cs=st.lists(st.builds(cmath.rect, _grid(0.001, 0.5), _PHASES), min_size=1, max_size=6))
+def test_weyl_time_average_takes_arrays(family, data, cs):
+    state = data.draw(FAMILY_STATES[family])
+    c = np.array(cs)
+    avg = weyl_time_average(state, c)
+    assert avg.shape == c.shape and avg.dtype == complex
+    column = weyl_time_average(state, c[:, None])
+    assert column.shape == (len(cs), 1)
+    assert np.array_equal(column[:, 0], avg)
+    assert np.max(np.abs(weyl_time_average(state, -c) - avg)) <= 1e-14
+    assert weyl_time_average(state, c[:0]).shape == (0,)
+    thetas = np.arange(64) * (2.0 * math.pi / 64)
+    for ci, ai in zip(cs, avg.tolist()):
+        assert isinstance(weyl_time_average(state, ci), complex)
+        assert abs(ai - weyl_drive_coeffs(state, ci).get(0, 0j)) <= 1e-14
+        trapezoid = np.mean([weyl(state, 1j * ci * cmath.exp(1j * t)) for t in thetas])
+        assert abs(ai - trapezoid) <= 1e-12
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_STATES))
+@given(data=st.data(), q=st.integers(1, 500), lags=st.lists(st.integers(-6000, 6000), min_size=1, max_size=5))
+def test_autocorrelation_array_lags_equal_one_lag_calls(family, data, q, lags):
+    # omega tau on a 1e-3 grid is 0 or at least 1.8e-4 from any multiple of pi
+    # (|tau| <= 6), so the time-average arguments q (+-1 +- e^{i omega tau})
+    # are 0 or at least 1.8e-7 in modulus
+    state = data.draw(FAMILY_STATES[family])
+    coupling, mode = ChargeCoupling(q * 1e-3), ModeParams(1.0)
+    taus = np.array(lags) * 1e-3
+    series = interference.autocorrelation_quantum(state, coupling, mode, taus)
+    for tau, val in zip(taus.tolist(), series.values.tolist()):
+        one = interference.autocorrelation_quantum(state, coupling, mode, [tau])
+        assert abs(one.values[0] - val) <= 1e-14
+        assert abs(one.gamma0 - series.gamma0) <= 1e-14
 
 
 def test_weyl_time_average_strong_squeezing_is_finite():
