@@ -64,6 +64,13 @@ def _size(params, name, least=1):
     return n
 
 
+def _finite(params):
+    """Reject a NaN or infinite number among the params, naming it."""
+    for name, v in params.items():
+        if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v!r}")
+
+
 def _phase_grid(params):
     """The plotted phases: samples points over periods * 2 pi."""
     return np.linspace(0.0, params["periods"] * 2.0 * math.pi, _size(params, "samples"))
@@ -99,26 +106,14 @@ def _fig4(params, policy):
         # mean photon number ~1e-22: the zero-photon thermal limit
         "th": ThermalState(params["thermal_beta_omega"]),
     }
-    wt = _phase_grid(params)
     rows = []
-    for w in wt:
+    for w in _phase_grid(params):
         t = w / mode.omega
-        ws = {k: _weyl_at(s, coupling, mode, t) for k, s in states.items()}
-        rows.append(
-            (w, abs(ws["num"]), abs(ws["coh"]), abs(ws["sq"]), abs(ws["th"]),
-             _arg(ws["num"]), _arg(ws["coh"]), _arg(ws["sq"]), _arg(ws["th"]))
-        )
+        ws = [weyl(s, 1j * coupling.q * cmath.exp(1j * mode.omega * t)) for s in states.values()]
+        rows.append((w, *map(abs, ws), *map(cmath.phase, ws)))
     cols = ["omega_t", "absW_num", "absW_coh", "absW_sq", "absW_th",
             "argW_num", "argW_coh", "argW_sq", "argW_th"]
     return ExperimentResult(cols, rows)
-
-
-def _weyl_at(state, coupling, mode, t):
-    return weyl(state, 1j * coupling.q * cmath.exp(1j * mode.omega * t))
-
-
-def _arg(z):
-    return cmath.phase(z)
 
 
 def _fig5(params, policy):
@@ -126,18 +121,11 @@ def _fig5(params, policy):
     coupling = ChargeCoupling(params["q"])
     states = _states_nbar(params)
     e_phi1 = params["classical_e_phi1"]
-    wt = _phase_grid(params)
     rows = []
-    for w in wt:
+    for w in _phase_grid(params):
         t = w / mode.omega
-        rows.append(
-            (w,
-             interference.intensity_quantum(states["num"], coupling, mode, 0.0, t),
-             interference.intensity_quantum(states["coh"], coupling, mode, 0.0, t),
-             interference.intensity_quantum(states["sq"], coupling, mode, 0.0, t),
-             interference.intensity_quantum(states["th"], coupling, mode, 0.0, t),
-             interference.classical_intensity(e_phi1, mode.omega, t))
-        )
+        quantum = [interference.intensity_quantum(s, coupling, mode, 0.0, t) for s in states.values()]
+        rows.append((w, *quantum, interference.classical_intensity(e_phi1, mode.omega, t)))
     return ExperimentResult(
         ["omega_t", "i_num", "i_coh", "i_sq", "i_th", "i_cl"], rows
     )
@@ -188,13 +176,8 @@ def _fig7(params, policy):
     spectra["cl"] = interference.spectral_density(
         interference.classical_gamma_series(e_phi1, mode.omega), mode.omega, kmax
     )
-    rows = []
-    for i, kk in enumerate(range(-kmax, kmax + 1)):
-        rows.append(
-            (float(kk),
-             spectra["cl"].values[i], spectra["num"].values[i], spectra["coh"].values[i],
-             spectra["sq"].values[i], spectra["th"].values[i])
-        )
+    rows = [(float(kk), *(spectra[k].values[i] for k in ("cl", "num", "coh", "sq", "th")))
+            for i, kk in enumerate(range(-kmax, kmax + 1))]
     return ExperimentResult(["k", "s_cl", "s_num", "s_coh", "s_sq", "s_th"], rows)
 
 
@@ -325,10 +308,8 @@ def _fig14(params, policy):
     for ph in _phase_grid(params):
         t = ph / (w1 - w2)
         mom = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
-        try:
-            rc_coh = squid.ratio_c(mom)
-        except squid.SingularPointError:
-            rc_coh = math.nan
+        rc_coh = _or_nan(squid.ratio_c, mom)
+        if math.isnan(rc_coh):
             singular.append(ph)
         rows.append((ph, rc_num, rc_coh))
     manifest = {"singular_phases": singular, "convergence": _coherent_convergence(params, policy)}
@@ -339,32 +320,39 @@ def _fig14(params, policy):
 
 def _fig15(params, policy):
     coupling, wa, wb, w1, w2, n1, n2, a1, a2 = _squid_params(params)
-    rows = []
-    n_sing = 0
-    singular = []
-    for ph in _phase_grid(params):
-        t = ph / (w1 - w2)
-        try:
-            d_num = (
-                squid.ratio_c_sep_number(n1, n2, coupling)
-                - squid.ratio_c_ent_number(n1, n2, coupling, t, w1, w2, wa, wb)
-            )
-        except squid.SingularPointError:
-            d_num = math.nan
+
+    def d_num(t):
+        return (squid.ratio_c_sep_number(n1, n2, coupling)
+                - squid.ratio_c_ent_number(n1, n2, coupling, t, w1, w2, wa, wb))
+
+    def d_coh(t):
         mom_sep = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
         mom_ent = squid.two_squid_currents_coherent(a1, a2, True, coupling, wa, wb, w1, w2, t)
-        try:
-            d_coh = squid.ratio_c(mom_sep) - squid.ratio_c(mom_ent)
-        except squid.SingularPointError:
-            d_coh = math.nan
-        if math.isnan(d_num) and math.isnan(d_coh):
-            n_sing += 1
+        return squid.ratio_c(mom_sep) - squid.ratio_c(mom_ent)
+
+    return _ratio_differences(params, policy, ["d_rc_num", "d_rc_coh"], d_num, d_coh)
+
+
+def _ratio_differences(params, policy, columns, d_num, d_coh):
+    """Rows (phase, d_num(t), d_coh(t)) over the phase grid, a pole as nan;
+    a row counts as singular when both of its values are poles."""
+    rows, singular = [], []
+    for ph in _phase_grid(params):
+        t = ph / (params["omega_1"] - params["omega_2"])
+        row = (ph, _or_nan(d_num, t), _or_nan(d_coh, t))
+        if math.isnan(row[1]) and math.isnan(row[2]):
             singular.append(ph)
-        rows.append((ph, d_num, d_coh))
+        rows.append(row)
     manifest = {"singular_phases": singular, "convergence": _coherent_convergence(params, policy)}
-    return ExperimentResult(
-        ["omega_diff_t", "d_rc_num", "d_rc_coh"], rows, manifest, n_singular=n_sing
-    )
+    return ExperimentResult(["omega_diff_t", *columns], rows, manifest, n_singular=len(singular))
+
+
+def _or_nan(ratio, *args):
+    """ratio(*args), or nan at a singular point."""
+    try:
+        return ratio(*args)
+    except squid.SingularPointError:
+        return math.nan
 
 
 def _fig16(params, policy):
@@ -397,31 +385,18 @@ def _fig17(params, policy):
 
 def _fig18(params, policy):
     coupling, wa, wb, w1, w2, n1, n2, a1, a2 = _squid_params(params)
-    rows = []
-    n_sing = 0
-    singular = []
-    for ph in _phase_grid(params):
-        t = ph / (w1 - w2)
+
+    def d_num(t):
         num_sep = squid.two_squid_currents_number(n1, n2, False, coupling, wa, wb, w1, w2, t)
         num_ent = squid.two_squid_currents_number(n1, n2, True, coupling, wa, wb, w1, w2, t)
+        return squid.ratio_c2(num_sep) - squid.ratio_c2(num_ent)
+
+    def d_coh(t):
         mom_sep = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
         mom_ent = squid.two_squid_currents_coherent(a1, a2, True, coupling, wa, wb, w1, w2, t)
-        try:
-            d_num = squid.ratio_c2(num_sep) - squid.ratio_c2(num_ent)
-        except squid.SingularPointError:
-            d_num = math.nan
-        try:
-            d_coh = squid.ratio_c2(mom_sep) - squid.ratio_c2(mom_ent)
-        except squid.SingularPointError:
-            d_coh = math.nan
-        if math.isnan(d_num) and math.isnan(d_coh):
-            n_sing += 1
-            singular.append(ph)
-        rows.append((ph, d_num, d_coh))
-    manifest = {"singular_phases": singular, "convergence": _coherent_convergence(params, policy)}
-    return ExperimentResult(
-        ["omega_diff_t", "d_rc2_num", "d_rc2_coh"], rows, manifest, n_singular=n_sing
-    )
+        return squid.ratio_c2(mom_sep) - squid.ratio_c2(mom_ent)
+
+    return _ratio_differences(params, policy, ["d_rc2_num", "d_rc2_coh"], d_num, d_coh)
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +507,7 @@ def run_experiment(name: str, overrides: dict = None, policy=None) -> Experiment
     if unknown:
         raise ValueError(f"unknown parameters for {name}: {sorted(unknown)}")
     params.update(overrides or {})
+    _finite(params)
     policy = policy or fockbench.TruncationPolicy(tol=1e-11)
     result = exp.build(params, policy)
     result.manifest = {

@@ -11,7 +11,9 @@ the evaluated quantity stabilizes, and truncated density matrices are never
 renormalized; the trace deficit is reported instead of being hidden.
 
 Pure state vectors are built once per (state, dim) and cached, so the
-doubling loops and every z share them; the cached arrays are read-only.
+doubling loops and every z share them; so are displacement bands, per
+(|z|, dim), so every arg z at one |z| shares one.  The cached arrays are
+read-only.
 Matrix-exponential actions run with numpy's legacy global RNG seeded (scipy's
 1-norm estimator draws from it to pick the step count), so the oracle gives
 the same bits on every run, and the caller's RNG state is restored.
@@ -26,6 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import toeplitz
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
@@ -169,26 +172,43 @@ def trace_deficit(rho: np.ndarray) -> float:
     return 1.0 - float(np.trace(rho).real)
 
 
-def _displacement_band(absz: float, dim: int) -> np.ndarray:
-    """band[n, d] = sqrt(n!/(n+d)!) |z|^d e^{-|z|^2/2} L_n^d(|z|^2).
+def displacement_matrix(z, dim: int) -> np.ndarray:
+    """Matrix of D(z) = exp(z a^dag - z* a) on the truncated basis.
 
-    These are the moduli-with-sign of the D(z) entries along each diagonal
-    offset d; the degree recurrence is run directly on the scaled values, so
-    nothing overflows (entries of a unitary are bounded by one).
+    Entries for m >= n are sqrt(n!/m!) z^{m-n} e^{-|z|^2/2} L_n^{m-n}(|z|^2),
+    evaluated by a scaled degree recurrence along each diagonal (independent
+    of the package's own polynomial code); m < n entries are fixed by
+    D(z)^dag = D(-z).  Each is the entry of the real D(|z|), built once per
+    (|z|, dim), times the phase e^{i(m-n) arg z}.
+    """
+    z = complex(z)
+    if z == 0:
+        return np.eye(dim, dtype=complex)
+    arg = cmath.phase(z)
+    ph = np.array([cmath.exp(1j * d * arg) for d in range(dim)])
+    return _signed_band(abs(z), dim) * toeplitz(ph, ph.conj())
+
+
+# Behind displacement_matrix for the same reason as _pure_vector.
+@lru_cache(maxsize=8)
+def _signed_band(absz: float, dim: int) -> np.ndarray:
+    """Read-only matrix of D(|z|), |z| > 0.
+
+    Its d-th diagonal below the main one holds band[n, d] = sqrt(n!/(n+d)!)
+    |z|^d e^{-|z|^2/2} L_n^d(|z|^2), n < dim - d; the degree recurrence runs
+    on these scaled values, so nothing overflows (entries of a unitary are
+    bounded by one).  The d-th diagonal above holds (-1)^d band[n, d], since
+    <n|D(z)|n+d> = conj(<n+d|D(-z)|n>).
     """
     x = absz * absz
     ds = np.arange(dim, dtype=float)
     band = np.zeros((dim, dim))
     # T_0^d = e^{-x/2} |z|^d / sqrt(d!)
     with np.errstate(under="ignore"):
-        band[0, :] = np.exp(-x / 2.0 + ds * math.log(absz) - 0.5 * gammaln(ds + 1.0)) if absz > 0 else 0.0
-    if absz == 0:
-        band[0, 0] = 1.0
-        return band
-    if dim == 1:
-        return band
-    # T_1^d = T_0^d (1 + d - x) sqrt(1/(1+d))
-    band[1, :] = band[0, :] * (1.0 + ds - x) / np.sqrt(1.0 + ds)
+        band[0, :] = np.exp(-x / 2.0 + ds * math.log(absz) - 0.5 * gammaln(ds + 1.0))
+    if dim > 1:
+        # T_1^d = T_0^d (1 + d - x) sqrt(1/(1+d))
+        band[1, :] = band[0, :] * (1.0 + ds - x) / np.sqrt(1.0 + ds)
     # x-independent coefficients of rows k = 1 .. dim-2; the products keep the
     # grouping of the scalar recurrence, so every entry is bit-for-bit the same
     ks = np.arange(1.0, dim - 1.0)[:, None]
@@ -198,30 +218,12 @@ def _displacement_band(absz: float, dim: int) -> np.ndarray:
     c2 = (ks + ds) * r2
     for k, c1k, r1k, c2k in zip(range(1, dim - 1), c1, r1, c2):
         band[k + 1, :] = ((c1k - x) * r1k * band[k, :] - c2k * band[k - 1, :]) / (k + 1.0)
-    return band
-
-
-def displacement_matrix(z, dim: int) -> np.ndarray:
-    """Matrix of D(z) = exp(z a^dag - z* a) on the truncated basis.
-
-    Entries for m >= n are sqrt(n!/m!) z^{m-n} e^{-|z|^2/2} L_n^{m-n}(|z|^2),
-    evaluated by a scaled degree recurrence along each diagonal (independent
-    of the package's own polynomial code); m < n entries are fixed by
-    D(z)^dag = D(-z).
-    """
-    z = complex(z)
-    if z == 0:
-        return np.eye(dim, dtype=complex)
-    band = _displacement_band(abs(z), dim)
-    arg = cmath.phase(z)
-    ph = np.array([cmath.exp(1j * d * arg) for d in range(dim)])
-    out = np.zeros((dim, dim), dtype=complex)
-    m, n = np.tril_indices(dim)
-    out[m, n] = band[n, m - n] * ph[m - n]
-    # <n|D(z)|n+d> = conj(<n+d|D(-z)|n>) = (-1)^d conj(<n+d|D(z)|n>)
-    m, n = np.tril_indices(dim, -1)
-    d = m - n
-    out[n, m] = band[n, d] * np.where(d & 1, -1.0, 1.0) * np.conj(ph[d])
+    sign = np.where(np.arange(dim) & 1, -1.0, 1.0)
+    out = np.empty((dim, dim))
+    for n in range(dim):
+        out[n:, n] = band[n, : dim - n]
+        out[n, n:] = band[n, : dim - n] * sign[: dim - n]
+    out.setflags(write=False)
     return out
 
 

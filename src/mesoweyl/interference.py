@@ -129,12 +129,15 @@ def autocorrelation_quantum(state, coupling: ChargeCoupling, mode: ModeParams, t
 
 
 def normalized_gamma(series: CorrelationSeries) -> CorrelationSeries:
-    """gamma(tau) = Gamma(tau)/Gamma(0)."""
+    """gamma(tau) = Gamma(tau)/Gamma(0), with the real and imaginary parts
+    divided separately: numpy's complex-by-real division can round
+    Gamma(0)/Gamma(0) to 1 - 2^-53, so gamma(0) would miss 1."""
     if series.gamma0 <= 0.0:
         raise ValueError("Gamma(0) must be positive to normalize")
-    return CorrelationSeries(
-        taus=series.taus, values=series.values / series.gamma0, gamma0=1.0
-    )
+    values = np.empty_like(series.values)
+    values.real = series.values.real / series.gamma0
+    values.imag = series.values.imag / series.gamma0
+    return CorrelationSeries(taus=series.taus, values=values, gamma0=1.0)
 
 
 # ---------------------------------------------------------------------------

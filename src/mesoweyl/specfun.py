@@ -99,12 +99,16 @@ def scaled_laguerre(n: int, x):
 
 
 def one_minus_scaled_laguerre(n: int, x: float) -> float:
-    """1 - e^{-x/2} L_n(x) without cancellation at small x."""
-    lag = laguerre(n, 0, x)
-    tail = lag - 1.0 if x > 0.5 else math.fsum(
-        c * x ** m for m, c in enumerate(_laguerre_float_coeffs(n, 0)) if m > 0
-    )
-    return -lag * math.expm1(-x / 2.0) - tail
+    """1 - e^{-x/2} L_n(x) without cancellation at small x.
+
+    Above x = 0.5, |e^{-x/2} L_n(x)| < 0.8, so the plain difference is
+    accurate; x is capped at 1e300, where the scaled value has long
+    underflowed to 0 and x = inf would give 0 * inf.
+    """
+    if x > 0.5:
+        return 1.0 - scaled_laguerre(n, min(x, 1e300))
+    tail = math.fsum(c * x ** m for m, c in enumerate(_laguerre_float_coeffs(n, 0)) if m > 0)
+    return -laguerre(n, 0, x) * math.expm1(-x / 2.0) - tail
 
 
 def order_cutoff(x):

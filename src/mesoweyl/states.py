@@ -147,6 +147,8 @@ class TwoModeProductSuperposition:
 def weyl(state, z) -> complex:
     """Closed-form Weyl function W(z) = Tr[rho D(z)] of a single-mode state."""
     z = complex(z)
+    if abs(z) > 1e154:  # |z| ** 2 overflows near here; W(z) -> 0 as |z| -> inf
+        return 0j
     x = abs(z) ** 2
     if isinstance(state, NumberState):
         return complex(specfun.scaled_laguerre(state.n, x))
@@ -281,6 +283,8 @@ def number_displacement_element(m: int, z, n: int) -> complex:
     if m < n:
         # fixed by D(z)^dag = D(-z)
         return number_displacement_element(n, -z, m).conjugate()
+    if abs(z) > 1e154:  # as in weyl: the element -> 0 as |z| -> inf
+        return 0j
     x = abs(z) ** 2
     pref = math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1)) - x / 2.0)
     return pref * z ** (m - n) * specfun.laguerre(n, m - n, x)

@@ -95,6 +95,12 @@ def test_invalid_configs_exit_2(tmp_path, capsys):
         bad.write_text(json.dumps({"experiment": fig, "params": {name: bad_value}}))
         assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert f"error: {name} must be an integer >= " in capsys.readouterr().err
+    # so must every float be finite: json reads NaN and Infinity
+    for fig, name, bad_value in [("fig4", "squeezing_r", math.nan), ("fig9", "q", math.nan),
+                                 ("fig6", "omega", math.inf), ("fig14", "a1", -math.inf)]:
+        bad.write_text(json.dumps({"experiment": fig, "params": {name: bad_value}}))
+        assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert f"error: {name} must be finite, got " in capsys.readouterr().err
 
 
 def test_fig6_runs_at_large_photon_numbers(tmp_path):
@@ -108,7 +114,21 @@ def test_fig6_runs_at_large_photon_numbers(tmp_path):
     assert len(rows) == 33
     for row in rows:
         assert math.isfinite(float(row["re_gamma_num"])) and math.isfinite(float(row["im_gamma_num"]))
-    assert float(rows[0]["re_gamma_num"]) == pytest.approx(1.0, abs=1e-15)
+    # gamma(0) = Gamma(0)/Gamma(0) is exactly one in every column
+    assert all(float(v) == 1.0 for k, v in rows[0].items() if k.startswith("re_gamma_"))
+
+
+@pytest.mark.parametrize("fig, size", [("fig9", "grid_points"), ("fig10", "grid_points"), ("fig11", "samples")])
+def test_huge_coupling_exits_cleanly(tmp_path, capsys, fig, size):
+    # q ** 2 overflows a float; W and the marginals take their limits
+    # (W -> 0, so R -> 1) instead of raising
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": fig, "params": {"q": 1e300, size: 5}}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) in (0, 2)
+    assert "Traceback" not in capsys.readouterr().err
+    if (tmp_path / f"{fig}.csv").exists():
+        json.loads((tmp_path / f"{fig}.manifest.json").read_text(), parse_constant=pytest.fail)
+        assert "nan" not in (tmp_path / f"{fig}.csv").read_text()
 
 
 def test_dim_cap_exhaustion_exits_3(tmp_path):

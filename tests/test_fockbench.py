@@ -310,9 +310,32 @@ def _per_diagonal_displacement(z, dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 48, 64, 256])
 def test_displacement_matrix_equals_per_diagonal_reference(dim):
+    fockbench._signed_band.cache_clear()
     for z in (0.5, 0.8 + 0.6j, -1.5j, 2.0 * cmath.exp(0.3j), 0.37j * cmath.exp(2.1j), -3.3 + 0.1j):
-        # equal values; a zero may come out with the other sign
-        assert np.array_equal(fockbench.displacement_matrix(z, dim), _per_diagonal_displacement(z, dim))
+        # cold and warm band cache, then the same |z| at another phase;
+        # equal values, where a zero may come out with the other sign
+        for w in (z, z, z * cmath.exp(1.3j)):
+            assert np.array_equal(fockbench.displacement_matrix(w, dim), _per_diagonal_displacement(w, dim))
+
+
+def test_cached_displacement_band_equals_a_fresh_build():
+    cached = fockbench._signed_band(0.2143, 48)
+    assert fockbench._signed_band(0.2143, 48) is cached
+    with pytest.raises(ValueError):
+        cached[0, 0] = 2.0
+    fockbench._signed_band.cache_clear()
+    fresh = fockbench._signed_band(0.2143, 48)
+    assert fresh is not cached
+    assert fresh.tobytes() == cached.tobytes()
+
+
+def test_writing_into_a_displacement_matrix_leaves_the_next_call_alone():
+    z = 0.7 * cmath.exp(0.4j)
+    first = fockbench.displacement_matrix(z, 16)
+    expect = first.copy()
+    first[:] = 5.0
+    assert fockbench.displacement_matrix(z, 16).tobytes() == expect.tobytes()
+    assert np.array_equal(fockbench.displacement_matrix(-z, 16), _per_diagonal_displacement(-z, 16))
 
 
 def test_cached_state_vector_equals_a_fresh_build():

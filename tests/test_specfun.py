@@ -96,6 +96,17 @@ def test_scaled_laguerre_is_finite_at_large_degree():
     assert np.max(np.abs(vals)) <= 1.0 + 1e-12
 
 
+def test_one_minus_scaled_laguerre_is_accurate_at_large_x():
+    # e^{-x/2} L_n(x) is computed from the exact-rational-checked laguerre;
+    # 1 - it is far from zero above x = 0.5, so the reference is relative
+    for n in range(31):
+        for x in (0.6, 2.0, 10.0, 40.0, 200.0, 700.0):
+            ref = 1.0 - math.exp(-x / 2.0) * specfun.laguerre(n, 0, x)
+            assert specfun.one_minus_scaled_laguerre(n, x) == pytest.approx(ref, rel=1e-13)
+        for x in (1e20, 1e300, math.inf):
+            assert specfun.one_minus_scaled_laguerre(n, x) == 1.0
+
+
 def test_bessel_j_basics():
     assert specfun.bessel_j_harmonics(0.0) == {0: 1.0}
     assert specfun.bessel_j_harmonics(1e-300) == {0: 1.0}

@@ -19,6 +19,7 @@ from mesoweyl.states import (
     flux_stats,
     match_mean_photons,
     mean_photons,
+    number_displacement_element,
     photon_counting,
     weyl,
     weyl_drive_coeffs,
@@ -68,6 +69,14 @@ def test_weyl_thermal_example():
     val = weyl(ThermalState(1.0), 1j)
     assert val.real == pytest.approx(math.exp(-0.5 / math.tanh(0.5)), rel=1e-14)
     assert val.imag == 0.0
+
+
+@pytest.mark.parametrize("state", SMALL_STATES)
+def test_weyl_vanishes_where_abs_z_squared_overflows(state):
+    for z in (1e160, 1e200j * cmath.exp(0.4j), complex(1e308, -1e308)):
+        assert weyl(state, z) == 0
+    assert number_displacement_element(3, 1e300j, 1) == 0
+    assert number_displacement_element(1, 1e300j, 3) == 0
 
 
 @pytest.mark.parametrize("state", SMALL_STATES)
