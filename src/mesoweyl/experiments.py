@@ -131,19 +131,25 @@ def _fig5(params, policy):
     )
 
 
+def _autocorrelations(params, mode, taus):
+    """{family: operator autocorrelation over taus} for figs 6-7.  The
+    squeezed one runs a Miller pass over about 2 q^2 sinh(r) Bessel orders at
+    every lag (|c| <= 2q); fig7 takes 10 s at 1e4, growing as their square."""
+    q = params["q"]
+    if not 2.0 * q * q * math.sinh(params["squeezing_r"]) <= 1e4:
+        raise ValueError(f"q = {q!r} is too large for the squeezed time average: "
+                         "2 q^2 sinh(squeezing_r) must be at most 1e4")
+    return {k: interference.autocorrelation_quantum(s, ChargeCoupling(q), mode, taus)
+            for k, s in _states_nbar(params).items()}
+
+
 def _fig6(params, policy):
     mode = ModeParams(params["omega"])
-    coupling = ChargeCoupling(params["q"])
-    states = _states_nbar(params)
     e_phi1 = params["classical_e_phi1"]
     wtau = _phase_grid(params)
     taus = wtau / mode.omega
-    series = {
-        k: interference.normalized_gamma(
-            interference.autocorrelation_quantum(s, coupling, mode, taus)
-        )
-        for k, s in states.items()
-    }
+    series = {k: interference.normalized_gamma(g)
+              for k, g in _autocorrelations(params, mode, taus).items()}
     series["cl"] = interference.normalized_gamma(
         interference.autocorrelation_classical(e_phi1, mode.omega, taus)
     )
@@ -162,17 +168,13 @@ def _fig6(params, policy):
 
 def _fig7(params, policy):
     mode = ModeParams(params["omega"])
-    coupling = ChargeCoupling(params["q"])
-    states = _states_nbar(params)
     e_phi1 = params["classical_e_phi1"]
     kmax = _size(params, "kmax", least=0)
     nsamp = _size(params, "spectral_samples", least=2)
     period = 2.0 * math.pi / mode.omega
     taus = np.arange(nsamp) / nsamp * period
-    spectra = {}
-    for k, s in states.items():
-        series = interference.autocorrelation_quantum(s, coupling, mode, taus)
-        spectra[k] = interference.spectral_density(series, mode.omega, kmax)
+    spectra = {k: interference.spectral_density(g, mode.omega, kmax)
+               for k, g in _autocorrelations(params, mode, taus).items()}
     spectra["cl"] = interference.spectral_density(
         interference.classical_gamma_series(e_phi1, mode.omega), mode.omega, kmax
     )
@@ -303,18 +305,20 @@ def _fig14(params, policy):
     # column is a pole; any-column poles are still reported in the manifest
     coupling, wa, wb, w1, w2, n1, n2, a1, a2 = _squid_params(params)
     rows = []
-    rc_num = squid.ratio_c_sep_number(n1, n2, coupling)
+    rc_num = _or_nan(squid.ratio_c_sep_number, n1, n2, coupling)
     singular = []
+    n_sing = 0
     for ph in _phase_grid(params):
         t = ph / (w1 - w2)
         mom = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
         rc_coh = _or_nan(squid.ratio_c, mom)
-        if math.isnan(rc_coh):
+        if math.isnan(rc_num) or math.isnan(rc_coh):
             singular.append(ph)
+        n_sing += math.isnan(rc_num) and math.isnan(rc_coh)
         rows.append((ph, rc_num, rc_coh))
     manifest = {"singular_phases": singular, "convergence": _coherent_convergence(params, policy)}
     return ExperimentResult(
-        ["omega_diff_t", "rc_sep_num", "rc_sep_coh"], rows, manifest, n_singular=0
+        ["omega_diff_t", "rc_sep_num", "rc_sep_coh"], rows, manifest, n_singular=n_sing
     )
 
 

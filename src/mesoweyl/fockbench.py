@@ -14,9 +14,9 @@ Pure state vectors are built once per (state, dim) and cached, so the
 doubling loops and every z share them; so are displacement bands, per
 (|z|, dim), so every arg z at one |z| shares one.  The cached arrays are
 read-only.
-Matrix-exponential actions run with numpy's legacy global RNG seeded (scipy's
-1-norm estimator draws from it to pick the step count), so the oracle gives
-the same bits on every run, and the caller's RNG state is restored.
+Matrix-exponential actions are one Chebyshev expansion (``_expm_action``),
+which estimates no norm and draws no random numbers, so the oracle gives the
+same bits on every run.
 
 Two-mode matrices use mode-A-major ordering: index = i_A * dim_B + i_B.
 """
@@ -29,8 +29,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import sparse
 from scipy.linalg import toeplitz
-from scipy.sparse.linalg import expm_multiply
-from scipy.special import gammaln
+from scipy.special import gammaln, jv
 
 from .exceptions import TruncationError
 from .states import (
@@ -140,18 +139,25 @@ def _pure_vector(state, dim: int) -> np.ndarray:
 
 
 def _expm_action(gen, vec: np.ndarray) -> np.ndarray:
-    """expm(gen) @ vec by scipy's expm_multiply, reproducibly.
-
-    Its step selection calls onenormest, which draws random sign vectors from
-    numpy's legacy global RNG; that RNG is seeded here and then restored, so
-    the result is the same on every run and the caller's draws are untouched.
+    """expm(gen) @ vec for an anti-Hermitian sparse gen, by the Chebyshev
+    expansion in H = -i gen (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967,
+    1984): exp(gen) = sum_k eps_k i^k J_k(b) T_k(H/b), eps_0 = 1, eps_k = 2,
+    for the Gershgorin bound b >= |H|.  Each |T_k(H/b) v| <= |v|, and |J_k(b)|
+    <= (b/2)^k / k! falls faster than any geometric series past k ~ b, so the
+    sum stops after the last coefficient above 1e-18.
     """
-    saved = np.random.get_state()
-    np.random.seed(0)
-    try:
-        return expm_multiply(gen, vec)
-    finally:
-        np.random.set_state(saved)
+    b = float(abs(gen).sum(axis=1).max())
+    if b == 0.0:
+        return vec.copy()
+    ks = np.arange(int(1.5 * b + 13.0 * b ** (1.0 / 3.0)) + 21)  # (b/2)^k / k! < 1e-18 at the end
+    coeff = np.where(ks, 2.0, 1.0) * 1j ** (ks % 4) * jv(ks, b)
+    coeff = coeff[: np.flatnonzero(np.abs(coeff) > 1e-18)[-1] + 1]
+    step = (-2j / b) * gen.tocsr()  # 2 H / b: T_{k+1} v = step T_k v - T_{k-1} v
+    prev, cur, out = vec, 0.5 * (step @ vec), coeff[0] * vec
+    for c in coeff[1:]:
+        out += c * cur
+        prev, cur = cur, step @ cur - prev
+    return out
 
 
 def thermal_weights(state: ThermalState, dim: int) -> np.ndarray:

@@ -130,24 +130,36 @@ def bessel_j_harmonics(x: float) -> dict:
     return {n: v for n, v in zip(orders.tolist(), values) if abs(v) > 1e-18}
 
 
-def bessel_ive_all(x) -> np.ndarray:
-    """Table of e^{-x} I_n(x), n = 0 .. N, of shape (N + 1, *x.shape), for
-    x >= 0 and N = order_cutoff(max x).
+def bessel_ive_all(x, rows: int) -> np.ndarray:
+    """Table of e^{-x} I_n(x), n = 0 .. rows - 1, of shape (rows, *x.shape),
+    for x >= 0 and rows <= N + 1, N = order_cutoff(max x).
 
-    Each element runs its own Miller pass from its own start order,
-    normalized by e^{-x}(I_0 + 2 sum_k I_k) = 1, so no exponential is formed
-    and large arguments neither overflow nor lose range.  I_{-n} = I_n.
-    Entries above an element's own order_cutoff are zero; x = 0 gives
-    [1, 0, ..., 0].  Below x ~ 1e-27 the recurrence overflows and the
-    element's entries come out NaN.
+    Each element runs its own Miller pass from its own start order over
+    orders 0 .. N, normalized by e^{-x}(I_0 + 2 sum_k I_k) = 1, so no
+    exponential is formed and large arguments neither overflow nor lose
+    range.  I_{-n} = I_n.  Entries above an element's own order_cutoff are
+    zero; x = 0 gives [1, 0, ..., 0].  Below x ~ 1e-27 the recurrence
+    overflows and the element's entries come out NaN.
     """
     shape = np.shape(x)
     x = np.asarray(x, dtype=float).ravel()
+    height = order_cutoff(x.max(initial=0.0)) + 1
+    # no column's pass reads another's, so blocks of about 2^22 entries give
+    # the same bits as one table, and only the rows asked for are kept
+    step = max(1, 2 ** 22 // height)
+    out = np.empty((rows, x.size))
+    for i in range(0, x.size, step):
+        out[:, i:i + step] = _miller_ive(x[i:i + step], height)[:rows]
+    return out.reshape((rows,) + shape)
+
+
+def _miller_ive(x: np.ndarray, height: int) -> np.ndarray:
+    """bessel_ive_all's normalized table, orders 0 .. height - 1, for 1-d x."""
     nmax = order_cutoff(x)
     start = (np.maximum(nmax, x.astype(int)) + 18
              + (2.5 * np.sqrt(np.maximum(nmax, np.maximum(x, 1.0)))).astype(int))
     top = start.max(initial=0)
-    out = np.zeros((nmax.max(initial=0) + 1, x.size))
+    out = np.zeros((height, x.size))
     # the orders above the table are only summed into the norm; the recurrence
     # keeps two of them, f_k and f_{k+1}
     f_k = np.where(start == top, 1e-300, 0.0)
@@ -155,7 +167,7 @@ def bessel_ive_all(x) -> np.ndarray:
     above = f_k.copy()
     # x = 0 has no pass; its column is set to [1, 0, ...] below
     xs = np.where(x == 0.0, 1.0, x)
-    with np.errstate(over="ignore", invalid="ignore"):  # the tiny-x NaN above
+    with np.errstate(over="ignore", invalid="ignore"):  # the tiny-x NaN of bessel_ive_all
         for k in range(top, 0, -1):
             f = (2.0 * k / xs) * f_k + f_k1
             f[start == k - 1] = 1e-300
@@ -174,4 +186,4 @@ def bessel_ive_all(x) -> np.ndarray:
         row[nmax < n] = 0.0
     out[:, x == 0.0] = 0.0
     out[0, x == 0.0] = 1.0
-    return out.reshape((len(out),) + shape)
+    return out

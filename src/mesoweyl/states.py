@@ -199,8 +199,8 @@ def weyl_drive_coeffs(state, c, tol: float = 1e-18) -> dict:
         pref, v, chi, w = _squeezed_drive(state, c)
         js = specfun.bessel_j_harmonics(abs(w))
         psi = cmath.phase(w)
-        ims = specfun.bessel_ive_all(v)
-        mmax = len(ims) - 1
+        mmax = int(specfun.order_cutoff(v))
+        ims = specfun.bessel_ive_all(v, mmax + 1)
         out = {}
         for m in range(-mmax, mmax + 1):
             fm = pref * (-1 if m & 1 else 1) * ims[abs(m)]
@@ -258,14 +258,17 @@ def weyl_time_average(state, c):
         avg = np.exp(-x / 2.0) * jv(0, 2.0 * rho * abs(state.amplitude))
     elif isinstance(state, SqueezedState):
         pref, v, chi, w = _squeezed_drive(state, c)
-        ims = specfun.bessel_ive_all(v)
         absw = np.abs(w)
         # zero frequency needs the theta index n = -2m; J_{-2m} = J_{2m}, so
         # the +-m terms pair into 2 cos(m (chi - 2 psi)), and J_{2m} is below
-        # 1e-18 beyond the order cutoff of |w|
+        # 1e-18 beyond the order cutoff of |w|, as is e^{-v} I_m(v) beyond v's
+        # (a cutoff past the int64 range casts negative: m = 0 is kept)
+        mmax = max(0, min(specfun.order_cutoff(v.max(initial=0.0)),
+                          specfun.order_cutoff(absw.max(initial=0.0)) // 2))
+        ims = specfun.bessel_ive_all(v, mmax + 1)
         phi = chi - 2.0 * np.angle(w)
         total = ims[0] * jv(0, absw)
-        for m in range(1, min(len(ims) - 1, specfun.order_cutoff(absw.max(initial=0.0)) // 2) + 1):
+        for m in range(1, mmax + 1):
             total += (-2.0 if m & 1 else 2.0) * ims[m] * jv(2 * m, absw) * np.cos(m * phi)
         avg = pref * total
     else:

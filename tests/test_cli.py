@@ -118,10 +118,11 @@ def test_fig6_runs_at_large_photon_numbers(tmp_path):
     assert all(float(v) == 1.0 for k, v in rows[0].items() if k.startswith("re_gamma_"))
 
 
-@pytest.mark.parametrize("fig, size", [("fig9", "grid_points"), ("fig10", "grid_points"), ("fig11", "samples")])
+@pytest.mark.parametrize("fig, size", [("fig6", "samples"), ("fig9", "grid_points"), ("fig10", "grid_points"),
+                                       ("fig11", "samples")])
 def test_huge_coupling_exits_cleanly(tmp_path, capsys, fig, size):
     # q ** 2 overflows a float; W and the marginals take their limits
-    # (W -> 0, so R -> 1) instead of raising
+    # (W -> 0, so R -> 1) instead of raising, and fig6 refuses such a q
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiment": fig, "params": {"q": 1e300, size: 5}}))
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) in (0, 2)
@@ -129,6 +130,16 @@ def test_huge_coupling_exits_cleanly(tmp_path, capsys, fig, size):
     if (tmp_path / f"{fig}.csv").exists():
         json.loads((tmp_path / f"{fig}.manifest.json").read_text(), parse_constant=pytest.fail)
         assert "nan" not in (tmp_path / f"{fig}.csv").read_text()
+
+
+@pytest.mark.parametrize("fig", ["fig6", "fig7"])
+def test_strong_coupling_autocorrelation_is_a_bad_config(tmp_path, capsys, fig):
+    # at q = 100 the squeezed time average needs e^{-v} I_m(v) up to about
+    # 6.7e5 orders at every lag: refused up front, before any table is built
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": fig, "params": {"q": 100.0}}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "error: q = 100.0 is too large" in capsys.readouterr().err
 
 
 def test_dim_cap_exhaustion_exits_3(tmp_path):
@@ -157,6 +168,27 @@ def test_all_singular_exits_4(tmp_path):
     config = {"experiment": "fig11", "params": {"q": 1e-10, "x_a": math.pi, "x_b": 2.0}}
     path.write_text(json.dumps(config))
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 4
+
+
+def test_fig14_number_pole_is_a_nan_column(tmp_path):
+    # L_1(q'^2) = 0 at q' = 1/2 (config qprime 1.0): the separable number
+    # ratio is 0/0, reported as nan in every row, not as a bad config
+    params = {"n1": 1, "n2": 1, "qprime": 1.0, "samples": 5}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "fig14", "params": params}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "fig14.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["rc_sep_num"] for r in rows] == ["nan"] * 5
+    assert all(math.isfinite(float(r["rc_sep_coh"])) for r in rows)
+    manifest = json.loads((tmp_path / "fig14.manifest.json").read_text(), parse_constant=pytest.fail)
+    assert manifest["n_singular"] == 0
+    assert manifest["singular_phases"] == [float(r["omega_diff_t"]) for r in rows]
+    # real, opposite amplitudes cancel ring A's current at every sampled
+    # phase, so the coherent column is a pole too and no point is left
+    params.update(a1=1.0, a2=-1.0)
+    path.write_text(json.dumps({"experiment": "fig14", "params": params}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "all")]) == 4
 
 
 @pytest.mark.parametrize("fig", ["fig9", "fig10"])
@@ -202,3 +234,13 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "fig9" in proc.stdout
+
+
+def test_importing_the_cli_leaves_scipy_sparse_linalg_unloaded():
+    # the oracle's matrix exponentials are its own Chebyshev propagator
+    src = os.path.dirname(os.path.dirname(mesoweyl.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, mesoweyl.cli; print('scipy.sparse.linalg' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

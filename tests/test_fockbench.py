@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
 from mesoweyl import fockbench
@@ -369,7 +370,8 @@ def test_state_vectors_of_distinct_states_do_not_alias():
 
 
 def test_squeezed_vector_is_reproducible_and_leaves_the_global_rng_alone():
-    # unseeded, scipy's 1-norm estimator gives different bits for these seeds
+    # the Chebyshev propagator draws no random numbers, so the bits must not
+    # depend on the global seed, and the global RNG state must not move
     state = SqueezedState(0j, 4.2)
     built = []
     for seed in (1, 2):
@@ -382,3 +384,45 @@ def test_squeezed_vector_is_reproducible_and_leaves_the_global_rng_alone():
         assert np.array_equal(before[1], after[1])
         assert before[2:] == after[2:]
     assert built[0] == built[1]
+
+
+def _squeeze_generator(r, varphi, dim):
+    a = fockbench.ladder(dim)
+    adag2 = (a.conj().T @ a.conj().T).tocsc()
+    return (-(r / 4.0) * cmath.exp(-1j * varphi)) * adag2 + ((r / 4.0) * cmath.exp(1j * varphi)) * (a @ a).tocsc()
+
+
+def _random_unit_vector(dim, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+@pytest.mark.parametrize("dim", [2, 8, 33, 96])
+def test_expm_action_matches_dense_expm(dim):
+    a = fockbench.ladder(dim)
+    gens = [z * a.conj().T.tocsc() - np.conj(z) * a.tocsc()
+            for z in (0.2, 1.2 - 0.5j, -2.9j, 3.0 * cmath.exp(2.2j))]
+    gens += [_squeeze_generator(4.2, varphi, dim) for varphi in (0.9, -2.5)]
+    for k, gen in enumerate(gens):
+        vec = _random_unit_vector(dim, k)
+        ref = expm(gen.toarray()) @ vec
+        assert np.max(np.abs(fockbench._expm_action(gen, vec) - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("dim", [240, 480, 960, 1920])
+def test_squeezed_vector_matches_expm_multiply(dim):
+    # the acceptance r = 4.2 vector against scipy's Taylor-based action,
+    # which the oracle no longer uses
+    coh = fockbench.state_vector(CoherentState(0j), dim)
+    ref = expm_multiply(_squeeze_generator(4.2, 0.0, dim), coh)
+    vec = fockbench.state_vector(SqueezedState(0j, 4.2), dim)
+    assert np.max(np.abs(vec - ref)) <= 1e-12
+
+
+def test_zero_generator_acts_as_the_identity():
+    vec = fockbench.state_vector(CoherentState(0.6 - 0.2j), 24)
+    for out in (fockbench.apply_displacement(0j, vec),
+                fockbench._expm_action(_squeeze_generator(0.0, 0.3, 24), vec)):
+        assert np.array_equal(out, vec)
+        assert out is not vec and out.flags.writeable

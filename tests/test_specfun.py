@@ -148,9 +148,9 @@ def test_bessel_sum_of_squares(x):
 
 
 def test_bessel_i_against_scipy():
-    assert specfun.bessel_ive_all(0.0).tolist() == [1.0] + [0.0] * specfun.order_cutoff(0.0)
+    assert specfun.bessel_ive_all(0.0, specfun.order_cutoff(0.0) + 1).tolist() == [1.0] + [0.0] * specfun.order_cutoff(0.0)
     for x in (0.2, 1.0, 4.2, 16.7):
-        ives = specfun.bessel_ive_all(x)
+        ives = specfun.bessel_ive_all(x, specfun.order_cutoff(x) + 1)
         assert ives.shape == (specfun.order_cutoff(x) + 1,)
         for n, got in enumerate(ives[:30]):
             assert got == pytest.approx(float(sp.ive(n, x)), rel=1e-13, abs=1e-300)
@@ -160,7 +160,7 @@ def test_bessel_i_array_against_scipy():
     # one table for a 2-d array of arguments: each element keeps its own
     # order cutoff, with zeros above it
     xs = np.array([[0.0, 1e-20, 1e-10, 1e-3, 0.2], [1.0, 4.2, 16.7, 600.0, 720.0]])
-    table = specfun.bessel_ive_all(xs)
+    table = specfun.bessel_ive_all(xs, specfun.order_cutoff(720.0) + 1)
     assert table.shape == (specfun.order_cutoff(720.0) + 1,) + xs.shape
     for x, ives in zip(xs.ravel(), table.reshape(len(table), -1).T):
         cut = specfun.order_cutoff(x)
@@ -176,7 +176,18 @@ def test_bessel_array_variants_match_scalars():
     # the scaled pass neither overflows (e^{720} does) nor loses range; checked
     # on every order that can survive the 1e-18 cutoff of the expansions
     for x in (3.3, 600.0, 720.0):
-        for n, got in enumerate(specfun.bessel_ive_all(x)):
+        for n, got in enumerate(specfun.bessel_ive_all(x, specfun.order_cutoff(x) + 1)):
             ref = float(sp.ive(n, x))
             if ref > 1e-18:
                 assert got == pytest.approx(ref, rel=1e-13)
+
+
+def test_bessel_ive_column_blocks_equal_one_table():
+    # 2,000 arguments up to 3,000 need orders to 3,263: the pass runs in two
+    # column blocks, and every kept row is the same bits as one full table
+    xs = np.linspace(0.0, 3000.0, 2000)
+    height = specfun.order_cutoff(3000.0) + 1
+    assert height * xs.size > 2 ** 22
+    whole = specfun._miller_ive(xs, height)
+    assert np.array_equal(specfun.bessel_ive_all(xs, height), whole)
+    assert np.array_equal(specfun.bessel_ive_all(xs.reshape(40, 50), 12), whole[:12].reshape(12, 40, 50))
