@@ -11,6 +11,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__, experiments, verify
 from .exceptions import TruncationError
 from .fockbench import TruncationPolicy
@@ -26,12 +28,29 @@ class ConfigError(ValueError):
     pass
 
 
+# rows joined per write: the file text is never held whole
+CSV_BLOCK_ROWS = 4096
+
+
 def write_csv(path: str, columns, rows) -> None:
-    """Comma-separated, header row, LF endings, shortest-roundtrip floats."""
+    """Comma-separated, header row, LF endings, shortest-roundtrip floats.
+
+    rows is a float table of shape (n_rows, len(columns)); each cell reads as
+    ``repr(float(cell))``.  Each column is formatted once per distinct value,
+    keyed on its bits, so -0.0 stays apart from 0.0, and the rows are joined
+    from those strings a block at a time.
+    """
+    rows = np.asarray(rows, dtype=float)
+    texts, codes = [], []
+    for col in rows.T:
+        bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
+        texts.append(np.array([repr(v) for v in bits.view(float).tolist()], dtype=object))
+        codes.append(inverse)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(map(repr, map(float, row))) + "\n")
+        for i in range(0, len(rows), CSV_BLOCK_ROWS):
+            cells = [text[code[i:i + CSV_BLOCK_ROWS]].tolist() for text, code in zip(texts, codes)]
+            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
 
 
 def write_manifest(path: str, manifest: dict) -> None:
@@ -87,7 +106,7 @@ def _cmd_run(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 
-    if result.rows and result.n_singular >= len(result.rows):
+    if len(result.rows) and result.n_singular >= len(result.rows):
         print("error: every requested point is singular", file=sys.stderr)
         return EXIT_ALL_SINGULAR
 

@@ -37,10 +37,16 @@ R_LARGE = 4.2
 
 @dataclass
 class ExperimentResult:
+    """A figure's table: ``rows`` is a float64 array of shape
+    (n_rows, len(columns)); a list of row tuples is converted on construction.
+    ``n_singular`` counts the rows that are poles."""
     columns: list
-    rows: list
+    rows: np.ndarray
     manifest: dict = field(default_factory=dict)
     n_singular: int = 0
+
+    def __post_init__(self):
+        self.rows = np.asarray(self.rows, dtype=float).reshape(-1, len(self.columns))
 
 
 def _states_nbar(params):
@@ -186,11 +192,12 @@ def _fig7(params, policy):
 # ---------------------------------------------------------------------------
 
 def _ratio_surface_rows(params, entangled, t):
-    """Rows (x_a, x_b, R) over the square screen grid, the R surface and its
-    number of poles."""
+    """The table of rows (x_a, x_b, R) over the square screen grid, x_a
+    outermost, the R surface and its number of poles."""
     q = params["q"]
     n1, n2 = params["n1"], params["n2"]
-    xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, _size(params, "grid_points"))
+    n = _size(params, "grid_points")
+    xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, n)
     with np.errstate(divide="ignore", invalid="ignore"):  # poles are counted below
         if entangled:
             vals = twomode.ratio_ent_closed(
@@ -199,10 +206,7 @@ def _ratio_surface_rows(params, entangled, t):
         else:
             vals = twomode.ratio_sep_closed(q, xs[:, None], xs[None, :], n1, n2)
     n_sing = _poles_as_nan(vals)
-    grid = xs.tolist()
-    # one screen line at a time: the whole surface as nested lists on top of
-    # the rows raises the run's peak RSS by about 0.5 MB
-    rows = [(xa, xb, v) for xa, line in zip(grid, vals) for xb, v in zip(grid, line.tolist())]
+    rows = np.column_stack([np.repeat(xs, n), np.tile(xs, n), vals.ravel()])
     return rows, vals, n_sing
 
 

@@ -113,8 +113,12 @@ def one_minus_scaled_laguerre(n: int, x: float) -> float:
 
 def order_cutoff(x):
     """Order beyond which J_n(x) and e^{-x} I_n(x) fall under ~1e-18 (x >= 0,
-    a float or an array of them)."""
-    return np.int_(x + 16.0 + 10.0 * x ** 0.4) + 2
+    a float or an array of them).
+
+    Past x ~ 4.6e18 (and at x = inf) the order saturates at 2**62 + 2, more
+    orders than any table could hold, instead of leaving the int64 range.
+    """
+    return np.int_(np.minimum(x + 16.0 + 10.0 * x ** 0.4, 2.0 ** 62)) + 2
 
 
 def bessel_j_harmonics(x: float) -> dict:

@@ -248,6 +248,10 @@ def weyl_time_average(state, c):
     zero-frequency entry without building the full coefficient map.
     """
     c = np.asarray(c, dtype=complex)
+    # as in weyl: |c| ** 2 overflows past 1e154, where the average has its
+    # limit 0, so those entries are computed at c = 0 and zeroed at the end
+    far = np.abs(c) > 1e154
+    c = np.where(far, 0j, c)
     rho = np.abs(c)
     x = rho * rho
     if isinstance(state, NumberState):
@@ -262,9 +266,8 @@ def weyl_time_average(state, c):
         # zero frequency needs the theta index n = -2m; J_{-2m} = J_{2m}, so
         # the +-m terms pair into 2 cos(m (chi - 2 psi)), and J_{2m} is below
         # 1e-18 beyond the order cutoff of |w|, as is e^{-v} I_m(v) beyond v's
-        # (a cutoff past the int64 range casts negative: m = 0 is kept)
-        mmax = max(0, min(specfun.order_cutoff(v.max(initial=0.0)),
-                          specfun.order_cutoff(absw.max(initial=0.0)) // 2))
+        mmax = min(specfun.order_cutoff(v.max(initial=0.0)),
+                   specfun.order_cutoff(absw.max(initial=0.0)) // 2)
         ims = specfun.bessel_ive_all(v, mmax + 1)
         phi = chi - 2.0 * np.angle(w)
         total = ims[0] * jv(0, absw)
@@ -273,7 +276,7 @@ def weyl_time_average(state, c):
         avg = pref * total
     else:
         raise TypeError(f"unsupported state {state!r}")
-    avg = np.asarray(avg, dtype=complex)
+    avg = np.where(far, 0j, avg)
     return complex(avg) if avg.ndim == 0 else avg
 
 

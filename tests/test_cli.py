@@ -2,13 +2,17 @@ import csv
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import mesoweyl
-from mesoweyl import cli, verify
+from mesoweyl import cli, experiments, verify
 from mesoweyl.experiments import EXPERIMENTS
 
 ALL_FIGS = ["fig1", "fig4", "fig5", "fig6", "fig7", "fig9", "fig10", "fig11",
@@ -46,6 +50,88 @@ def test_run_writes_csv_and_manifest(tmp_path):
     assert manifest["experiment"] == "fig4"
     assert manifest["n_rows"] == 513
     assert "version" in manifest and "params" in manifest and "convergence" in manifest
+
+
+def write_csv_per_row(path, columns, rows):
+    """The reference writer: one repr per cell, one write per row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(map(repr, map(float, row))) + "\n")
+
+
+def _bits(b):
+    return struct.unpack("<d", struct.pack("<Q", b))[0]
+
+
+# values that must meet in one column: zeros of both signs; NaNs of both
+# signs and with a payload; infinities; subnormals; and values on both sides
+# of repr's switch to exponent notation
+SPECIAL_GROUPS = [
+    [0.0, -0.0],
+    [math.nan, -math.nan, _bits(0x7FF0000000000001), _bits(0xFFF8000000000123)],
+    [math.inf, -math.inf, 0.0],
+    [5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308],
+    [1e16, -1e16, 9999999999999998.0, 1e-5, 1e-4, 0.0001234, 123456789.0],
+]
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+
+
+@st.composite
+def float_tables(draw):
+    """A float64 table; each column draws its cells from one special group
+    and a few arbitrary floats, so values repeat heavily within a column."""
+    n_rows, n_cols = draw(st.integers(0, 30)), draw(st.integers(1, 5))
+    columns = []
+    for _ in range(n_cols):
+        pool = draw(st.sampled_from(SPECIAL_GROUPS)) + draw(st.lists(ANY_FLOAT, max_size=4))
+        picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n_rows, max_size=n_rows))
+        columns.append([pool[i] for i in picks])
+    return np.array(columns, dtype=float).T.reshape(n_rows, n_cols)
+
+
+def _assert_same_bytes_as_per_row(directory, table):
+    columns = [f"c{j}" for j in range(table.shape[1])]
+    cli.write_csv(directory / "table.csv", columns, table)
+    write_csv_per_row(directory / "reference.csv", columns, table)
+    assert (directory / "table.csv").read_bytes() == (directory / "reference.csv").read_bytes()
+
+
+@given(table=float_tables())
+def test_write_csv_matches_the_per_row_writer(tmp_path_factory, table):
+    _assert_same_bytes_as_per_row(tmp_path_factory.mktemp("csv"), table)
+
+
+def test_write_csv_edge_shapes(tmp_path):
+    rng = np.random.default_rng(7)
+    pool = np.array([v for group in SPECIAL_GROUPS for v in group] + list(rng.standard_normal(50)))
+    many = 2 * cli.CSV_BLOCK_ROWS + 3
+    for shape in [(0, 3), (1, 3), (5, 1), (0, 1), (1, 1), (many, 3), (cli.CSV_BLOCK_ROWS, 2)]:
+        table = rng.choice(pool, size=shape)
+        _assert_same_bytes_as_per_row(tmp_path, table)
+        lines = (tmp_path / "table.csv").read_text().split("\n")
+        assert len(lines) == shape[0] + 2 and lines[-1] == ""
+    cli.write_csv(tmp_path / "empty.csv", ["a", "b"], np.empty((0, 2)))
+    assert (tmp_path / "empty.csv").read_bytes() == b"a,b\n"
+
+
+@pytest.mark.parametrize("fig", ALL_FIGS)
+def test_rows_are_a_float_table_and_each_is_written(tmp_path, monkeypatch, fig):
+    results, run = [], experiments.run_experiment
+
+    def run_and_keep(*args, **kwargs):
+        results.append(run(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(experiments, "run_experiment", run_and_keep)
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", f"{fig}.json")
+    assert cli.main(["run", "--config", config, "--out", str(tmp_path)]) == 0
+    (result,) = results
+    manifest = json.loads((tmp_path / f"{fig}.manifest.json").read_text())
+    assert isinstance(result.rows, np.ndarray) and result.rows.dtype == np.float64
+    assert result.rows.shape == (manifest["n_rows"], len(result.columns))
+    lines = (tmp_path / f"{fig}.csv").read_text().splitlines()
+    assert len(lines) == 1 + manifest["n_rows"]
 
 
 def test_run_is_byte_identical(tmp_path):
@@ -130,6 +216,20 @@ def test_huge_coupling_exits_cleanly(tmp_path, capsys, fig, size):
     if (tmp_path / f"{fig}.csv").exists():
         json.loads((tmp_path / f"{fig}.manifest.json").read_text(), parse_constant=pytest.fail)
         assert "nan" not in (tmp_path / f"{fig}.csv").read_text()
+
+
+@pytest.mark.filterwarnings("error")
+def test_fig6_runs_at_a_huge_coupling_without_squeezing(tmp_path):
+    # |w| ~ 1e31 puts the Bessel J order cutoff past the int64 range, where it
+    # saturates; with r = 0 the Bessel I argument is 0 and the config is valid
+    path = tmp_path / "cfg.json"
+    params = {"q": 1e30, "squeezing_r": 0.0, "samples": 9}
+    path.write_text(json.dumps({"experiment": "fig6", "params": params}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "fig6.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 9
+    assert all(math.isfinite(float(v)) for row in rows for v in row.values())
 
 
 @pytest.mark.parametrize("fig", ["fig6", "fig7"])

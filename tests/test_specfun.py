@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -105,6 +106,16 @@ def test_one_minus_scaled_laguerre_is_accurate_at_large_x():
             assert specfun.one_minus_scaled_laguerre(n, x) == pytest.approx(ref, rel=1e-13)
         for x in (1e20, 1e300, math.inf):
             assert specfun.one_minus_scaled_laguerre(n, x) == 1.0
+
+
+def test_order_cutoff_saturates_past_the_int64_range():
+    xs = [0.0, 1.0, 1e18, 9.2e18, 1e19, 1e31, 1e300, math.inf]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cuts = specfun.order_cutoff(np.array(xs))
+        assert [specfun.order_cutoff(x) for x in xs] == cuts.tolist()
+    assert cuts[0] == 18 and np.all(np.diff(cuts) >= 0)
+    assert cuts[-4:].tolist() == [2 ** 62 + 2] * 4
 
 
 def test_bessel_j_basics():

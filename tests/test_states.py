@@ -79,6 +79,17 @@ def test_weyl_vanishes_where_abs_z_squared_overflows(state):
     assert number_displacement_element(1, 1e300j, 3) == 0
 
 
+@pytest.mark.parametrize("state", SMALL_STATES + [NumberState(17)])
+def test_weyl_time_average_vanishes_where_abs_c_squared_overflows(state):
+    far = [1e160, 1e200j * cmath.exp(0.4j), complex(1e308, -1e308), 1e300]
+    near = [0.3, 0.2j * cmath.exp(0.4j)]
+    for c in far:
+        assert weyl_time_average(state, c) == 0
+    got = weyl_time_average(state, np.array(far + near))
+    assert np.all(got[:len(far)] == 0)
+    assert got[len(far):] == pytest.approx([weyl_time_average(state, c) for c in near], abs=1e-15)
+
+
 @pytest.mark.parametrize("state", SMALL_STATES)
 def test_weyl_conjugate_symmetry_and_bound(state):
     for z in Z_GRID:
