@@ -112,11 +112,10 @@ def _fig4(params, policy):
         # mean photon number ~1e-22: the zero-photon thermal limit
         "th": ThermalState(params["thermal_beta_omega"]),
     }
-    rows = []
-    for w in _phase_grid(params):
-        t = w / mode.omega
-        ws = [weyl(s, 1j * coupling.q * cmath.exp(1j * mode.omega * t)) for s in states.values()]
-        rows.append((w, *map(abs, ws), *map(cmath.phase, ws)))
+    wt = _phase_grid(params)
+    t = wt / mode.omega
+    ws = [weyl(s, 1j * coupling.q * np.exp(1j * mode.omega * t)) for s in states.values()]
+    rows = np.column_stack([wt, *map(np.abs, ws), *map(np.angle, ws)])
     cols = ["omega_t", "absW_num", "absW_coh", "absW_sq", "absW_th",
             "argW_num", "argW_coh", "argW_sq", "argW_th"]
     return ExperimentResult(cols, rows)
@@ -125,16 +124,13 @@ def _fig4(params, policy):
 def _fig5(params, policy):
     mode = ModeParams(params["omega"])
     coupling = ChargeCoupling(params["q"])
-    states = _states_nbar(params)
-    e_phi1 = params["classical_e_phi1"]
-    rows = []
-    for w in _phase_grid(params):
-        t = w / mode.omega
-        quantum = [interference.intensity_quantum(s, coupling, mode, 0.0, t) for s in states.values()]
-        rows.append((w, *quantum, interference.classical_intensity(e_phi1, mode.omega, t)))
-    return ExperimentResult(
-        ["omega_t", "i_num", "i_coh", "i_sq", "i_th", "i_cl"], rows
-    )
+    wt = _phase_grid(params)
+    t = wt / mode.omega
+    quantum = [interference.intensity_quantum(s, coupling, mode, 0.0, t)
+               for s in _states_nbar(params).values()]
+    classical = interference.classical_intensity(params["classical_e_phi1"], mode.omega, t)
+    rows = np.column_stack([wt, *quantum, classical])
+    return ExperimentResult(["omega_t", "i_num", "i_coh", "i_sq", "i_th", "i_cl"], rows)
 
 
 def _autocorrelations(params, mode, taus):
@@ -304,107 +300,83 @@ def _coherent_convergence(params, policy):
     }
 
 
-def _fig14(params, policy):
-    # a row counts as singular (for exit purposes) only when every value
-    # column is a pole; any-column poles are still reported in the manifest
+def _beat_times(params):
+    """The phase grid of figs 14-18 and its times t = phase / (omega_1 - omega_2)."""
+    phases = _phase_grid(params)
+    return phases, phases / (params["omega_1"] - params["omega_2"])
+
+
+def _pair_moments(params, t, pair):
+    """[separable, entangled] two-ring current moments over the times t of
+    the params' "number" or "coherent" pair."""
     coupling, wa, wb, w1, w2, n1, n2, a1, a2 = _squid_params(params)
-    rows = []
-    rc_num = _or_nan(squid.ratio_c_sep_number, n1, n2, coupling)
-    singular = []
-    n_sing = 0
-    for ph in _phase_grid(params):
-        t = ph / (w1 - w2)
-        mom = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
-        rc_coh = _or_nan(squid.ratio_c, mom)
-        if math.isnan(rc_num) or math.isnan(rc_coh):
-            singular.append(ph)
-        n_sing += math.isnan(rc_num) and math.isnan(rc_coh)
-        rows.append((ph, rc_num, rc_coh))
-    manifest = {"singular_phases": singular, "convergence": _coherent_convergence(params, policy)}
-    return ExperimentResult(
-        ["omega_diff_t", "rc_sep_num", "rc_sep_coh"], rows, manifest, n_singular=n_sing
-    )
+    if pair == "number":
+        moments, x1, x2 = squid.two_squid_currents_number, n1, n2
+    else:
+        moments, x1, x2 = squid.two_squid_currents_coherent, a1, a2
+    return [moments(x1, x2, e, coupling, wa, wb, w1, w2, t) for e in (False, True)]
+
+
+def _two_ring_figure(params, policy, phases, series, singular=None):
+    """The table of figs 14-18: a row (phase, *values) per phase point, from
+    ``series`` = {column: values over the phases or one value}, a pole as
+    NaN.  A row counts as singular (for exit purposes) only when every value
+    column is a pole; ``singular`` (np.any or np.all over a row's poles)
+    picks the phases the manifest lists as singular_phases."""
+    rows = np.column_stack(np.broadcast_arrays(phases, *series.values()))
+    pole = np.isnan(rows[:, 1:])
+    manifest = {}
+    if singular is not None:
+        manifest["singular_phases"] = phases[singular(pole, axis=1)].tolist()
+    manifest["convergence"] = _coherent_convergence(params, policy)
+    return ExperimentResult(["omega_diff_t", *series], rows, manifest,
+                            n_singular=int(np.count_nonzero(pole.all(axis=1))))
+
+
+def _fig14(params, policy):
+    coupling, wa, wb, w1, w2, n1, n2, a1, a2 = _squid_params(params)
+    phases, t = _beat_times(params)
+    mom = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
+    series = {"rc_sep_num": squid.ratio_c_sep_number(n1, n2, coupling),
+              "rc_sep_coh": squid.ratio_c(mom)}
+    return _two_ring_figure(params, policy, phases, series, np.any)
 
 
 def _fig15(params, policy):
-    coupling, wa, wb, w1, w2, n1, n2, a1, a2 = _squid_params(params)
-
-    def d_num(t):
-        return (squid.ratio_c_sep_number(n1, n2, coupling)
-                - squid.ratio_c_ent_number(n1, n2, coupling, t, w1, w2, wa, wb))
-
-    def d_coh(t):
-        mom_sep = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
-        mom_ent = squid.two_squid_currents_coherent(a1, a2, True, coupling, wa, wb, w1, w2, t)
-        return squid.ratio_c(mom_sep) - squid.ratio_c(mom_ent)
-
-    return _ratio_differences(params, policy, ["d_rc_num", "d_rc_coh"], d_num, d_coh)
-
-
-def _ratio_differences(params, policy, columns, d_num, d_coh):
-    """Rows (phase, d_num(t), d_coh(t)) over the phase grid, a pole as nan;
-    a row counts as singular when both of its values are poles."""
-    rows, singular = [], []
-    for ph in _phase_grid(params):
-        t = ph / (params["omega_1"] - params["omega_2"])
-        row = (ph, _or_nan(d_num, t), _or_nan(d_coh, t))
-        if math.isnan(row[1]) and math.isnan(row[2]):
-            singular.append(ph)
-        rows.append(row)
-    manifest = {"singular_phases": singular, "convergence": _coherent_convergence(params, policy)}
-    return ExperimentResult(["omega_diff_t", *columns], rows, manifest, n_singular=len(singular))
-
-
-def _or_nan(ratio, *args):
-    """ratio(*args), or nan at a singular point."""
-    try:
-        return ratio(*args)
-    except squid.SingularPointError:
-        return math.nan
+    coupling, wa, wb, w1, w2, n1, n2, _, _ = _squid_params(params)
+    phases, t = _beat_times(params)
+    sep, ent = _pair_moments(params, t, "coherent")
+    series = {
+        "d_rc_num": squid.ratio_c_sep_number(n1, n2, coupling)
+        - squid.ratio_c_ent_number(n1, n2, coupling, t, w1, w2, wa, wb),
+        "d_rc_coh": squid.ratio_c(sep) - squid.ratio_c(ent),
+    }
+    return _two_ring_figure(params, policy, phases, series, np.all)
 
 
 def _fig16(params, policy):
-    coupling, wa, wb, w1, w2, n1, n2, a1, a2 = _squid_params(params)
-    rows = []
-    for ph in _phase_grid(params):
-        t = ph / (w1 - w2)
-        mom_sep = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
-        mom_ent = squid.two_squid_currents_coherent(a1, a2, True, coupling, wa, wb, w1, w2, t)
-        rows.append((ph, mom_sep.ia - mom_ent.ia, mom_sep.ia2 - mom_ent.ia2))
-    manifest = {"convergence": _coherent_convergence(params, policy)}
-    return ExperimentResult(["omega_diff_t", "d_ia_coh", "d_ia2_coh"], rows, manifest)
+    phases, t = _beat_times(params)
+    sep, ent = _pair_moments(params, t, "coherent")
+    series = {"d_ia_coh": sep.ia - ent.ia, "d_ia2_coh": sep.ia2 - ent.ia2}
+    return _two_ring_figure(params, policy, phases, series)
 
 
 def _fig17(params, policy):
-    coupling, wa, wb, w1, w2, n1, n2, a1, a2 = _squid_params(params)
-    rows = []
-    for ph in _phase_grid(params):
-        t = ph / (w1 - w2)
-        num_sep = squid.two_squid_currents_number(n1, n2, False, coupling, wa, wb, w1, w2, t)
-        num_ent = squid.two_squid_currents_number(n1, n2, True, coupling, wa, wb, w1, w2, t)
-        mom_sep = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
-        mom_ent = squid.two_squid_currents_coherent(a1, a2, True, coupling, wa, wb, w1, w2, t)
-        rows.append(
-            (ph, num_sep.ia_ib - num_ent.ia_ib, mom_sep.ia_ib - mom_ent.ia_ib)
-        )
-    manifest = {"convergence": _coherent_convergence(params, policy)}
-    return ExperimentResult(["omega_diff_t", "d_iaib_num", "d_iaib_coh"], rows, manifest)
+    phases, t = _beat_times(params)
+    num_sep, num_ent = _pair_moments(params, t, "number")
+    coh_sep, coh_ent = _pair_moments(params, t, "coherent")
+    series = {"d_iaib_num": num_sep.ia_ib - num_ent.ia_ib,
+              "d_iaib_coh": coh_sep.ia_ib - coh_ent.ia_ib}
+    return _two_ring_figure(params, policy, phases, series)
 
 
 def _fig18(params, policy):
-    coupling, wa, wb, w1, w2, n1, n2, a1, a2 = _squid_params(params)
-
-    def d_num(t):
-        num_sep = squid.two_squid_currents_number(n1, n2, False, coupling, wa, wb, w1, w2, t)
-        num_ent = squid.two_squid_currents_number(n1, n2, True, coupling, wa, wb, w1, w2, t)
-        return squid.ratio_c2(num_sep) - squid.ratio_c2(num_ent)
-
-    def d_coh(t):
-        mom_sep = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
-        mom_ent = squid.two_squid_currents_coherent(a1, a2, True, coupling, wa, wb, w1, w2, t)
-        return squid.ratio_c2(mom_sep) - squid.ratio_c2(mom_ent)
-
-    return _ratio_differences(params, policy, ["d_rc2_num", "d_rc2_coh"], d_num, d_coh)
+    phases, t = _beat_times(params)
+    num_sep, num_ent = _pair_moments(params, t, "number")
+    coh_sep, coh_ent = _pair_moments(params, t, "coherent")
+    series = {"d_rc2_num": squid.ratio_c2(num_sep) - squid.ratio_c2(num_ent),
+              "d_rc2_coh": squid.ratio_c2(coh_sep) - squid.ratio_c2(coh_ent)}
+    return _two_ring_figure(params, policy, phases, series, np.all)
 
 
 # ---------------------------------------------------------------------------

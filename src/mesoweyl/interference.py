@@ -9,7 +9,6 @@ evaluations whose infinite-time averages are taken exactly (harmonic
 bookkeeping), never by long numeric windows.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -23,7 +22,6 @@ from .states import ChargeCoupling, ModeParams, weyl, weyl_time_average
 __all__ = [
     "CorrelationSeries",
     "SpectrumCoeffs",
-    "intensity_static",
     "intensity_quantum",
     "visibility",
     "classical_intensity",
@@ -32,7 +30,6 @@ __all__ = [
     "autocorrelation_quantum",
     "normalized_gamma",
     "spectral_density",
-    "reconstruct_gamma",
 ]
 
 
@@ -54,32 +51,30 @@ class SpectrumCoeffs:
     values: np.ndarray
 
 
-def intensity_static(x: float, flux_phase: float) -> float:
-    """1 + cos(x - e*Phi) for a magnetostatic flux; visibility one."""
-    return 1.0 + math.cos(x - flux_phase)
+def _lam(coupling: ChargeCoupling, mode: ModeParams, t):
+    return 1j * coupling.q * np.exp(1j * mode.omega * t)
 
 
-def _lam(coupling: ChargeCoupling, mode: ModeParams, t: float) -> complex:
-    return 1j * coupling.q * cmath.exp(1j * mode.omega * t)
-
-
-def intensity_quantum(state, coupling: ChargeCoupling, mode: ModeParams, x: float, t: float) -> float:
-    """1 + |W(lam)| cos(x - arg W(lam)), lam = i q e^{iwt}."""
+def intensity_quantum(state, coupling: ChargeCoupling, mode: ModeParams, x, t):
+    """1 + |W(lam)| cos(x - arg W(lam)), lam = i q e^{iwt}; x and t are
+    floats or arrays that broadcast."""
     w = weyl(state, _lam(coupling, mode, t))
-    return 1.0 + abs(w) * math.cos(x - cmath.phase(w))
+    return 1.0 + np.abs(w) * np.cos(x - np.angle(w))
 
 
-def visibility(state, coupling: ChargeCoupling, mode: ModeParams, t: float) -> float:
-    """(I_max - I_min)/(I_max + I_min) over x, equal to |W(lam)|."""
-    return abs(weyl(state, _lam(coupling, mode, t)))
+def visibility(state, coupling: ChargeCoupling, mode: ModeParams, t):
+    """(I_max - I_min)/(I_max + I_min) over x, equal to |W(lam)|; t is a
+    float or an array."""
+    return np.abs(weyl(state, _lam(coupling, mode, t)))
 
 
 # ---------------------------------------------------------------------------
 # classical drive
 
-def classical_intensity(e_phi1: float, omega: float, t: float) -> float:
-    """1 + cos[e phi_1 sin(wt)] at the central fringe x = 0."""
-    return 1.0 + math.cos(e_phi1 * math.sin(omega * t))
+def classical_intensity(e_phi1: float, omega: float, t):
+    """1 + cos[e phi_1 sin(wt)] at the central fringe x = 0; t is a float or
+    an array."""
+    return 1.0 + np.cos(e_phi1 * np.sin(omega * t))
 
 
 def classical_gamma_series(e_phi1: float, omega: float) -> HarmonicSeries:
@@ -188,12 +183,3 @@ def _as_spectrum(omega_base, ks, vals, scale) -> SpectrumCoeffs:
     if resid > 1e-10 * max(scale, 1e-300):
         raise ValueError(f"spectral coefficients not real (residue {resid:g})")
     return SpectrumCoeffs(omega=omega_base, k=ks, values=vals.real.copy())
-
-
-def reconstruct_gamma(spec: SpectrumCoeffs, taus) -> np.ndarray:
-    """Gamma(tau) rebuilt from its spectral coefficients."""
-    taus = np.asarray(taus, dtype=float)
-    out = np.zeros(taus.shape, dtype=complex)
-    for k, s in zip(spec.k, spec.values):
-        out += s * np.exp(1j * k * spec.omega * taus)
-    return out

@@ -15,7 +15,9 @@ Two distant rings couple to the swapped two-mode families
 forms.  Coherent-pair first moments have closed forms too; their products and
 second moments compose two-mode Weyl values W2(j sigma_A, k sigma_B), with
 sin(phi + X) and sin^2(phi + X) written as sums of D(j sigma), j in
-{0, +-1, +-2}, the same route ``twomode.joint_intensity`` takes.
+{0, +-1, +-2}, the same route ``twomode.joint_intensity`` takes.  The
+two-ring moments and ratios take t as a float or an array of times, so a
+whole phase grid is one call, and a ratio's pole reads NaN.
 """
 
 import cmath
@@ -23,24 +25,22 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
 from scipy.special import jv
 
 from . import specfun
-from .exceptions import SingularPointError
 from .harmonics import HarmonicSeries
 from .states import ChargeCoupling, weyl, weyl_drive_coeffs
 from .twomode import coherent_pair_entangled, coherent_pair_separable, two_mode_weyl
 
 __all__ = [
     "SquidDrive",
-    "StepScan",
     "TwoSquidMoments",
     "classical_current",
     "classical_current_expansion",
     "classical_shapiro",
     "quantum_current",
     "quantum_shapiro",
-    "step_scan",
     "two_squid_currents_number",
     "two_squid_currents_coherent",
     "cross_term_frequencies",
@@ -67,13 +67,6 @@ class SquidDrive:
             raise ValueError("critical current must be positive")
         if self.omega1 <= 0:
             raise ValueError("microwave frequency must be positive")
-
-
-@dataclass(frozen=True)
-class StepScan:
-    """dc current versus Shapiro step index; ratio = omega_a / omega1 = n."""
-
-    steps: tuple  # of (n, ratio, i_dc)
 
 
 class TwoSquidMoments(NamedTuple):
@@ -142,28 +135,18 @@ def quantum_shapiro(state, drive: SquidDrive, n_step: int, coupling: ChargeCoupl
     return drive.i_crit * (cmath.exp(1j * drive.phase0) * series.time_average()).imag
 
 
-def step_scan(drive: SquidDrive, steps, coupling: ChargeCoupling = None, state=None) -> StepScan:
-    """Shapiro scan over step indices; quantum when a state is supplied."""
-    rows = []
-    for n in steps:
-        if state is None:
-            idc = classical_shapiro(drive, n)
-        else:
-            idc = quantum_shapiro(state, drive, n, coupling)
-        rows.append((int(n), float(n), idc))
-    return StepScan(steps=tuple(rows))
-
-
 # ---------------------------------------------------------------------------
 # two distant rings, number pair (closed forms)
 
 def two_squid_currents_number(n1: int, n2: int, entangled: bool, coupling: ChargeCoupling,
                               omega_a: float, omega_b: float, omega1: float, omega2: float,
-                              t: float, i1: float = 1.0, i2: float = 1.0) -> TwoSquidMoments:
+                              t, i1: float = 1.0, i2: float = 1.0) -> TwoSquidMoments:
     """Current moments of two rings driven by the swapped number pair.
 
     Separable moments depend only on the occupations; entanglement adds a
-    cross term oscillating at Omega = (n1 - n2)(omega1 - omega2).
+    cross term oscillating at Omega = (n1 - n2)(omega1 - omega2).  t is a
+    float or an array of times, and each moment has its shape; the Laguerre
+    values do not depend on t and are computed once per call.
     """
     qp2 = coupling.qprime ** 2
     l1 = specfun.laguerre(n1, 0, qp2)
@@ -175,16 +158,16 @@ def two_squid_currents_number(n1: int, n2: int, entangled: bool, coupling: Charg
     c2 = math.exp(-qp2) * l1 * l2
     d2 = math.exp(-4.0 * qp2) * l1_4 * l2_4
 
-    ia = i1 * c0 * math.sin(omega_a * t)
-    ib = i2 * c0 * math.sin(omega_b * t)
-    ia2 = 0.5 * i1 * i1 * (1.0 - c1 * math.cos(2.0 * omega_a * t))
-    ib2 = 0.5 * i2 * i2 * (1.0 - c1 * math.cos(2.0 * omega_b * t))
-    ia_ib = i1 * i2 * c2 * math.sin(omega_a * t) * math.sin(omega_b * t)
+    ia = i1 * c0 * np.sin(omega_a * t)
+    ib = i2 * c0 * np.sin(omega_b * t)
+    ia2 = 0.5 * i1 * i1 * (1.0 - c1 * np.cos(2.0 * omega_a * t))
+    ib2 = 0.5 * i2 * i2 * (1.0 - c1 * np.cos(2.0 * omega_b * t))
+    ia_ib = i1 * i2 * c2 * np.sin(omega_a * t) * np.sin(omega_b * t)
     ia2_ib2 = 0.25 * i1 * i1 * i2 * i2 * (
         1.0
-        - c1 * math.cos(2.0 * omega_a * t)
-        - c1 * math.cos(2.0 * omega_b * t)
-        + d2 * math.cos(2.0 * omega_a * t) * math.cos(2.0 * omega_b * t)
+        - c1 * np.cos(2.0 * omega_a * t)
+        - c1 * np.cos(2.0 * omega_b * t)
+        + d2 * np.cos(2.0 * omega_a * t) * np.cos(2.0 * omega_b * t)
     )
 
     if entangled and n1 != n2:
@@ -193,13 +176,13 @@ def two_squid_currents_number(n1: int, n2: int, entangled: bool, coupling: Charg
         c3 = 0.5 * math.exp(-qp2) * specfun.laguerre(n1, n2 - n1, qp2) * specfun.laguerre(n2, n1 - n2, qp2)
         parity = -1.0 if d & 1 else 1.0
         i_cross = -i1 * i2 * c3 * (
-            math.cos((omega_a + omega_b) * t) - parity * math.cos((omega_a - omega_b) * t)
-        ) * math.cos(omega_big * t)
+            np.cos((omega_a + omega_b) * t) - parity * np.cos((omega_a - omega_b) * t)
+        ) * np.cos(omega_big * t)
         ia_ib += i_cross
         g3 = 0.5 * math.exp(-4.0 * qp2) * specfun.laguerre(n1, n2 - n1, 4.0 * qp2) * specfun.laguerre(n2, n1 - n2, 4.0 * qp2)
         ia2_ib2 += 0.25 * i1 * i1 * i2 * i2 * g3 * (
-            math.cos(2.0 * (omega_a + omega_b) * t) + parity * math.cos(2.0 * (omega_a - omega_b) * t)
-        ) * math.cos(omega_big * t)
+            np.cos(2.0 * (omega_a + omega_b) * t) + parity * np.cos(2.0 * (omega_a - omega_b) * t)
+        ) * np.cos(omega_big * t)
 
     return TwoSquidMoments(ia, ib, ia2, ib2, ia_ib, ia2_ib2)
 
@@ -222,55 +205,57 @@ def cross_term_frequencies(n1: int, n2: int, omega_a: float, omega_b: float,
 # two distant rings, coherent pair
 
 def _coherent_sep_current(a1, a2, qp: float, omega_ramp: float, omega_mw: float,
-                          t: float, i_c: float) -> float:
+                          t, i_c: float):
     """Separable-pair ring current: mean of the two single-amplitude drives."""
     th1, th2 = cmath.phase(complex(a1)), cmath.phase(complex(a2))
     r1, r2 = abs(complex(a1)), abs(complex(a2))
     pref = 0.5 * i_c * math.exp(-qp * qp / 2.0)
     return pref * (
-        math.sin(omega_ramp * t + 2.0 * qp * r1 * math.cos(omega_mw * t - th1))
-        + math.sin(omega_ramp * t + 2.0 * qp * r2 * math.cos(omega_mw * t - th2))
+        np.sin(omega_ramp * t + 2.0 * qp * r1 * np.cos(omega_mw * t - th1))
+        + np.sin(omega_ramp * t + 2.0 * qp * r2 * np.cos(omega_mw * t - th2))
     )
 
 
 def _coherent_ent_current(a1, a2, qp: float, omega_ramp: float, omega_mw: float,
-                          t: float, i_c: float) -> float:
+                          t, i_c: float):
     """Entangled-pair ring current: 2N^2 I_sep + N^2 E F e^{-q'^2/2} I_c."""
     a1, a2 = complex(a1), complex(a2)
     th1, th2 = cmath.phase(a1), cmath.phase(a2)
     r1, r2 = abs(a1), abs(a2)
     norm2 = 1.0 / (2.0 + 2.0 * math.exp(-abs(a1 - a2) ** 2))
     e_fac = math.exp(-r1 * r1 - r2 * r2 + 2.0 * r1 * r2 * math.cos(th1 - th2))
-    s1 = math.sin(omega_mw * t - th1)
-    s2 = math.sin(omega_mw * t - th2)
-    c1 = math.cos(omega_mw * t - th1)
-    c2 = math.cos(omega_mw * t - th2)
+    s1 = np.sin(omega_mw * t - th1)
+    s2 = np.sin(omega_mw * t - th2)
+    c1 = np.cos(omega_mw * t - th1)
+    c2 = np.cos(omega_mw * t - th2)
     g = qp * (r1 * s1 - r2 * s2)
-    f_fac = (math.exp(g) + math.exp(-g)) * math.sin(omega_ramp * t + qp * (r1 * c1 + r2 * c2))
+    f_fac = (np.exp(g) + np.exp(-g)) * np.sin(omega_ramp * t + qp * (r1 * c1 + r2 * c2))
     sep = _coherent_sep_current(a1, a2, qp, omega_ramp, omega_mw, t, i_c)
     return 2.0 * norm2 * sep + norm2 * e_fac * f_fac * math.exp(-qp * qp / 2.0) * i_c
 
 
-def _sin_power_terms(phase: float, power: int) -> dict:
+def _sin_power_terms(phase, power: int) -> dict:
     """sin(phase + X) (power 1) or sin^2(phase + X) (power 2) as {j: c_j},
     meaning sum_j c_j D(j sigma), where D(sigma) = e^{iX} and D(sigma)^2 = D(2 sigma)."""
-    e = cmath.exp(1j * phase)
+    e = np.exp(1j * phase)
     if power == 1:
-        return {1: e / 2j, -1: -e.conjugate() / 2j}
+        return {1: e / 2j, -1: -np.conj(e) / 2j}
     e2 = e * e
-    return {0: 0.5, 2: -0.25 * e2, -2: -0.25 * e2.conjugate()}
+    return {0: 0.5, 2: -0.25 * e2, -2: -0.25 * np.conj(e2)}
 
 
 def two_squid_currents_coherent(a1, a2, entangled: bool, coupling: ChargeCoupling,
                                 omega_a: float, omega_b: float, omega1: float, omega2: float,
-                                t: float, i1: float = 1.0, i2: float = 1.0) -> TwoSquidMoments:
+                                t, i1: float = 1.0, i2: float = 1.0) -> TwoSquidMoments:
     """Current moments for the swapped coherent pair.
 
     First moments use the closed forms.  Products and second moments expand
     sin(omega t + X) = (e^{i omega t} D(sigma) - e^{-i omega t} D(-sigma))/2i
     and sin^2 = (2 - e^{2i omega t} D(2 sigma) - e^{-2i omega t} D(-2 sigma))/4
     on each ring, sigma = i q' e^{i w t}, and sum the two-mode Weyl values of
-    the pair at (j sigma_A, k sigma_B).
+    the pair at (j sigma_A, k sigma_B).  t is a float or an array of times,
+    and each moment has its shape: the 13 distinct (j, k) of the 19 terms are
+    13 broadcast ``two_mode_weyl`` calls.
     """
     qp = coupling.qprime
     pair = coherent_pair_entangled if entangled else coherent_pair_separable
@@ -279,18 +264,17 @@ def two_squid_currents_coherent(a1, a2, entangled: bool, coupling: ChargeCouplin
     ia = current(a1, a2, qp, omega_a, omega1, t, i1)
     ib = current(a1, a2, qp, omega_b, omega2, t, i2)
 
-    sigma_a = 1j * qp * cmath.exp(1j * omega1 * t)
-    sigma_b = 1j * qp * cmath.exp(1j * omega2 * t)
-
-    weyl2 = {}  # (j, k) -> W2(j sigma_A, k sigma_B): 13 distinct of the 19 terms
+    sigma_a = 1j * qp * np.exp(1j * omega1 * t)
+    sigma_b = 1j * qp * np.exp(1j * omega2 * t)
+    # (j, k) -> W2(j sigma_A, k sigma_B): sin^2 needs j, k in {0, +-2}, sin {+-1}
+    weyl2 = {(j, k): two_mode_weyl(state2, j * sigma_a, k * sigma_b)
+             for js in ((0, 2, -2), (1, -1)) for j in js for k in js}
 
     def moment(terms_a, terms_b):
         # <f_A g_B> = Re sum_jk a_j b_k W2(j sigma_A, k sigma_B)
         total = 0j
         for j, ca in terms_a.items():
             for k, cb in terms_b.items():
-                if (j, k) not in weyl2:
-                    weyl2[j, k] = two_mode_weyl(state2, j * sigma_a, k * sigma_b)
                 total += ca * cb * weyl2[j, k]
         return total.real
 
@@ -307,59 +291,67 @@ def two_squid_currents_coherent(a1, a2, entangled: bool, coupling: ChargeCouplin
 
 
 # ---------------------------------------------------------------------------
-# correlation ratios
+# correlation ratios; a pole (a vanishing denominator) gives NaN, as in
+# twomode.ratio_*_closed, so a whole time axis is one call
 
 _RATIO_EPS = 1e-12
 
 
-def ratio_c(moments: TwoSquidMoments) -> float:
-    """R^(c) = <I_A I_B> / (<I_A><I_B>); unity for factorizable drives."""
-    den = moments.ia * moments.ib
-    if abs(den) < _RATIO_EPS:
-        raise SingularPointError("a ring current vanishes; R^(c) is undefined here")
-    return moments.ia_ib / den
+def _nan_at(pole, value):
+    """value with NaN where pole; a float when both are scalars."""
+    out = np.where(pole, np.nan, value)
+    return float(out) if out.ndim == 0 else out
 
 
-def ratio_c2(moments: TwoSquidMoments) -> float:
-    """R^(c2) = <I_A^2 I_B^2> / (<I_A^2><I_B^2>)."""
-    den = moments.ia2 * moments.ib2
-    if abs(den) < _RATIO_EPS:
-        raise SingularPointError("a squared ring current vanishes; R^(c2) is undefined here")
-    return moments.ia2_ib2 / den
+def _ratio(num, den):
+    """num / den, NaN where |den| < _RATIO_EPS."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _nan_at(np.abs(den) < _RATIO_EPS, np.divide(num, den))
+
+
+def ratio_c(moments: TwoSquidMoments):
+    """R^(c) = <I_A I_B> / (<I_A><I_B>); unity for factorizable drives, NaN
+    where a ring current vanishes."""
+    return _ratio(moments.ia_ib, moments.ia * moments.ib)
+
+
+def ratio_c2(moments: TwoSquidMoments):
+    """R^(c2) = <I_A^2 I_B^2> / (<I_A^2><I_B^2>), NaN where a squared ring
+    current vanishes."""
+    return _ratio(moments.ia2_ib2, moments.ia2 * moments.ib2)
 
 
 def ratio_c_sep_number(n1: int, n2: int, coupling: ChargeCoupling) -> float:
-    """Time-independent separable ratio 4 L_{n1} L_{n2} / (L_{n1} + L_{n2})^2."""
+    """Time-independent separable ratio 4 L_{n1} L_{n2} / (L_{n1} + L_{n2})^2,
+    NaN where the Laguerre sum vanishes."""
     qp2 = coupling.qprime ** 2
     l1 = specfun.laguerre(n1, 0, qp2)
     l2 = specfun.laguerre(n2, 0, qp2)
-    den = (l1 + l2) ** 2
-    if abs(den) < _RATIO_EPS:
-        raise SingularPointError("vanishing Laguerre sum; separable ratio undefined")
-    return 4.0 * l1 * l2 / den
+    return _ratio(4.0 * l1 * l2, (l1 + l2) ** 2)
 
 
-def ratio_c_ent_number(n1: int, n2: int, coupling: ChargeCoupling, t: float,
+def ratio_c_ent_number(n1: int, n2: int, coupling: ChargeCoupling, t,
                        omega1: float, omega2: float,
                        omega_a: float = None, omega_b: float = None,
-                       pole_margin: float = 1e-6) -> float:
+                       pole_margin: float = 1e-6):
     """Entangled ratio; even occupation differences oscillate around the
     separable value at Omega, odd differences carry tan-poles at the ramp
-    zeros (points inside ``pole_margin`` of a zero are refused)."""
+    zeros (points inside ``pole_margin`` of a zero give NaN, as does a
+    vanishing Laguerre sum).  t is a float or an array of times."""
     qp2 = coupling.qprime ** 2
     l1 = specfun.laguerre(n1, 0, qp2)
     l2 = specfun.laguerre(n2, 0, qp2)
     lc1 = specfun.laguerre(n1, n2 - n1, qp2)
     lc2 = specfun.laguerre(n2, n1 - n2, qp2)
     base = ratio_c_sep_number(n1, n2, coupling)
+    amp = _ratio(4.0 * lc1 * lc2, (l1 + l2) ** 2)
     d = n1 - n2
-    omega_big = d * (omega1 - omega2)
+    osc = np.cos(d * (omega1 - omega2) * t)
     if d % 2 == 0:
-        return base + 4.0 * lc1 * lc2 / (l1 + l2) ** 2 * math.cos(omega_big * t)
+        return base + amp * osc
     if omega_a is None or omega_b is None:
         raise ValueError("odd occupation difference needs omega_a and omega_b")
-    sa, sb = math.sin(omega_a * t), math.sin(omega_b * t)
-    if abs(sa) < pole_margin or abs(sb) < pole_margin:
-        raise SingularPointError("tan-pole of the odd-difference entangled ratio")
-    tt = math.tan(omega_a * t) * math.tan(omega_b * t)
-    return base - 4.0 * lc1 * lc2 / (l1 + l2) ** 2 * math.cos(omega_big * t) / tt
+    sa, sb = np.sin(omega_a * t), np.sin(omega_b * t)
+    pole = (np.abs(sa) < pole_margin) | (np.abs(sb) < pole_margin)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _nan_at(pole, base - amp * osc / (np.tan(omega_a * t) * np.tan(omega_b * t)))

@@ -144,30 +144,45 @@ class TwoModeProductSuperposition:
 # ---------------------------------------------------------------------------
 # Weyl functions
 
-def weyl(state, z) -> complex:
-    """Closed-form Weyl function W(z) = Tr[rho D(z)] of a single-mode state."""
-    z = complex(z)
-    if abs(z) > 1e154:  # |z| ** 2 overflows near here; W(z) -> 0 as |z| -> inf
-        return 0j
-    x = abs(z) ** 2
+def weyl(state, z):
+    """Closed-form Weyl function W(z) = Tr[rho D(z)] of a single-mode state.
+
+    z is a complex number, which gives a complex, or an array of them, which
+    gives a complex array of its shape: a whole drive or phase grid is one
+    call.
+    """
+    z = np.asarray(z, dtype=complex)
+    # |z| ** 2 overflows past 1e154, where W has its limit 0, so those
+    # entries are computed at z = 0 and zeroed at the end
+    far = np.abs(z) > 1e154
+    z = np.where(far, 0j, z)
+    rho = np.abs(z)
+    x = rho ** 2
     if isinstance(state, NumberState):
-        return complex(specfun.scaled_laguerre(state.n, x))
-    if isinstance(state, CoherentState):
+        w = specfun.scaled_laguerre(state.n, x)
+    elif isinstance(state, CoherentState):
         a = complex(state.amplitude)
-        return cmath.exp(-x / 2.0 + z * a.conjugate() - z.conjugate() * a)
-    if isinstance(state, SqueezedState):
+        w = np.exp(-x / 2.0 + z * a.conjugate() - np.conj(z) * a)
+    elif isinstance(state, SqueezedState):
         a = complex(state.amplitude)
-        th = cmath.phase(z)
-        yy = 0.5 * x * (math.cosh(state.r) + math.sinh(state.r) * math.cos(2 * th + state.varphi))
-        xx = 2.0 * abs(a) * abs(z) * (
-            math.cosh(state.r / 2.0) * math.sin(th - cmath.phase(a))
-            - math.sinh(state.r / 2.0) * math.sin(th + cmath.phase(a) + state.varphi)
+        th = np.angle(z)
+        yy = 0.5 * x * (math.cosh(state.r) + math.sinh(state.r) * np.cos(2 * th + state.varphi))
+        xx = 2.0 * abs(a) * rho * (
+            math.cosh(state.r / 2.0) * np.sin(th - cmath.phase(a))
+            - math.sinh(state.r / 2.0) * np.sin(th + cmath.phase(a) + state.varphi)
         )
-        return cmath.exp(-yy + 1j * xx)
-    if isinstance(state, ThermalState):
+        w = np.exp(-yy + 1j * xx)
+    elif isinstance(state, ThermalState):
         # phase-invariant; reduces to exp(-(zeta^2/2) coth(bw/2)) on z real*e^{iwt}
-        return complex(math.exp(-0.5 * x / math.tanh(state.beta_omega / 2.0)))
-    raise TypeError(f"unsupported state {state!r}")
+        w = np.exp(-0.5 * x / math.tanh(state.beta_omega / 2.0))
+    else:
+        raise TypeError(f"unsupported state {state!r}")
+    return _scalar_or_array(np.where(far, 0j, w))
+
+
+def _scalar_or_array(w):
+    """A complex for a 0-d array, else the array itself."""
+    return complex(w) if w.ndim == 0 else w
 
 
 def _ipow(k: int) -> complex:
@@ -262,6 +277,10 @@ def weyl_time_average(state, c):
         avg = np.exp(-x / 2.0) * jv(0, 2.0 * rho * abs(state.amplitude))
     elif isinstance(state, SqueezedState):
         pref, v, chi, w = _squeezed_drive(state, c)
+        # where pref underflows the average is 0, as |total| <= 1: such
+        # entries run at v = w = 0, so they size no table, and give 0 * 1
+        live = pref > 0.0
+        v, w = np.where(live, v, 0.0), np.where(live, w, 0j)
         absw = np.abs(w)
         # zero frequency needs the theta index n = -2m; J_{-2m} = J_{2m}, so
         # the +-m terms pair into 2 cos(m (chi - 2 psi)), and J_{2m} is below
@@ -276,8 +295,7 @@ def weyl_time_average(state, c):
         avg = pref * total
     else:
         raise TypeError(f"unsupported state {state!r}")
-    avg = np.where(far, 0j, avg)
-    return complex(avg) if avg.ndim == 0 else avg
+    return _scalar_or_array(np.where(far, 0j, avg))
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +314,15 @@ def number_displacement_element(m: int, z, n: int) -> complex:
     return pref * z ** (m - n) * specfun.laguerre(n, m - n, x)
 
 
-def coherent_overlap(a, b) -> complex:
-    """<a|b> for coherent states."""
-    a, b = complex(a), complex(b)
-    return cmath.exp(-abs(a) ** 2 / 2.0 - abs(b) ** 2 / 2.0 + a.conjugate() * b)
+def coherent_overlap(a, b):
+    """<a|b> for coherent states; a and b broadcast."""
+    return np.exp(-np.abs(a) ** 2 / 2.0 - np.abs(b) ** 2 / 2.0 + np.conj(a) * b)
 
 
-def coherent_displacement_element(b, z, a) -> complex:
-    """<b| D(z) |a> via D(z)|a> = e^{(z a* - z* a)/2} |a+z>."""
-    a, b, z = complex(a), complex(b), complex(z)
-    return cmath.exp((z * a.conjugate() - z.conjugate() * a) / 2.0) * coherent_overlap(b, a + z)
+def coherent_displacement_element(b, z, a):
+    """<b| D(z) |a> via D(z)|a> = e^{(z a* - z* a)/2} |a+z>; b, z and a
+    broadcast."""
+    return np.exp((z * np.conj(a) - np.conj(z) * a) / 2.0) * coherent_overlap(b, a + z)
 
 
 # ---------------------------------------------------------------------------

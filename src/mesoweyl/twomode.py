@@ -120,8 +120,13 @@ def _ket_displacement_element(bra, z, ket) -> complex:
     raise TypeError(f"no closed-form matrix element between {bra!r} and {ket!r}")
 
 
-def two_mode_weyl(state2, z1, z2) -> complex:
-    """W2(z1, z2) = Tr[rho D(z1) x D(z2)] in closed form."""
+def two_mode_weyl(state2, z1, z2):
+    """W2(z1, z2) = Tr[rho D(z1) x D(z2)] in closed form.
+
+    z1 and z2 broadcast against each other for factorizable states, for
+    mixtures and for superpositions of coherent kets; number kets take
+    complex numbers only (``number_displacement_element`` is scalar).
+    """
     if isinstance(state2, TwoModeFactorizable):
         return weyl(state2.state_a, z1) * weyl(state2.state_b, z2)
     if isinstance(state2, TwoModeSeparableMixture):

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
+from scipy.optimize import brentq
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mesoweyl import fockbench, specfun, squid, twomode, verify
-from mesoweyl.exceptions import SingularPointError
 from mesoweyl.states import (
     ChargeCoupling,
     CoherentState,
@@ -187,19 +187,6 @@ def _cos_phase_operator(dim, qp, omega_mw, omega_ramp, t):
     return (ph * d + np.conj(ph) * d.conj().T) / 2.0
 
 
-def test_step_scan_classical_and_quantum():
-    d = squid.SquidDrive(phase0=0.4, u_phase=1.2, omega1=1e-4)
-    scan = squid.step_scan(d, range(-2, 3))
-    assert [row[0] for row in scan.steps] == [-2, -1, 0, 1, 2]
-    for n, ratio, idc in scan.steps:
-        assert ratio == float(n)
-        assert idc == pytest.approx(squid.classical_shapiro(d, n))
-    qscan = squid.step_scan(d, (0, 1), coupling=COUPLING, state=NumberState(0))
-    scale = math.exp(-COUPLING.qprime ** 2 / 2.0)
-    for n, _, idc in qscan.steps:
-        assert idc == pytest.approx(scale * squid.classical_shapiro(d, n), abs=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # two distant rings
 
@@ -317,6 +304,36 @@ def test_ratio_factorizable_unity():
     assert squid.ratio_c2(mom) == pytest.approx(1.0, abs=1e-12)
 
 
+# Array times give each moment element by element.  The number pair's
+# moments are the same floats as one call per time; the coherent pair's may
+# differ by a few ulp (4.4e-16 measured over these times), because numpy's
+# vectorized exp and sin round differently from its one-element loops.
+ARRAY_T = np.linspace(-3.0e5, 3.0e5, 61)
+
+
+@pytest.mark.parametrize("entangled", [False, True])
+@pytest.mark.parametrize("pair", [
+    (squid.two_squid_currents_number, 1, 3, 0.0),
+    (squid.two_squid_currents_number, 1, 2, 0.0),
+    (squid.two_squid_currents_coherent, 1.0, math.sqrt(3.0), 1e-15),
+    (squid.two_squid_currents_coherent, 0.7 + 0.2j, -0.4j, 1e-15),
+])
+def test_two_squid_moments_take_time_arrays(pair, entangled):
+    moments, x1, x2, bound = pair
+    got = moments(x1, x2, entangled, COUPLING, W1, W2, W1, W2, ARRAY_T, 1.3, 0.8)
+    one = [moments(x1, x2, entangled, COUPLING, W1, W2, W1, W2, float(t), 1.3, 0.8) for t in ARRAY_T]
+    for k, field in enumerate(got):
+        assert field.shape == ARRAY_T.shape
+        assert np.max(np.abs(field - [m[k] for m in one])) <= bound
+
+
+@pytest.mark.parametrize("n1, n2", [(1, 3), (1, 2), (0, 5)])
+def test_ratio_c_ent_number_takes_time_arrays(n1, n2):
+    got = squid.ratio_c_ent_number(n1, n2, COUPLING, ARRAY_T, W1, W2, W1, W2)
+    one = [squid.ratio_c_ent_number(n1, n2, COUPLING, float(t), W1, W2, W1, W2) for t in ARRAY_T]
+    assert np.array_equal(got, one, equal_nan=True)
+
+
 def test_ratio_c_sep_number_closed_form():
     qp2 = COUPLING.qprime ** 2
     l1 = specfun.laguerre(1, 0, qp2)
@@ -356,16 +373,27 @@ def test_ratio_c_ent_number_odd_difference_and_poles():
     got = squid.ratio_c_ent_number(1, 2, COUPLING, 1.9e4, W1, W2, omega_a=W1, omega_b=W2)
     mom = squid.two_squid_currents_number(1, 2, True, COUPLING, W1, W2, W1, W2, 1.9e4)
     assert got == pytest.approx(squid.ratio_c(mom), rel=1e-12)
-    with pytest.raises(SingularPointError):
-        squid.ratio_c_ent_number(1, 2, COUPLING, 0.0, W1, W2, omega_a=W1, omega_b=W2)
+    # the tan-pole at the ramp zero t = 0 reads NaN, alone or inside an array
+    assert math.isnan(squid.ratio_c_ent_number(1, 2, COUPLING, 0.0, W1, W2, omega_a=W1, omega_b=W2))
+    vals = squid.ratio_c_ent_number(1, 2, COUPLING, np.array([0.0, 1.9e4]), W1, W2, omega_a=W1, omega_b=W2)
+    assert math.isnan(vals[0]) and vals[1] == got
     with pytest.raises(ValueError):
         squid.ratio_c_ent_number(1, 2, COUPLING, 1.0, W1, W2)
 
 
 def test_ratio_c_singular_guard():
     mom = squid.TwoSquidMoments(0.0, 1.0, 1.0, 1.0, 0.5, 0.5)
-    with pytest.raises(SingularPointError):
-        squid.ratio_c(mom)
+    assert math.isnan(squid.ratio_c(mom))
+    assert squid.ratio_c2(mom) == 0.5
+    # a vanishing (squared) current is a pole; arrays keep the finite points
+    mom = squid.TwoSquidMoments(np.array([1.0, 0.0]), 1.0, np.array([1.0, 0.0]), 1.0, 0.5, 0.5)
+    assert np.array_equal(squid.ratio_c(mom), [0.5, math.nan], equal_nan=True)
+    assert np.array_equal(squid.ratio_c2(mom), [0.5, math.nan], equal_nan=True)
+    # L_1 + L_3 vanishes at q'^2 = 0.6447: the number ratios' pole at every t
+    qp = brentq(lambda x: sp.eval_laguerre(1, x * x) + sp.eval_laguerre(3, x * x), 0.5, 1.5)
+    at_pole = ChargeCoupling(qp / 2.0)
+    assert math.isnan(squid.ratio_c_sep_number(1, 3, at_pole))
+    assert np.isnan(squid.ratio_c_ent_number(1, 3, at_pole, np.array([0.0, 1e4]), W1, W2)).all()
 
 
 def test_second_moments_bounded_by_critical_current():

@@ -308,6 +308,21 @@ def test_weyl_time_average_takes_arrays(family, data, cs):
         assert abs(ai - trapezoid) <= 1e-12
 
 
+_ZS = st.lists(st.builds(cmath.rect, _grid(0.01, 6.0), _PHASES), min_size=1, max_size=8)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_STATES))
+@given(data=st.data(), zs=_ZS)
+def test_weyl_array_bound_and_conjugate_symmetry(family, data, zs):
+    state = data.draw(FAMILY_STATES[family])
+    z = np.array(zs)
+    w = weyl(state, z)
+    assert w.shape == z.shape and w.dtype == complex
+    assert np.all(np.abs(w) <= 1.0 + 1e-12)
+    assert np.max(np.abs(weyl(state, -z) - np.conj(w))) <= 1e-12
+    assert np.max(np.abs(w - [weyl(state, zi) for zi in zs])) <= 1e-15
+
+
 @pytest.mark.parametrize("family", sorted(FAMILY_STATES))
 @given(data=st.data(), q=st.integers(1, 500), lags=st.lists(st.integers(-6000, 6000), min_size=1, max_size=5))
 def test_autocorrelation_array_lags_equal_one_lag_calls(family, data, q, lags):
@@ -322,6 +337,16 @@ def test_autocorrelation_array_lags_equal_one_lag_calls(family, data, q, lags):
         one = interference.autocorrelation_quantum(state, coupling, mode, [tau])
         assert abs(one.values[0] - val) <= 1e-14
         assert abs(one.gamma0 - series.gamma0) <= 1e-14
+
+
+def test_weyl_time_average_is_zero_where_the_squeezed_prefactor_underflows():
+    # exp(-|c|^2 e^{-r} / 2) is 0 at |c| = 1e150, where the Bessel I table
+    # sized from v = |c|^2 sinh(r) / 2 would be far too big to allocate
+    state = SqueezedState(0.5j, 1.0)
+    assert weyl_time_average(state, 1e150) == 0
+    got = weyl_time_average(state, np.array([1e150, 0.3, 1e80j]))
+    assert got[0] == got[2] == 0
+    assert got[1] == weyl_time_average(state, 0.3)
 
 
 def test_weyl_time_average_strong_squeezing_is_finite():
