@@ -1,4 +1,11 @@
-"""Package-wide error types."""
+"""Package-wide error types, and the truncation policy whose exhaustion
+raises TruncationError.
+
+Nothing here imports scipy, so the CLI can build a policy for a run that
+never reaches the Fock oracle.
+"""
+
+from dataclasses import dataclass
 
 
 class TruncationError(RuntimeError):
@@ -11,3 +18,12 @@ class SingularPointError(ValueError):
 
 class IncommensurateError(ValueError):
     """Harmonic content is not commensurate with the requested base frequency."""
+
+
+@dataclass(frozen=True)
+class TruncationPolicy:
+    """Dimension-doubling policy: start at a state-derived dimension, double
+    until the target moves by less than tol, stop at dim_cap."""
+
+    tol: float = 1e-10
+    dim_cap: int = 4096

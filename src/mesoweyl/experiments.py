@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fockbench, interference, squid, twomode, verify
+from . import interference, squid, twomode
+from .exceptions import TruncationPolicy
 from .states import (
     ChargeCoupling,
     CoherentState,
@@ -280,13 +281,16 @@ def _coherent_convergence(params, policy):
     """One-point oracle cross-check for the manifest: the converged two-mode
     truncation of <sin^2 sin^2> for the entangled coherent pair at a
     representative time inside the plotted window.  The figure data come from
-    the two-mode Weyl function, not from this truncation."""
+    the two-mode Weyl function, not from this truncation, so only these
+    figures import the oracle, and with it scipy."""
+    from . import fockbench
+
     coupling, wa, wb, w1, w2, _, _, a1, a2 = _squid_params(params)
     t = (0.5 * params["periods"] * 2.0 * math.pi) / (w1 - w2)
 
     def sin2(omega_mw, omega_ramp):
         def build(dim):
-            s = verify.sin_phase_operator(dim, coupling.qprime, omega_mw, omega_ramp, t)
+            s = fockbench.sin_phase_operator(dim, coupling.qprime, omega_mw, omega_ramp, t)
             return s @ s
         return build
 
@@ -488,7 +492,7 @@ def run_experiment(name: str, overrides: dict = None, policy=None) -> Experiment
         raise ValueError(f"unknown parameters for {name}: {sorted(unknown)}")
     params.update(overrides or {})
     _finite(params)
-    policy = policy or fockbench.TruncationPolicy(tol=1e-11)
+    policy = policy or TruncationPolicy(tol=1e-11)
     result = exp.build(params, policy)
     result.manifest = {
         "experiment": name,

@@ -31,7 +31,7 @@ from scipy import sparse
 from scipy.linalg import toeplitz
 from scipy.special import gammaln, jv
 
-from .exceptions import TruncationError
+from .exceptions import TruncationError, TruncationPolicy
 from .states import (
     CoherentState,
     ModeParams,
@@ -56,6 +56,7 @@ __all__ = [
     "apply_displacement",
     "flux_matrix",
     "emf_matrix",
+    "sin_phase_operator",
     "expectation",
     "converge",
     "weyl_numeric",
@@ -66,15 +67,6 @@ __all__ = [
     "converged_two_mode_expectation",
     "default_dim",
 ]
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Dimension-doubling policy: start at a state-derived dimension, double
-    until the target moves by less than tol, stop at dim_cap."""
-
-    tol: float = 1e-10
-    dim_cap: int = 4096
 
 
 @dataclass(frozen=True)
@@ -269,6 +261,13 @@ def emf_matrix(mode: ModeParams, t: float, dim: int) -> sparse.csc_array:
     a = ladder(dim)
     ph = cmath.exp(1j * mode.omega * t)
     return mode.omega * mode.xi / math.sqrt(2.0) * 1j * (ph * a.conj().T - np.conj(ph) * a)
+
+
+def sin_phase_operator(dim, qp, omega_mw, omega_ramp, t) -> np.ndarray:
+    """Matrix of sin(omega_ramp t + 2e flux(t)) for a ring."""
+    d = displacement_matrix(1j * qp * cmath.exp(1j * omega_mw * t), dim)
+    ph = cmath.exp(1j * omega_ramp * t)
+    return (ph * d - np.conj(ph) * d.conj().T) / 2j
 
 
 def expectation(rho: np.ndarray, obs) -> complex:

@@ -4,8 +4,9 @@ Generalized Laguerre polynomials with an integer upper index of either sign
 (displacement matrix elements need L_n^{m-n} for both orderings of m and n),
 the scaled Laguerre function e^{-x/2} L_n(x) of the number-state Weyl
 function, and the integer-order Bessel harmonics of the drive expansions:
-J_n from ``scipy.special.jv`` (Amos, ACM TOMS 644), exponentially scaled I_n
-by Miller's downward recurrence with normalization.  ``scaled_laguerre`` and
+J_n from ``scipy.special.jv`` (Amos, ACM TOMS 644) through ``jv``, which
+imports scipy on its first call, and exponentially scaled I_n by Miller's
+downward recurrence with normalization.  ``scaled_laguerre`` and
 ``bessel_ive_all`` take arrays, so a whole lag grid of time averages is one
 call.  This module owns the order cutoff and the sign conventions of both
 Bessel series.  Everything is double precision; only integer orders and
@@ -17,9 +18,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import jv
 
 __all__ = [
+    "jv",
     "laguerre",
     "scaled_laguerre",
     "one_minus_scaled_laguerre",
@@ -98,17 +99,41 @@ def scaled_laguerre(n: int, x):
     return cur
 
 
-def one_minus_scaled_laguerre(n: int, x: float) -> float:
-    """1 - e^{-x/2} L_n(x) without cancellation at small x.
+def one_minus_scaled_laguerre(n: int, x):
+    """1 - e^{-x/2} L_n(x) without cancellation at small x, for x >= 0, a
+    float or an array of them.
 
     Above x = 0.5, |e^{-x/2} L_n(x)| < 0.8, so the plain difference is
     accurate; x is capped at 1e300, where the scaled value has long
-    underflowed to 0 and x = inf would give 0 * inf.
+    underflowed to 0 and x = inf would give 0 * inf.  At or below it the
+    value is -L_n(x) expm1(-x/2) - (L_n(x) - 1), with L_n(x) - 1 summed from
+    the series without its constant term.  A float sums it with ``fsum``, an
+    array term by term.
     """
+    if isinstance(x, np.ndarray):
+        return _one_minus_scaled_laguerre_array(n, x)
     if x > 0.5:
         return 1.0 - scaled_laguerre(n, min(x, 1e300))
     tail = math.fsum(c * x ** m for m, c in enumerate(_laguerre_float_coeffs(n, 0)) if m > 0)
     return -laguerre(n, 0, x) * math.expm1(-x / 2.0) - tail
+
+
+def _one_minus_scaled_laguerre_array(n: int, x: np.ndarray) -> np.ndarray:
+    small = x <= 0.5
+    xs = np.where(small, x, 0.0)
+    coeffs = _laguerre_float_coeffs(n, 0)
+    tail, size = np.zeros(xs.shape), np.full(xs.shape, abs(coeffs[0]))
+    for m, c in enumerate(coeffs[1:], 1):
+        term = c * xs ** m
+        tail += term
+        size += np.abs(term)
+    lag = coeffs[0] + tail
+    # where the alternating series cancels, laguerre's exact sum takes over,
+    # under the same error bound
+    redo = small & ((n + 2) * 2.3e-16 * size > 1e-13 * np.abs(lag))
+    lag[redo] = [laguerre(n, 0, v) for v in xs[redo].tolist()]
+    near = -lag * np.expm1(-xs / 2.0) - tail
+    return np.where(small, near, 1.0 - scaled_laguerre(n, np.minimum(x, 1e300)))
 
 
 def order_cutoff(x):
@@ -119,6 +144,18 @@ def order_cutoff(x):
     orders than any table could hold, instead of leaving the int64 range.
     """
     return np.int_(np.minimum(x + 16.0 + 10.0 * x ** 0.4, 2.0 ** 62)) + 2
+
+
+def jv(n, x):
+    """J_n(x) by ``scipy.special.jv``, broadcast like it.
+
+    This is the package's one route to scipy outside the oracle: scipy is
+    imported at the first call, so a run that needs no Bessel J never loads
+    it.
+    """
+    from scipy.special import jv
+
+    return jv(n, x)
 
 
 def bessel_j_harmonics(x: float) -> dict:

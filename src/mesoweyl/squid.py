@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import jv
 
 from . import specfun
 from .harmonics import HarmonicSeries
@@ -99,7 +98,7 @@ def classical_current_expansion(drive: SquidDrive, t: float) -> float:
 def classical_shapiro(drive: SquidDrive, n_step: int) -> float:
     """dc current on step n (resonance omega_a = n omega1 imposed):
     I_c J_{-n}(u_phase) sin(phase0)."""
-    return drive.i_crit * float(jv(-n_step, drive.u_phase)) * math.sin(drive.phase0)
+    return drive.i_crit * float(specfun.jv(-n_step, drive.u_phase)) * math.sin(drive.phase0)
 
 
 # ---------------------------------------------------------------------------

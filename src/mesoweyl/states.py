@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import jv
 
 from . import specfun
 
@@ -274,7 +273,7 @@ def weyl_time_average(state, c):
     elif isinstance(state, ThermalState):
         avg = np.exp(-0.5 * x / math.tanh(state.beta_omega / 2.0))
     elif isinstance(state, CoherentState):
-        avg = np.exp(-x / 2.0) * jv(0, 2.0 * rho * abs(state.amplitude))
+        avg = np.exp(-x / 2.0) * specfun.jv(0, 2.0 * rho * abs(state.amplitude))
     elif isinstance(state, SqueezedState):
         pref, v, chi, w = _squeezed_drive(state, c)
         # where pref underflows the average is 0, as |total| <= 1: such
@@ -289,9 +288,9 @@ def weyl_time_average(state, c):
                    specfun.order_cutoff(absw.max(initial=0.0)) // 2)
         ims = specfun.bessel_ive_all(v, mmax + 1)
         phi = chi - 2.0 * np.angle(w)
-        total = ims[0] * jv(0, absw)
+        total = ims[0] * specfun.jv(0, absw)
         for m in range(1, mmax + 1):
-            total += (-2.0 if m & 1 else 2.0) * ims[m] * jv(2 * m, absw) * np.cos(m * phi)
+            total += (-2.0 if m & 1 else 2.0) * ims[m] * specfun.jv(2 * m, absw) * np.cos(m * phi)
         avg = pref * total
     else:
         raise TypeError(f"unsupported state {state!r}")

@@ -35,7 +35,6 @@ __all__ = [
     "weyl_z_grid",
     "gamma_window_oracle",
     "intensity_operator",
-    "sin_phase_operator",
 ]
 
 MEAN_PHOTONS = 17.0
@@ -82,13 +81,6 @@ def intensity_operator(dim, q, omega, x, t):
         np.eye(dim, dtype=complex)
         + 0.5 * (cmath.exp(1j * x) * d.conj().T + cmath.exp(-1j * x) * d)
     )
-
-
-def sin_phase_operator(dim, qp, omega_mw, omega_ramp, t):
-    """Matrix of sin(omega_ramp t + 2e flux(t)) for a ring."""
-    d = fockbench.displacement_matrix(1j * qp * cmath.exp(1j * omega_mw * t), dim)
-    ph = cmath.exp(1j * omega_ramp * t)
-    return (ph * d - np.conj(ph) * d.conj().T) / 2j
 
 
 def gamma_window_oracle(state, coupling, mode, tau, dim, nt=96):
@@ -401,10 +393,10 @@ def _number_pair_crossed(n1, n2, entangled):
 
 def _squid_oracle_moments_generic(state2, qp, wa, wb, w1, w2, t, policy) -> squid.TwoSquidMoments:
     def sa(dim):
-        return sin_phase_operator(dim, qp, w1, wa, t)
+        return fockbench.sin_phase_operator(dim, qp, w1, wa, t)
 
     def sb(dim):
-        return sin_phase_operator(dim, qp, w2, wb, t)
+        return fockbench.sin_phase_operator(dim, qp, w2, wb, t)
 
     def sa2(dim):
         s = sa(dim)

@@ -339,23 +339,66 @@ def test_verify_dim_cap_exhaustion_exits_3(suite):
     assert cli.main(["verify", suite, "--dim-cap", "8"]) == 3
 
 
-def test_console_entry_point_runs():
-    # the child imports the same mesoweyl as this process, installed or not
+def _child(*args):
+    """Run a fresh interpreter on args; it imports the same mesoweyl as this
+    process, installed or not."""
     src = os.path.dirname(os.path.dirname(mesoweyl.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "mesoweyl", "list-experiments"],
-        capture_output=True, text=True, env=env,
-    )
+    env.pop("MESOWEYL_OUT", None)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _scipy_modules_after(code):
+    """The scipy modules a fresh interpreter has loaded after running code."""
+    proc = _child("-c", code + "\nimport json, sys\n"
+                  "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))")
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_console_entry_point_runs():
+    proc = _child("-m", "mesoweyl", "list-experiments")
     assert proc.returncode == 0
     assert "fig9" in proc.stdout
 
 
 def test_importing_the_cli_leaves_scipy_sparse_linalg_unloaded():
     # the oracle's matrix exponentials are its own Chebyshev propagator
-    src = os.path.dirname(os.path.dirname(mesoweyl.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, mesoweyl.cli; print('scipy.sparse.linalg' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert "scipy.sparse.linalg" not in _scipy_modules_after("import mesoweyl.cli")
+
+
+# Only the oracle (fockbench, hence verify and the figs 14-18 cross-check)
+# needs scipy.sparse and scipy.linalg, and only Bessel J (specfun.jv) needs
+# scipy.special; every other start loads no scipy at all.
+@pytest.mark.parametrize("code", [
+    "import mesoweyl",
+    "import mesoweyl.cli",
+    "import mesoweyl.cli; mesoweyl.cli.main(['list-experiments'])",
+])
+def test_starting_the_package_and_listing_experiments_load_no_scipy(code):
+    assert _scipy_modules_after(code) == set()
+
+
+def test_closed_form_figures_load_no_oracle(tmp_path):
+    def run(fig):
+        return f"import mesoweyl.cli; assert mesoweyl.cli.main(['run', {fig!r}, '--out', {str(tmp_path)!r}]) == 0"
+
+    assert _scipy_modules_after(run("fig9")) == set()
+    assert "scipy.sparse" not in _scipy_modules_after(run("fig1"))
+
+
+def test_importing_verify_loads_the_oracle_scipy_eagerly():
+    # the benchmark worker imports verify before its clock starts, so the
+    # oracle's import cost stays out of the timed pass
+    loaded = _scipy_modules_after("import mesoweyl.verify")
+    assert {"scipy.special", "scipy.sparse", "scipy.linalg"} <= loaded
+
+
+def test_cli_verify_suite_names_match_the_suites():
+    assert list(cli.VERIFY_SUITES) == sorted(verify.SUITES)
+
+
+def test_unknown_verify_suite_exits_2():
+    proc = _child("-m", "mesoweyl", "verify", "no-such-suite")
+    assert proc.returncode == 2
+    assert "invalid choice" in proc.stderr

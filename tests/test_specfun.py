@@ -108,6 +108,23 @@ def test_one_minus_scaled_laguerre_is_accurate_at_large_x():
             assert specfun.one_minus_scaled_laguerre(n, x) == 1.0
 
 
+def test_one_minus_scaled_laguerre_array_matches_the_float_path():
+    # the array path sums the small-x series term by term instead of with
+    # fsum; the grid takes in each zero of L_n below 0.5, where laguerre's
+    # exact sum takes over
+    for n in range(31):
+        roots = np.polynomial.laguerre.lagroots([0] * n + [1]) if n else np.array([])
+        xs = np.concatenate([
+            [0.0, 1e-300, 1e-12, 1e-6, 1e-3, 0.1, 0.3, 0.5, np.nextafter(0.5, 1.0), 0.6, 2.0,
+             40.0, 700.0, 1e20, 1e300, math.inf],
+            roots[roots <= 0.5],
+        ])
+        got = specfun.one_minus_scaled_laguerre(n, xs)
+        ref = [specfun.one_minus_scaled_laguerre(n, x) for x in xs.tolist()]
+        assert got.shape == xs.shape
+        assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
 def test_order_cutoff_saturates_past_the_int64_range():
     xs = [0.0, 1.0, 1e18, 9.2e18, 1e19, 1e31, 1e300, math.inf]
     with warnings.catch_warnings():

@@ -108,7 +108,7 @@ def test_quantum_current_vacuum_and_matrix_oracle():
         ref = math.exp(-qp * qp / 2.0) * math.sin(2e-4 * t)
         assert got == pytest.approx(ref, abs=1e-14)
         rho = fockbench.density_matrix(st, dim)
-        op = verify.sin_phase_operator(dim, qp, W1, 2e-4, t)
+        op = fockbench.sin_phase_operator(dim, qp, W1, 2e-4, t)
         assert got == pytest.approx(fockbench.expectation(rho, op).real, abs=1e-12)
 
 
@@ -166,7 +166,7 @@ def test_quantum_shapiro_squeezed_matches_matrix_average():
         ts = np.arange(m) / m * (2.0 * math.pi / d.omega1)
         vals = [
             fockbench.expectation(
-                rho, verify.sin_phase_operator(dim, COUPLING.qprime, d.omega1, n_step * d.omega1, t)
+                rho, fockbench.sin_phase_operator(dim, COUPLING.qprime, d.omega1, n_step * d.omega1, t)
             ).real
             * math.cos(d.phase0)
             + fockbench.expectation(
@@ -265,8 +265,8 @@ def test_coherent_first_moment_closed_forms_sixteen_times():
         for t in SIXTEEN_TIMES:
             t = float(t)
             mom = squid.two_squid_currents_coherent(a1, a2, entangled, COUPLING, W1, W2, W1, W2, t)
-            op_a = verify.sin_phase_operator(dim, COUPLING.qprime, W1, W1, t)
-            op_b = verify.sin_phase_operator(dim, COUPLING.qprime, W2, W2, t)
+            op_a = fockbench.sin_phase_operator(dim, COUPLING.qprime, W1, W1, t)
+            op_b = fockbench.sin_phase_operator(dim, COUPLING.qprime, W2, W2, t)
             oracle_a = fockbench.two_mode_expectation(state2, op_a, eye).real
             oracle_b = fockbench.two_mode_expectation(state2, eye, op_b).real
             assert abs(mom.ia - oracle_a) <= 1e-8 * max(1.0, abs(oracle_a))

@@ -203,6 +203,29 @@ def test_sep_bounds_weak_coupling_limits():
     assert upper == pytest.approx(1.25, abs=1e-5)
 
 
+def test_sep_bounds_takes_an_array_of_couplings():
+    # an ulp of W_n is a relative eps / q^2 of the excess (W_n1 - W_n2)^2 / 4,
+    # and array and float weyl may round a few ulps apart
+    qs = np.linspace(1e-3, 0.9, 41)
+    lower, upper = twomode.sep_bounds(qs, 1, 4)
+    for q, lo, up in zip(qs.tolist(), lower.tolist(), upper.tolist()):
+        assert (lo, up) == pytest.approx(twomode.sep_bounds(q, 1, 4), rel=4 * EPS / q ** 2)
+
+
+@pytest.mark.parametrize("n", [2001, 20001])
+def test_fit_coupling_array_scan_matches_a_pointwise_scan(n):
+    # the first minimum over the grid of pointwise sep_bounds calls
+    best_q, best_dev = None, math.inf
+    for q in np.linspace(0.05, 0.6, n).tolist():
+        lo, up = twomode.sep_bounds(q)
+        dev = max(abs(lo - 1.0001), abs(up - 1.2471))
+        if dev < best_dev:
+            best_q, best_dev = q, dev
+    q_fit, dev = twomode.fit_coupling_to_anchors(n=n)
+    assert q_fit == best_q
+    assert dev == pytest.approx(best_dev, rel=1e-9)
+
+
 def test_fit_coupling_reproduces_anchors():
     q_fit, dev = twomode.fit_coupling_to_anchors(n=2001)
     assert abs(q_fit - twomode.DEFAULT_COUPLING_Q) <= 5e-4
