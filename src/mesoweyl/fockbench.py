@@ -16,7 +16,12 @@ doubling loops and every z share them; so are displacement bands, per
 read-only.
 Matrix-exponential actions are one Chebyshev expansion (``_expm_action``),
 which estimates no norm and draws no random numbers, so the oracle gives the
-same bits on every run.
+same bits on every run.  The oracle Weyl function ``weyl_numeric`` takes a
+complex z or an array of them; for a pure state it gets every value from one
+set of Chebyshev moments per (state, dim), by the kernel polynomial method
+(Weisse, Wellein, Alvermann & Fehske, Rev. Mod. Phys. 78, 275, 2006): one
+block recurrence over the distinct arg z, and one row of Bessel coefficients
+per distinct |z|.
 
 Two-mode matrices use mode-A-major ordering: index = i_A * dim_B + i_B.
 """
@@ -41,6 +46,7 @@ from .states import (
     TwoModeFactorizable,
     TwoModeProductSuperposition,
     TwoModeSeparableMixture,
+    _scalar_or_array,
     mean_photons,
 )
 
@@ -53,7 +59,6 @@ __all__ = [
     "density_matrix",
     "displacement_matrix",
     "displacement_diagonal",
-    "apply_displacement",
     "flux_matrix",
     "emf_matrix",
     "sin_phase_operator",
@@ -133,23 +138,34 @@ def _pure_vector(state, dim: int) -> np.ndarray:
 def _expm_action(gen, vec: np.ndarray) -> np.ndarray:
     """expm(gen) @ vec for an anti-Hermitian sparse gen, by the Chebyshev
     expansion in H = -i gen (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967,
-    1984): exp(gen) = sum_k eps_k i^k J_k(b) T_k(H/b), eps_0 = 1, eps_k = 2,
-    for the Gershgorin bound b >= |H|.  Each |T_k(H/b) v| <= |v|, and |J_k(b)|
-    <= (b/2)^k / k! falls faster than any geometric series past k ~ b, so the
-    sum stops after the last coefficient above 1e-18.
+    1984) with the coefficients of ``_jacobi_anger`` at the Gershgorin bound
+    b >= |H|.
     """
     b = float(abs(gen).sum(axis=1).max())
     if b == 0.0:
         return vec.copy()
-    ks = np.arange(int(1.5 * b + 13.0 * b ** (1.0 / 3.0)) + 21)  # (b/2)^k / k! < 1e-18 at the end
-    coeff = np.where(ks, 2.0, 1.0) * 1j ** (ks % 4) * jv(ks, b)
-    coeff = coeff[: np.flatnonzero(np.abs(coeff) > 1e-18)[-1] + 1]
+    coeff = _jacobi_anger(np.array([b]))[0]
     step = (-2j / b) * gen.tocsr()  # 2 H / b: T_{k+1} v = step T_k v - T_{k-1} v
     prev, cur, out = vec, 0.5 * (step @ vec), coeff[0] * vec
     for c in coeff[1:]:
         out += c * cur
         prev, cur = cur, step @ cur - prev
     return out
+
+
+def _jacobi_anger(args: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of exp(i s x) = sum_k eps_k i^k J_k(s) T_k(x),
+    |x| <= 1, eps_0 = 1, eps_k = 2: one row per s >= 0 of args.
+
+    Each |T_k(x)| <= 1, and |J_k(s)| <= (s/2)^k / k! falls faster than any
+    geometric series past k ~ s, so the rows share one length, set by the
+    largest s: they stop after the last coefficient above 1e-18 in any row.
+    """
+    top = float(np.max(args, initial=0.0))
+    ks = np.arange(int(1.5 * top + 13.0 * top ** (1.0 / 3.0)) + 21)  # (s/2)^k / k! < 1e-18 at the end
+    coeff = np.where(ks, 2.0, 1.0) * 1j ** (ks % 4) * jv(ks, args[:, None])
+    last = np.flatnonzero(np.any(np.abs(coeff) > 1e-18, axis=0)).max(initial=0)
+    return coeff[:, : last + 1]
 
 
 def thermal_weights(state: ThermalState, dim: int) -> np.ndarray:
@@ -226,27 +242,21 @@ def _signed_band(absz: float, dim: int) -> np.ndarray:
 
 
 def displacement_diagonal(z, dim: int) -> np.ndarray:
-    """<n|D(z)|n> = e^{-|z|^2/2} L_n(|z|^2) for n < dim, by the stable
-    upward degree recurrence on the pre-scaled values."""
-    x = abs(complex(z)) ** 2
-    out = np.empty(dim, dtype=complex)
-    prev = math.exp(-x / 2.0)
-    out[0] = prev
+    """<n|D(z)|n> = e^{-|z|^2/2} L_n(|z|^2) for n < dim, along the last axis
+    for a complex z or an array of them, by the stable upward degree
+    recurrence on the pre-scaled values."""
+    x = np.abs(np.asarray(z, dtype=complex)) ** 2
+    out = np.empty(x.shape + (dim,), dtype=complex)
+    prev = np.exp(-x / 2.0)
+    out[..., 0] = prev
     if dim == 1:
         return out
     cur = prev * (1.0 - x)
-    out[1] = cur
+    out[..., 1] = cur
     for n in range(1, dim - 1):
         prev, cur = cur, ((2.0 * n + 1.0 - x) * cur - n * prev) / (n + 1.0)
-        out[n + 1] = cur
+        out[..., n + 1] = cur
     return out
-
-
-def apply_displacement(z, vec: np.ndarray) -> np.ndarray:
-    """D(z) |vec> through the matrix exponential acting on the vector."""
-    a = ladder(vec.shape[0])
-    gen = complex(z) * a.conj().T.tocsc() - complex(z).conjugate() * a.tocsc()
-    return _expm_action(gen, vec)
 
 
 def flux_matrix(mode: ModeParams, t: float, dim: int) -> sparse.csc_array:
@@ -301,27 +311,65 @@ def converge(evaluate, dim: int, policy: TruncationPolicy, what: str, distance=N
 
 
 def _weyl_value(state, z, dim: int):
-    """One truncated evaluation of Tr[rho D(z)]; returns (value, deficit)."""
+    """One truncated evaluation of Tr[rho D(z)] at a complex z or an array of
+    them; returns (values of z's shape, deficit)."""
+    z = np.asarray(z, dtype=complex)
     if isinstance(state, ThermalState):
         p = thermal_weights(state, dim)
-        val = complex(np.sum(p * displacement_diagonal(z, dim)))
-        return val, 1.0 - float(np.sum(p))
+        return displacement_diagonal(z, dim) @ p, 1.0 - float(np.sum(p))
     vec = state_vector(state, dim)
-    val = complex(np.vdot(vec, apply_displacement(z, vec)))
-    return val, 1.0 - float(np.vdot(vec, vec).real)
+    return _pure_weyl(vec, z), 1.0 - float(np.vdot(vec, vec).real)
+
+
+def _pure_weyl(vec: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """<vec|D(z)|vec> for every z of an array, from one set of Chebyshev
+    moments (the kernel polynomial method: Weisse, Wellein, Alvermann &
+    Fehske, Rev. Mod. Phys. 78, 275, 2006).
+
+    D(r e^{it}) = U D(r) U^dag with U = e^{itn}, and D(r) = exp(r G), G =
+    a^dag - a, expands in the same T_k(H/b), H = -iG, for every r, with the
+    coefficients eps_k i^k J_k(r b) of ``_jacobi_anger``.  So W(z) is the dot
+    product of its radius' coefficients with its angle's moments
+    mu_k(t) = <w_t|T_k(H/b)|w_t>, w_t = U^dag vec: one block recurrence over
+    the distinct angles, as long as the largest radius needs, and one row of
+    Bessel values per distinct radius.
+    """
+    dim = vec.shape[0]
+    radii, at_r = np.unique(np.abs(z.ravel()), return_inverse=True)
+    angles, at_t = np.unique(np.angle(z.ravel()), return_inverse=True)
+    b = 2.0 * math.sqrt(dim)  # > 2 |a| >= |H|
+    coeff = _jacobi_anger(radii * b)
+    w = vec[:, None] * np.exp(-1j * np.outer(np.arange(dim), angles))
+    w_bar = w.conj()
+    a = ladder(dim)
+    step = (-2j / b) * (a.conj().T - a).tocsr()  # 2 H / b
+    mu = np.empty((angles.size, coeff.shape[1]), dtype=complex)
+    prev, cur = w, 0.5 * (step @ w)
+    mu[:, 0] = np.einsum("ij,ij->j", w_bar, w)
+    for k in range(1, coeff.shape[1]):
+        mu[:, k] = np.einsum("ij,ij->j", w_bar, cur)
+        prev, cur = cur, step @ cur - prev
+    return np.einsum("ij,ij->i", coeff[at_r], mu[at_t]).reshape(z.shape)
 
 
 def weyl_numeric_report(state, z, policy: TruncationPolicy = DEFAULT_POLICY):
-    """Oracle Weyl value with its convergence diagnostics."""
+    """Oracle Weyl value with its convergence diagnostics.
+
+    z is a complex number, which gives a complex, or an array of them, which
+    gives a complex array of its shape.  An array converges as a whole: its
+    distance is the largest change over it, so its dimension is the largest
+    that any of its z would need on its own.
+    """
     (val, deficit), dim, delta = converge(
         lambda dim: _weyl_value(state, z, dim), default_dim(state), policy,
-        "weyl_numeric", lambda new, old: abs(new[0] - old[0]),
+        "weyl_numeric", lambda new, old: float(np.max(np.abs(new[0] - old[0]), initial=0.0)),
     )
-    return val, ConvergenceInfo(dim=dim, delta=delta, trace_deficit=deficit)
+    return _scalar_or_array(val), ConvergenceInfo(dim=dim, delta=delta, trace_deficit=deficit)
 
 
-def weyl_numeric(state, z, policy: TruncationPolicy = DEFAULT_POLICY) -> complex:
-    """Tr[density_matrix x displacement_matrix], converged under the policy."""
+def weyl_numeric(state, z, policy: TruncationPolicy = DEFAULT_POLICY):
+    """Tr[density_matrix x displacement_matrix], converged under the policy,
+    at a complex z (a complex) or an array of them (an array of its shape)."""
     val, _ = weyl_numeric_report(state, z, policy)
     return val
 

@@ -254,9 +254,10 @@ def sep_bounds(q: float, n1: int = 0, n2: int = 1):
     """Corner values (x_a = x_b = 0 and pi) of the separable ratio:
     [(1+2a+g)/(1+a)^2, (1-2a+g)/(1-a)^2].
 
-    Evaluated through the exact identity g - a^2 = (W_n1 - W_n2)^2/4, which
-    stays well conditioned down to q -> 0, where lower -> 1 but upper -> 5/4
-    (numerator and denominator vanish at the same q^4 rate).
+    Evaluated through the exact identity g - a^2 = (W_n1 - W_n2)^2/4, with
+    W_n1 - W_n2 and 1 - a formed from 1 - W_n, which stays well conditioned
+    down to q -> 0, where lower -> 1 but upper -> 5/4 (numerator and
+    denominator vanish at the same q^4 rate).
 
     These are the published anchor extremes; the upper one is the true grid
     maximum, while the surface dips slightly below one at mixed corners like
@@ -269,10 +270,11 @@ def sep_bounds(q: float, n1: int = 0, n2: int = 1):
     w1 = weyl(NumberState(n1), 1j * q).real
     w2 = weyl(NumberState(n2), 1j * q).real
     alpha = 0.5 * (w1 + w2)
-    excess = 0.25 * (w1 - w2) ** 2  # = gamma - alpha^2 exactly
-    one_minus = 0.5 * (
-        specfun.one_minus_scaled_laguerre(n1, x) + specfun.one_minus_scaled_laguerre(n2, x)
-    )
+    # 1 - W_n does not round to 0 where W_n rounds to 1
+    om1 = specfun.one_minus_scaled_laguerre(n1, x)
+    om2 = specfun.one_minus_scaled_laguerre(n2, x)
+    excess = 0.25 * (om2 - om1) ** 2  # = gamma - alpha^2 exactly
+    one_minus = 0.5 * (om1 + om2)
     if np.any(one_minus == 0.0) or np.any(alpha <= -1.0):
         raise ValueError("degenerate fringe coefficient alpha = +-1")
     lower = 1.0 + excess / (1.0 + alpha) ** 2

@@ -114,6 +114,58 @@ def test_weyl_numeric_pure_path_equals_dense_trace():
     assert abs(dense - fast) <= 1e-10
 
 
+ARRAY_STATES = [
+    NumberState(3),
+    CoherentState(1.2 - 0.4j),
+    SqueezedState(0.6 + 0.2j, 1.4, 0.9),
+    ThermalState(0.8),
+]
+
+
+def _z_array():
+    """A 2-D z array: every radius (z = 0 among them) at every angle
+    (negative ones among them), each point twice."""
+    radii = np.array([0.0, 0.3, 1.1, 2.5])
+    angles = np.array([-2.9, -0.4, 0.0, 1.2, 3.1])
+    z = radii[:, None] * np.exp(1j * angles)
+    return np.vstack([z, z[::-1]])
+
+
+@pytest.mark.parametrize("state", ARRAY_STATES)
+def test_weyl_value_on_an_array_equals_the_dense_trace(state):
+    dim = 96
+    z = _z_array()
+    rho = fockbench.density_matrix(state, dim)
+    vals, _ = fockbench._weyl_value(state, z, dim)
+    assert vals.shape == z.shape
+    for w, point in zip(vals.ravel().tolist(), z.ravel().tolist()):
+        dense = fockbench.expectation(rho, fockbench.displacement_matrix(point, dim))
+        assert abs(w - dense) <= 1e-12
+
+
+def test_weyl_numeric_keeps_the_shape_of_z():
+    state = SqueezedState(0.6 + 0.2j, 1.4, 0.9)
+    z = _z_array()
+    vals = fockbench.weyl_numeric(state, z)
+    assert isinstance(vals, np.ndarray) and vals.shape == z.shape
+    assert fockbench.weyl_numeric(state, z[:, :1]).shape == (8, 1)
+    assert fockbench.weyl_numeric(state, list(z[0])).shape == (5,)
+    for point in (z[2, 3], complex(z[2, 3]), np.array(z[2, 3])):
+        val = fockbench.weyl_numeric(state, point)
+        assert type(val) is complex
+        assert abs(val - vals[2, 3]) <= 1e-10
+
+
+@pytest.mark.parametrize("state", ARRAY_STATES)
+def test_an_array_converges_at_the_largest_dim_its_points_need(state):
+    z = _z_array()
+    vals, info = fockbench.weyl_numeric_report(state, z)
+    per_z = [fockbench.weyl_numeric_report(state, point) for point in z.ravel().tolist()]
+    assert info.dim >= max(i.dim for _, i in per_z)
+    assert info.delta < fockbench.DEFAULT_POLICY.tol
+    assert np.max(np.abs(vals.ravel() - [w for w, _ in per_z])) <= 1e-10
+
+
 def test_weyl_numeric_raises_when_capped():
     policy = fockbench.TruncationPolicy(dim_cap=16, tol=1e-30)
     with pytest.raises(TruncationError):
@@ -422,7 +474,9 @@ def test_squeezed_vector_matches_expm_multiply(dim):
 
 def test_zero_generator_acts_as_the_identity():
     vec = fockbench.state_vector(CoherentState(0.6 - 0.2j), 24)
-    for out in (fockbench.apply_displacement(0j, vec),
+    a = fockbench.ladder(24)
+    displace_by_zero = 0j * a.conj().T.tocsc() - 0j * a.tocsc()
+    for out in (fockbench._expm_action(displace_by_zero, vec),
                 fockbench._expm_action(_squeeze_generator(0.0, 0.3, 24), vec)):
         assert np.array_equal(out, vec)
         assert out is not vec and out.flags.writeable

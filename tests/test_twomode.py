@@ -203,13 +203,46 @@ def test_sep_bounds_weak_coupling_limits():
     assert upper == pytest.approx(1.25, abs=1e-5)
 
 
+def _sep_bounds_reference(q, n1, n2):
+    """The corner values (1 +- 2 alpha + gamma)/(1 +- alpha)^2 from their
+    definition, in mpmath.  At q = 1e-10 the upper corner cancels 40 digits
+    (1 - alpha ~ q^2, its numerator ~ q^4), so 90 working digits leave 50."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(90):
+        x = mpmath.mpf(q) ** 2
+        w1, w2 = (
+            mpmath.exp(-x / 2) * mpmath.fsum(
+                mpmath.binomial(n, m) * (-x) ** m / mpmath.factorial(m) for m in range(n + 1)
+            )
+            for n in (n1, n2)
+        )
+        alpha, gamma = (w1 + w2) / 2, (w1 * w1 + w2 * w2) / 2
+        lower = (1 + 2 * alpha + gamma) / (1 + alpha) ** 2
+        upper = (1 - 2 * alpha + gamma) / (1 - alpha) ** 2
+        return float(lower), float(upper)
+
+
+@pytest.mark.parametrize("n1, n2", [(0, 1), (1, 4), (3, 2)])
+def test_sep_bounds_match_an_mpmath_reference(n1, n2):
+    # both corners to a few ulps from q = 1e-10, where W_n1 and W_n2 both
+    # round to 1, up to q = 1e2, where they have underflowed to 0
+    qs = np.logspace(-10, 2, 49)
+    lower, upper = twomode.sep_bounds(qs, n1, n2)
+    for k, q in enumerate(qs.tolist()):
+        ref_lo, ref_up = _sep_bounds_reference(q, n1, n2)
+        assert lower[k] == pytest.approx(ref_lo, rel=8 * EPS, abs=0.0)
+        assert upper[k] == pytest.approx(ref_up, rel=8 * EPS, abs=0.0)
+        if k % 8 == 0:
+            assert twomode.sep_bounds(q, n1, n2) == pytest.approx((ref_lo, ref_up), rel=8 * EPS, abs=0.0)
+
+
 def test_sep_bounds_takes_an_array_of_couplings():
-    # an ulp of W_n is a relative eps / q^2 of the excess (W_n1 - W_n2)^2 / 4,
-    # and array and float weyl may round a few ulps apart
+    # array and float weyl and 1 - W_n may round a few ulps apart, and no
+    # term of either bound cancels
     qs = np.linspace(1e-3, 0.9, 41)
     lower, upper = twomode.sep_bounds(qs, 1, 4)
     for q, lo, up in zip(qs.tolist(), lower.tolist(), upper.tolist()):
-        assert (lo, up) == pytest.approx(twomode.sep_bounds(q, 1, 4), rel=4 * EPS / q ** 2)
+        assert (lo, up) == pytest.approx(twomode.sep_bounds(q, 1, 4), rel=4 * EPS)
 
 
 @pytest.mark.parametrize("n", [2001, 20001])
@@ -223,6 +256,9 @@ def test_fit_coupling_array_scan_matches_a_pointwise_scan(n):
             best_q, best_dev = q, dev
     q_fit, dev = twomode.fit_coupling_to_anchors(n=n)
     assert q_fit == best_q
+    # pinned to its grid point, so a change in how the bounds round cannot
+    # move the fit unnoticed
+    assert q_fit == np.linspace(0.05, 0.6, n)[{2001: 598, 20001: 5976}[n]]
     assert dev == pytest.approx(best_dev, rel=1e-9)
 
 
