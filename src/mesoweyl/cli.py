@@ -1,7 +1,8 @@
 """Command-line front end: regenerate figure data, run verification suites.
 
-Exit codes: 0 success, 1 failed verification, 2 invalid config,
-3 non-convergent truncation, 4 output consists of singular points only.
+Exit codes: 0 success, 1 failed verification, 2 invalid config or an
+output location that cannot be written, 3 non-convergent truncation,
+4 output consists of singular points only.
 
 Environment: MESOWEYL_OUT overrides the output directory (and nothing else).
 """
@@ -98,7 +99,11 @@ def _cmd_run(args) -> int:
 
     name = config["experiment"]
     out_dir = os.environ.get("MESOWEYL_OUT") or args.out or config.get("out_dir") or "."
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot use output directory {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     try:
         result = experiments.run_experiment(
             name, config.get("params", {}), _policy_from_args(args)
@@ -124,8 +129,12 @@ def _cmd_run(args) -> int:
             "n_singular": result.n_singular,
         }
     )
-    write_csv(csv_path, result.columns, result.rows)
-    write_manifest(os.path.join(out_dir, f"{name}.manifest.json"), manifest)
+    try:
+        write_csv(csv_path, result.columns, result.rows)
+        write_manifest(os.path.join(out_dir, f"{name}.manifest.json"), manifest)
+    except OSError as exc:
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
     print(f"wrote {csv_path} ({len(result.rows)} rows, {result.n_singular} singular)")
     return EXIT_OK
 

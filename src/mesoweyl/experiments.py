@@ -6,7 +6,6 @@ diagnostics.  All computations are deterministic, so re-running a config
 reproduces the CSV byte for byte.
 """
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -63,24 +62,33 @@ def _states_nbar(params):
 
 # ---------------------------------------------------------------------------
 
-def _size(params, name, least=1):
-    """params[name], which must be an integer >= least."""
-    n = params[name]
-    if isinstance(n, bool) or not isinstance(n, int) or n < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
-    return n
+# the size parameters and the least value each takes
+_SIZES = {"samples": 1, "grid_points": 1, "kmax": 0, "spectral_samples": 2}
 
 
-def _finite(params):
-    """Reject a NaN or infinite number among the params, naming it."""
+def _is_number(v):
+    """True for a JSON number: an int or a float, not a bool."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _check_params(params, defaults):
+    """Reject, naming it, a size that is not an integer of at least its
+    least value, a parameter whose default is a number but whose value is not
+    a JSON number (a string, null, a boolean, a list or an object), and a NaN
+    or infinite number."""
     for name, v in params.items():
-        if isinstance(v, (float, complex)) and not cmath.isfinite(v):
+        if name in _SIZES:
+            if isinstance(v, bool) or not isinstance(v, int) or v < _SIZES[name]:
+                raise ValueError(f"{name} must be an integer >= {_SIZES[name]}, got {v!r}")
+        elif _is_number(defaults[name]) and not _is_number(v):
+            raise ValueError(f"{name} must be a number, got {v!r}")
+        elif isinstance(v, float) and not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
 def _phase_grid(params):
     """The plotted phases: samples points over periods * 2 pi."""
-    return np.linspace(0.0, params["periods"] * 2.0 * math.pi, _size(params, "samples"))
+    return np.linspace(0.0, params["periods"] * 2.0 * math.pi, params["samples"])
 
 
 def _fig1(params, policy):
@@ -172,8 +180,8 @@ def _fig6(params, policy):
 def _fig7(params, policy):
     mode = ModeParams(params["omega"])
     e_phi1 = params["classical_e_phi1"]
-    kmax = _size(params, "kmax", least=0)
-    nsamp = _size(params, "spectral_samples", least=2)
+    kmax = params["kmax"]
+    nsamp = params["spectral_samples"]
     period = 2.0 * math.pi / mode.omega
     taus = np.arange(nsamp) / nsamp * period
     spectra = {k: interference.spectral_density(g, mode.omega, kmax)
@@ -193,7 +201,7 @@ def _ratio_surface_rows(params, entangled, t):
     outermost, the R surface and its number of poles."""
     q = params["q"]
     n1, n2 = params["n1"], params["n2"]
-    n = _size(params, "grid_points")
+    n = params["grid_points"]
     xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, n)
     with np.errstate(divide="ignore", invalid="ignore"):  # poles are counted below
         if entangled:
@@ -491,7 +499,7 @@ def run_experiment(name: str, overrides: dict = None, policy=None) -> Experiment
     if unknown:
         raise ValueError(f"unknown parameters for {name}: {sorted(unknown)}")
     params.update(overrides or {})
-    _finite(params)
+    _check_params(params, exp.defaults)
     policy = policy or TruncationPolicy(tol=1e-11)
     result = exp.build(params, policy)
     result.manifest = {

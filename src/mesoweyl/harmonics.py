@@ -1,10 +1,11 @@
 """Finite harmonic series f(t) = sum_k c_k exp(i k w0 t).
 
-Almost-periodic observables in this package have frequencies that are integer
-multiples of a single base, so infinite-time averages are exact: the average
-is the coefficient at index zero.  Keeping integer indices (not float
-frequencies) makes products exact and incommensurate content impossible to
-represent silently.
+The classical intensity autocorrelation is such a series, with integer
+multiples of one base frequency, so its spectrum is read off exactly from the
+coefficients.  Keeping integer indices (not float frequencies) makes
+incommensurate content impossible to represent silently: series with
+different bases do not add.  The Weyl function's harmonics on a drive circle
+come from ``states.weyl_time_average``, not from this class.
 """
 
 import math
@@ -16,8 +17,6 @@ from .exceptions import IncommensurateError
 
 __all__ = ["HarmonicSeries"]
 
-_PRUNE = 1e-18
-
 
 @dataclass(frozen=True)
 class HarmonicSeries:
@@ -25,20 +24,6 @@ class HarmonicSeries:
 
     base: float
     coeffs: dict
-
-    @staticmethod
-    def from_components(base: float, components, rtol: float = 1e-9) -> "HarmonicSeries":
-        """Build from (frequency, amplitude) pairs; frequencies must be integer
-        multiples of ``base`` to relative tolerance ``rtol``."""
-        out = {}
-        for freq, amp in components:
-            k = int(round(freq / base))
-            if abs(freq - k * base) > rtol * max(abs(freq), base):
-                raise IncommensurateError(
-                    f"frequency {freq!r} is not an integer multiple of base {base!r}"
-                )
-            out[k] = out.get(k, 0j) + complex(amp)
-        return HarmonicSeries(base, out)
 
     def __add__(self, other):
         if isinstance(other, HarmonicSeries):
@@ -53,50 +38,11 @@ class HarmonicSeries:
 
     __radd__ = __add__
 
-    def __mul__(self, other):
-        if isinstance(other, HarmonicSeries):
-            self._check_base(other)
-            out = {}
-            for k1, v1 in self.coeffs.items():
-                for k2, v2 in other.coeffs.items():
-                    k = k1 + k2
-                    out[k] = out.get(k, 0j) + v1 * v2
-            return HarmonicSeries(self.base, out).prune()
-        return HarmonicSeries(
-            self.base, {k: v * complex(other) for k, v in self.coeffs.items()}
-        )
-
-    __rmul__ = __mul__
-
     def _check_base(self, other):
         if not math.isclose(self.base, other.base, rel_tol=1e-12):
             raise IncommensurateError(
                 f"cannot combine series with bases {self.base!r} and {other.base!r}"
             )
-
-    def conjugate(self) -> "HarmonicSeries":
-        return HarmonicSeries(
-            self.base, {-k: v.conjugate() for k, v in self.coeffs.items()}
-        )
-
-    def prune(self, tol: float = _PRUNE) -> "HarmonicSeries":
-        scale = max((abs(v) for v in self.coeffs.values()), default=0.0)
-        if scale == 0.0:
-            return HarmonicSeries(self.base, {})
-        return HarmonicSeries(
-            self.base,
-            {k: v for k, v in self.coeffs.items() if abs(v) > tol * scale},
-        )
-
-    def time_average(self) -> complex:
-        """Exact infinite-time average: the index-0 coefficient."""
-        return self.coeffs.get(0, 0j)
-
-    def frequencies(self) -> list:
-        return sorted(k * self.base for k in self.coeffs)
-
-    def indices(self) -> list:
-        return sorted(self.coeffs)
 
     def evaluate(self, t):
         t = np.asarray(t, dtype=float)
@@ -104,11 +50,3 @@ class HarmonicSeries:
         for k, v in self.coeffs.items():
             out += v * np.exp(1j * k * self.base * t)
         return out if out.shape else complex(out)
-
-    def is_real(self, tol: float = 1e-12) -> bool:
-        """True when the series represents a real-valued function."""
-        scale = max((abs(v) for v in self.coeffs.values()), default=1.0)
-        for k, v in self.coeffs.items():
-            if abs(v - self.coeffs.get(-k, 0j).conjugate()) > tol * scale:
-                return False
-        return True

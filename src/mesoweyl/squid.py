@@ -7,8 +7,10 @@ static phase offset, ``omega_a`` the linear-ramp (Josephson) frequency and
 through qprime = 2q and reduce, exactly as in the interference case, to Weyl
 function evaluations at sigma = i qprime e^{i w1 t}.
 
-dc currents are extracted by exact harmonic averaging (the zero-frequency
-coefficient); finite-window numeric averages exist only as test oracles.
+dc currents are exact zero-frequency coefficients: a Shapiro step sums the
+classical drive's Bessel harmonics J_j(u) against the Weyl function's
+harmonics on the drive circle, ``states.weyl_time_average(state, q', k)``;
+finite-window numeric averages exist only as test oracles.
 
 Two distant rings couple to the swapped two-mode families
 (|n1 n2>, |n2 n1>) and (|a1 a2>, |a2 a1>); number-pair moments have closed
@@ -28,8 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import specfun
-from .harmonics import HarmonicSeries
-from .states import ChargeCoupling, weyl, weyl_drive_coeffs
+from .states import ChargeCoupling, weyl, weyl_time_average
 from .twomode import coherent_pair_entangled, coherent_pair_separable, two_mode_weyl
 
 __all__ = [
@@ -112,26 +113,20 @@ def quantum_current(state, coupling: ChargeCoupling, omega_a: float, omega1: flo
     return i_crit * val.imag
 
 
-def _quantum_drive_series(state, drive: SquidDrive, n_step: int, coupling: ChargeCoupling) -> HarmonicSeries:
-    """e^{i omega_a t} e^{i u sin(w1 t)} W(sigma(t)) as one harmonic series in w1."""
-    w1 = drive.omega1
-    ramp = HarmonicSeries(w1, {n_step: 1.0 + 0j})
-    # exp(i u sin theta) = sum_n J_n(u) e^{i n theta}
-    classical = HarmonicSeries(w1, specfun.bessel_j_harmonics(drive.u_phase))
-    wseries = HarmonicSeries(w1, weyl_drive_coeffs(state, coupling.qprime))
-    return ramp * classical * wseries
-
-
 def quantum_shapiro(state, drive: SquidDrive, n_step: int, coupling: ChargeCoupling) -> float:
     """dc current on step n for a classical sinusoid plus a quantum mode.
 
-    Exact zero-frequency extraction of I_c Im[e^{i phase0} x (ramp x drive x
-    Weyl) harmonics].  A phase-matched coherent state (amplitude u/sqrt2 at
-    arg A = pi/2) reproduces every classical step scaled by e^{-q'^2/2};
-    squeezed vacuum leaves even steps only.
+    The ramp e^{i n w1 t}, the sinusoid sum_j J_j(u) e^{i j w1 t} and the
+    Weyl function sum_k a_k e^{i k w1 t} meet at zero frequency where
+    n + j + k = 0, so the step is I_c Im[e^{i phase0} sum_j J_j(u) a_{-n-j}]
+    with a_k = ``weyl_time_average(state, q', k)``.  A phase-matched coherent
+    state (amplitude u/(2 q') at arg A = pi/2) has a_k = e^{-q'^2/2} J_k(u),
+    so it reproduces every classical step scaled by e^{-q'^2/2}; squeezed
+    vacuum leaves even steps only.
     """
-    series = _quantum_drive_series(state, drive, n_step, coupling)
-    return drive.i_crit * (cmath.exp(1j * drive.phase0) * series.time_average()).imag
+    avg = sum(jj * weyl_time_average(state, coupling.qprime, -n_step - j)
+              for j, jj in specfun.bessel_j_harmonics(drive.u_phase).items())
+    return drive.i_crit * (cmath.exp(1j * drive.phase0) * avg).imag
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +289,8 @@ def two_squid_currents_coherent(a1, a2, entangled: bool, coupling: ChargeCouplin
 # twomode.ratio_*_closed, so a whole time axis is one call
 
 _RATIO_EPS = 1e-12
+# a ramp sine below this marks a tan-pole of the odd-difference entangled ratio
+_POLE_MARGIN = 1e-6
 
 
 def _nan_at(pole, value):
@@ -331,12 +328,11 @@ def ratio_c_sep_number(n1: int, n2: int, coupling: ChargeCoupling) -> float:
 
 def ratio_c_ent_number(n1: int, n2: int, coupling: ChargeCoupling, t,
                        omega1: float, omega2: float,
-                       omega_a: float = None, omega_b: float = None,
-                       pole_margin: float = 1e-6):
+                       omega_a: float = None, omega_b: float = None):
     """Entangled ratio; even occupation differences oscillate around the
     separable value at Omega, odd differences carry tan-poles at the ramp
-    zeros (points inside ``pole_margin`` of a zero give NaN, as does a
-    vanishing Laguerre sum).  t is a float or an array of times."""
+    zeros (points where a ramp sine is under _POLE_MARGIN give NaN, as does
+    a vanishing Laguerre sum).  t is a float or an array of times."""
     qp2 = coupling.qprime ** 2
     l1 = specfun.laguerre(n1, 0, qp2)
     l2 = specfun.laguerre(n2, 0, qp2)
@@ -351,6 +347,6 @@ def ratio_c_ent_number(n1: int, n2: int, coupling: ChargeCoupling, t,
     if omega_a is None or omega_b is None:
         raise ValueError("odd occupation difference needs omega_a and omega_b")
     sa, sb = np.sin(omega_a * t), np.sin(omega_b * t)
-    pole = (np.abs(sa) < pole_margin) | (np.abs(sb) < pole_margin)
+    pole = (np.abs(sa) < _POLE_MARGIN) | (np.abs(sb) < _POLE_MARGIN)
     with np.errstate(divide="ignore", invalid="ignore"):
         return _nan_at(pole, base - amp * osc / (np.tan(omega_a * t) * np.tan(omega_b * t)))

@@ -12,6 +12,12 @@ Conventions used throughout the package:
 
 Thermal states are parameterized by the product beta*omega, which is the only
 combination their observables depend on.
+
+Under the circular drive z = i c e^{i theta} the Weyl function is a harmonic
+series in theta; ``weyl_time_average(state, c, k)`` is its k-th coefficient
+(by the Jacobi-Anger and modified-Bessel generating functions, DLMF 10.12 and
+10.35), and k = 0 is the exact infinite-time average.  The interference
+autocorrelations read k = 0, the SQUID Shapiro steps every k they need.
 """
 
 import cmath
@@ -34,7 +40,6 @@ __all__ = [
     "TwoModeSeparableMixture",
     "TwoModeProductSuperposition",
     "weyl",
-    "weyl_drive_coeffs",
     "weyl_time_average",
     "photon_counting",
     "mean_photons",
@@ -184,53 +189,6 @@ def _scalar_or_array(w):
     return complex(w) if w.ndim == 0 else w
 
 
-def _ipow(k: int) -> complex:
-    return (1, 1j, -1, -1j)[k % 4]
-
-
-def weyl_drive_coeffs(state, c, tol: float = 1e-18) -> dict:
-    """Fourier coefficients a_k of theta -> W(i c e^{i theta}).
-
-    The circular drive z(theta) = i c e^{i theta} (theta = omega t) turns the
-    Weyl function of every supported family into a rapidly decaying harmonic
-    series; the k = 0 entry is the exact infinite-time average.
-    """
-    c = complex(c)
-    rho = abs(c)
-    if isinstance(state, (NumberState, ThermalState)):
-        return {0: weyl(state, 1j * rho)}
-    if isinstance(state, CoherentState):
-        a = complex(state.amplitude)
-        delta = cmath.phase(c) - cmath.phase(a)
-        base = math.exp(-rho * rho / 2.0)
-        out = {}
-        for k, jk in specfun.bessel_j_harmonics(2.0 * rho * abs(a)).items():
-            val = base * _ipow(k) * jk * cmath.exp(1j * k * delta)
-            if abs(val) > tol:
-                out[k] = val
-        return out
-    if isinstance(state, SqueezedState):
-        pref, v, chi, w = _squeezed_drive(state, c)
-        js = specfun.bessel_j_harmonics(abs(w))
-        psi = cmath.phase(w)
-        mmax = int(specfun.order_cutoff(v))
-        ims = specfun.bessel_ive_all(v, mmax + 1)
-        out = {}
-        for m in range(-mmax, mmax + 1):
-            fm = pref * (-1 if m & 1 else 1) * ims[abs(m)]
-            if abs(fm) <= tol:
-                continue
-            fm = fm * cmath.exp(1j * m * chi)
-            for n, jn in js.items():
-                if abs(fm) * abs(jn) <= tol:
-                    continue
-                k = n + 2 * m
-                out[k] = out.get(k, 0j) + fm * jn * cmath.exp(1j * n * psi)
-        # "not <=" keeps NaN coefficients, so a NaN never reconstructs as W = 0
-        return {k: val for k, val in out.items() if not abs(val) <= tol}
-    raise TypeError(f"unsupported state {state!r}")
-
-
 def _squeezed_drive(state, c):
     """(pref, v, chi, w) with W(i c e^{i theta}) =
     pref exp(-v (1 + cos(2 theta + chi))) exp(i Im[w e^{i theta}]), for a
@@ -253,45 +211,69 @@ def _squeezed_drive(state, c):
     return pref, v, chi, w
 
 
-def weyl_time_average(state, c):
-    """Exact average over theta of W(i c e^{i theta}).
+def weyl_time_average(state, c, k: int = 0):
+    """Harmonic k of the driven Weyl function: the average over theta of
+    e^{-i k theta} W(i c e^{i theta}), for an integer k.
 
-    c is a complex number, which gives a complex, or an array of them, which
-    gives a complex array of its shape: one call covers a whole lag grid of
-    the autocorrelation.  The harmonic expansion collapses to its
-    zero-frequency entry without building the full coefficient map.
+    k = 0 is the exact infinite-time average; the a_k over all k rebuild W on
+    the drive circle, W(i c e^{i theta}) = sum_k a_k e^{i k theta}.  c is a
+    complex number, which gives a complex, or an array of them, which gives a
+    complex array of its shape: one call covers a whole lag grid of the
+    autocorrelation.
     """
     c = np.asarray(c, dtype=complex)
-    # as in weyl: |c| ** 2 overflows past 1e154, where the average has its
-    # limit 0, so those entries are computed at c = 0 and zeroed at the end
+    # as in weyl: |c| ** 2 overflows past 1e154, where every coefficient has
+    # its limit 0, so those entries are computed at c = 0 and zeroed at the end
     far = np.abs(c) > 1e154
     c = np.where(far, 0j, c)
     rho = np.abs(c)
     x = rho * rho
-    if isinstance(state, NumberState):
-        avg = specfun.scaled_laguerre(state.n, x)
-    elif isinstance(state, ThermalState):
-        avg = np.exp(-0.5 * x / math.tanh(state.beta_omega / 2.0))
+    if isinstance(state, (NumberState, ThermalState)):
+        # W is constant on the drive circle: it is a_0, and every other a_k is 0
+        avg = weyl(state, rho) if k == 0 else np.zeros(rho.shape)
     elif isinstance(state, CoherentState):
-        avg = np.exp(-x / 2.0) * specfun.jv(0, 2.0 * rho * abs(state.amplitude))
+        # Jacobi-Anger: W = e^{-|c|^2/2} exp(2 i |c| |A| cos(theta + delta))
+        a = complex(state.amplitude)
+        avg = np.exp(-x / 2.0) * specfun.jv(k, 2.0 * rho * abs(a))
+        if k:
+            avg = avg * (1j ** k * np.exp(1j * k * (np.angle(c) - cmath.phase(a))))
     elif isinstance(state, SqueezedState):
         pref, v, chi, w = _squeezed_drive(state, c)
-        # where pref underflows the average is 0, as |total| <= 1: such
+        # where pref underflows every coefficient is 0, as |W| <= 1: such
         # entries run at v = w = 0, so they size no table, and give 0 * 1
         live = pref > 0.0
         v, w = np.where(live, v, 0.0), np.where(live, w, 0j)
         absw = np.abs(w)
-        # zero frequency needs the theta index n = -2m; J_{-2m} = J_{2m}, so
-        # the +-m terms pair into 2 cos(m (chi - 2 psi)), and J_{2m} is below
-        # 1e-18 beyond the order cutoff of |w|, as is e^{-v} I_m(v) beyond v's
+        # W = pref sum_{m,n} (-1)^m e^{-v} I_m(v) e^{i m chi} J_n(|w|)
+        # e^{i n psi} e^{i (2m + n) theta} with psi = arg w, so harmonic k takes
+        # n = k - 2m: a_k = pref e^{i k psi} sum_m (-1)^m e^{-v} I_m J_{k-2m}
+        # e^{i m phi}, phi = chi - 2 psi.  The +-m terms pair into the even
+        # and odd halves of J_{k-2m} and J_{k+2m}, which at k = 0 are J_{2m}
+        # and 0.  J_n is below 1e-18 past the order cutoff of |w|, as is
+        # e^{-v} I_m(v) past v's
         mmax = min(specfun.order_cutoff(v.max(initial=0.0)),
-                   specfun.order_cutoff(absw.max(initial=0.0)) // 2)
+                   (specfun.order_cutoff(absw.max(initial=0.0)) + abs(k)) // 2)
         ims = specfun.bessel_ive_all(v, mmax + 1)
+        # one J row per |order|, J_{-n} = (-1)^n J_n
+        orders = np.unique(np.abs(k + 2 * np.arange(-mmax, mmax + 1)))
+        rows = specfun.jv(orders.reshape((-1,) + (1,) * absw.ndim), absw)
+        table = dict(zip(orders.tolist(), rows))
+
+        def bessel_j(n):
+            return -table[-n] if n < 0 and n & 1 else table[abs(n)]
+
         phi = chi - 2.0 * np.angle(w)
-        total = ims[0] * specfun.jv(0, absw)
+        even, odd = ims[0] * bessel_j(k), 0.0
         for m in range(1, mmax + 1):
-            total += (-2.0 if m & 1 else 2.0) * ims[m] * specfun.jv(2 * m, absw) * np.cos(m * phi)
-        avg = pref * total
+            lo, hi = bessel_j(k - 2 * m), bessel_j(k + 2 * m)
+            sign = -2.0 if m & 1 else 2.0
+            even += sign * ims[m] * (0.5 * (lo + hi)) * np.cos(m * phi)
+            if k:
+                odd += sign * ims[m] * (0.5 * (lo - hi)) * np.sin(m * phi)
+        if k == 0:
+            avg = pref * even
+        else:
+            avg = pref * (even + 1j * odd) * np.exp(1j * k * np.angle(w))
     else:
         raise TypeError(f"unsupported state {state!r}")
     return _scalar_or_array(np.where(far, 0j, avg))

@@ -83,19 +83,23 @@ def intensity_operator(dim, q, omega, x, t):
     )
 
 
-def gamma_window_oracle(state, coupling, mode, tau, dim, nt=96):
+# time points of the window oracle's trapezoid over one drive period
+WINDOW_POINTS = 96
+
+
+def gamma_window_oracle(state, coupling, mode, tau, dim):
     """Finite-window intensity autocorrelation: the average of
     Tr[rho I(t) I(t+tau)] over one full drive period (trapezoid on a periodic
     integrand, so the window is exact up to truncation)."""
     q, w = coupling.q, mode.omega
     rho = fockbench.density_matrix(state, dim)
-    ts = np.arange(nt) / nt * (2.0 * math.pi / w)
+    ts = np.arange(WINDOW_POINTS) / WINDOW_POINTS * (2.0 * math.pi / w)
     total = 0j
     for t in ts:
         op1 = intensity_operator(dim, q, w, 0.0, t)
         op2 = intensity_operator(dim, q, w, 0.0, t + tau)
         total += fockbench.expectation(rho, op1 @ op2)
-    return total / nt
+    return total / WINDOW_POINTS
 
 
 # ---------------------------------------------------------------------------

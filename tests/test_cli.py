@@ -159,6 +159,40 @@ def test_env_var_overrides_output_dir(tmp_path, monkeypatch):
     assert not (tmp_path / "flag").exists()
 
 
+def test_unusable_output_location_exits_2(tmp_path, monkeypatch, capsys):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    assert cli.main(["run", "fig4", "--out", str(a_file)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot use output directory ")
+    # a directory where the CSV should go fails the write, not the directory
+    (tmp_path / "out" / "fig4.csv").mkdir(parents=True)
+    assert cli.main(["run", "fig4", "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write the output: ")
+    monkeypatch.setenv("MESOWEYL_OUT", str(a_file / "below"))
+    assert cli.main(["run", "fig4"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot use output directory ")
+
+
+@pytest.mark.parametrize("name", ALL_FIGS)
+def test_non_number_parameters_exit_2_naming_them(name, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    numeric = [k for k, v in EXPERIMENTS[name].defaults.items() if isinstance(v, (int, float))]
+    assert numeric == list(EXPERIMENTS[name].defaults)
+    for key in numeric:
+        for value in ("abc", None, True, False, [1.0], {"x": 1.0}):
+            bad.write_text(json.dumps({"experiment": name, "params": {key: value}}))
+            assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {key} must be "), err
+            assert "Traceback" not in err
+    # the complex-string form of an amplitude is not a number either
+    if "a1" in EXPERIMENTS[name].defaults:
+        for key in ("a1", "a2"):
+            bad.write_text(json.dumps({"experiment": name, "params": {key: "1+1j"}}))
+            assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+            assert capsys.readouterr().err == f"error: {key} must be a number, got '1+1j'\n"
+
+
 def test_invalid_configs_exit_2(tmp_path, capsys):
     assert cli.main(["run", "nosuchfig", "--out", str(tmp_path)]) == 2
     bad = tmp_path / "bad.json"

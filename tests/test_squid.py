@@ -139,6 +139,19 @@ def test_quantum_shapiro_coherent_rescales_every_step():
         assert got == pytest.approx(scale * squid.classical_shapiro(ref, n), abs=1e-10)
 
 
+@given(u=st.integers(0, 400).map(lambda i: i * 0.01), n=st.integers(-4, 4),
+       phase0=st.floats(-math.pi, math.pi))
+def test_quantum_shapiro_phase_matched_coherent_state_is_the_classical_step(u, n, phase0):
+    # amplitude u / (2 q') at arg A = pi/2 makes the Weyl harmonics
+    # e^{-q'^2/2} J_k(u), the classical drive's own
+    base = squid.SquidDrive(phase0=phase0, u_phase=0.0, omega1=1e-4)
+    ref = squid.SquidDrive(phase0=phase0, u_phase=u, omega1=1e-4)
+    state = CoherentState(u / (2.0 * COUPLING.qprime) * cmath.exp(1j * math.pi / 2.0))
+    scale = math.exp(-COUPLING.qprime ** 2 / 2.0)
+    got = squid.quantum_shapiro(state, base, n, COUPLING)
+    assert got == pytest.approx(scale * squid.classical_shapiro(ref, n), abs=1e-14)
+
+
 def test_quantum_shapiro_vacuum_rescales_classical_drive():
     d = squid.SquidDrive(phase0=0.5, u_phase=1.7, omega1=1e-4)
     scale = math.exp(-COUPLING.qprime ** 2 / 2.0)

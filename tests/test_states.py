@@ -7,7 +7,7 @@ import scipy.special as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mesoweyl import fockbench, interference
+from mesoweyl import fockbench, interference, specfun
 from mesoweyl.states import (
     ChargeCoupling,
     CoherentState,
@@ -22,7 +22,6 @@ from mesoweyl.states import (
     number_displacement_element,
     photon_counting,
     weyl,
-    weyl_drive_coeffs,
     weyl_time_average,
 )
 
@@ -234,7 +233,9 @@ def test_squeezed_uncertainty_product_bound():
 
 
 # ---------------------------------------------------------------------------
-# harmonic expansion of the Weyl function under a circular drive
+# harmonic expansion of the Weyl function under a circular drive: the drive
+# coefficients a_k of W(i c e^{i theta}) = sum_k a_k e^{i k theta} are
+# weyl_time_average(state, c, k)
 
 @pytest.mark.parametrize("state", SMALL_STATES + [match_mean_photons("squeezed", 17.0, r=4.2)])
 @pytest.mark.parametrize("c", [0.25, 0.25 * (1 + cmath.exp(0.9j)), -0.4 + 0.1j])
@@ -250,35 +251,16 @@ def _grid(step, top):
 
 _PHASES = st.floats(-math.pi, math.pi)
 
-
 # Nonzero |c| >= 1e-3 and r >= 1e-2 keep the Bessel I argument
 # |c|^2 sinh(r) / 2 at zero or above 5e-9.  Below about 1e-27 the Miller
 # recurrence overflows into NaN, the known defect that
 # test_weyl_time_average_tiny_bessel_i_argument pins.
-@pytest.mark.parametrize("family", ["coherent", "squeezed"])
-@given(
-    amp=_grid(0.01, 8.0), amp_phase=_PHASES, r=_grid(0.01, 4.2), varphi=_PHASES,
-    rho=_grid(0.001, 0.5), c_phase=_PHASES,
-)
-def test_weyl_drive_coeffs_reconstruct_random_states(family, amp, amp_phase, r, varphi, rho, c_phase):
-    a = cmath.rect(amp, amp_phase)
-    state = CoherentState(a) if family == "coherent" else SqueezedState(a, r, varphi)
-    _check_drive_coeffs(state, cmath.rect(rho, c_phase))
-
-
-def _check_drive_coeffs(state, c):
-    """The coefficients rebuild W on the drive circle; a_0 is the time average."""
-    coeffs = weyl_drive_coeffs(state, c)
-    for theta in np.linspace(0.0, 2.0 * math.pi, 17)[:-1]:
-        direct = weyl(state, 1j * complex(c) * cmath.exp(1j * theta))
-        series = sum(a * cmath.exp(1j * k * theta) for k, a in coeffs.items())
-        assert abs(direct - series) <= 1e-12
-    assert weyl_time_average(state, c) == pytest.approx(coeffs.get(0, 0j), abs=1e-14)
-
+_DRIVES = st.builds(cmath.rect, _grid(0.001, 0.5), _PHASES)
 
 # Amplitudes up to 2 keep |w| = 2|A||c| e^{r/2} <= 17, where the 64-point
-# trapezoid below resolves every harmonic of the drive to 1e-12.  The Bessel I
-# argument stays at zero or above 5e-9, as above.
+# trapezoid of test_weyl_time_average_takes_arrays resolves every harmonic of
+# the drive to 1e-12; the drive-coefficient tests, which sum the expansion
+# itself, take amplitudes up to 8.
 _AMPS = st.builds(cmath.rect, _grid(0.01, 2.0), _PHASES)
 FAMILY_STATES = {
     "number": st.builds(NumberState, st.integers(0, 30)),
@@ -286,26 +268,97 @@ FAMILY_STATES = {
     "squeezed": st.builds(SqueezedState, _AMPS, _grid(0.01, 4.2), _PHASES),
     "thermal": st.builds(ThermalState, st.floats(0.05, 5.0)),
 }
+_DRIVE_AMPS = st.builds(cmath.rect, _grid(0.01, 8.0), _PHASES)
+DRIVE_STATES = {
+    **FAMILY_STATES,
+    "coherent": st.builds(CoherentState, _DRIVE_AMPS),
+    "squeezed": st.builds(SqueezedState, _DRIVE_AMPS, _grid(0.01, 4.2), _PHASES),
+}
+
+
+@pytest.mark.parametrize("family", sorted(DRIVE_STATES))
+@given(data=st.data(), c=_DRIVES)
+def test_weyl_drive_coeffs_reconstruct_random_states(family, data, c):
+    _check_drive_coeffs(data.draw(DRIVE_STATES[family]), c)
+
+
+def _drive_reach(state, c):
+    """K with |a_k| below about 1e-18 for |k| > K: the order cutoff of each
+    Bessel argument of the expansion (2 |c| |A| for a coherent state;
+    |w| <= 2 |A| |c| e^{r/2} and twice that of v = |c|^2 sinh(r) / 2 for a
+    squeezed one), and 0 for the phase-invariant families."""
+    rho = abs(c)
+    if isinstance(state, CoherentState):
+        return int(specfun.order_cutoff(2.0 * rho * abs(state.amplitude)))
+    if isinstance(state, SqueezedState):
+        w = 2.0 * abs(state.amplitude) * rho * math.exp(state.r / 2.0)
+        v = 0.5 * rho * rho * math.sinh(state.r)
+        return int(specfun.order_cutoff(w) + 2 * specfun.order_cutoff(v))
+    return 0
+
+
+def _drive_coeffs(state, c):
+    """{k: a_k} over |k| <= _drive_reach(state, c) + 1."""
+    reach = _drive_reach(state, c) + 1
+    return {k: weyl_time_average(state, c, k) for k in range(-reach, reach + 1)}
+
+
+def _check_drive_coeffs(state, c):
+    """The coefficients rebuild W on the drive circle, and the ones just past
+    the reach are negligible."""
+    coeffs = _drive_coeffs(state, c)
+    reach = max(coeffs)
+    assert max(abs(coeffs[reach]), abs(coeffs[-reach])) <= 1e-15
+    for theta in np.linspace(0.0, 2.0 * math.pi, 17)[:-1]:
+        direct = weyl(state, 1j * complex(c) * cmath.exp(1j * theta))
+        series = sum(a * cmath.exp(1j * k * theta) for k, a in coeffs.items())
+        assert abs(direct - series) <= 1e-12
+
+
+@pytest.mark.parametrize("family", sorted(DRIVE_STATES))
+@given(data=st.data(), c=_DRIVES)
+def test_weyl_drive_coeffs_flip_sign_with_c(family, data, c):
+    # W(i (-c) e^{i theta}) = W(i c e^{i (theta + pi)}), so a_k(-c) = (-1)^k a_k(c)
+    state = data.draw(DRIVE_STATES[family])
+    pair = np.array([c, -c])
+    for k in range(-4, 5):
+        a, a_neg = weyl_time_average(state, pair, k)
+        assert abs(a_neg - (-1) ** k * a) <= 1e-14
+
+
+@pytest.mark.parametrize("family", sorted(DRIVE_STATES))
+@given(data=st.data(), c=_DRIVES)
+def test_weyl_drive_coeffs_parseval(family, data, c):
+    # sum_k |a_k|^2 is the circle mean of |W|^2, at most 1 as |W| <= 1; a
+    # trapezoid on more than 4 reach points is exact for the degree 2 reach
+    # trigonometric polynomial |W|^2
+    state = data.draw(DRIVE_STATES[family])
+    coeffs = _drive_coeffs(state, c)
+    power = sum(abs(a) ** 2 for a in coeffs.values())
+    thetas = np.arange(4 * max(coeffs) + 8) * (2.0 * math.pi / (4 * max(coeffs) + 8))
+    mean = np.mean(np.abs(weyl(state, 1j * c * np.exp(1j * thetas))) ** 2)
+    assert power == pytest.approx(mean, abs=1e-13)
+    assert power <= 1.0 + 1e-13
 
 
 @pytest.mark.parametrize("family", sorted(FAMILY_STATES))
-@given(data=st.data(), cs=st.lists(st.builds(cmath.rect, _grid(0.001, 0.5), _PHASES), min_size=1, max_size=6))
-def test_weyl_time_average_takes_arrays(family, data, cs):
+@given(data=st.data(), cs=st.lists(_DRIVES, min_size=1, max_size=6), k=st.integers(-6, 6))
+def test_weyl_time_average_takes_arrays(family, data, cs, k):
     state = data.draw(FAMILY_STATES[family])
     c = np.array(cs)
-    avg = weyl_time_average(state, c)
+    avg = weyl_time_average(state, c, k)
     assert avg.shape == c.shape and avg.dtype == complex
-    column = weyl_time_average(state, c[:, None])
+    column = weyl_time_average(state, c[:, None], k)
     assert column.shape == (len(cs), 1)
     assert np.array_equal(column[:, 0], avg)
-    assert np.max(np.abs(weyl_time_average(state, -c) - avg)) <= 1e-14
-    assert weyl_time_average(state, c[:0]).shape == (0,)
+    assert weyl_time_average(state, c[:0], k).shape == (0,)
     thetas = np.arange(64) * (2.0 * math.pi / 64)
     for ci, ai in zip(cs, avg.tolist()):
-        assert isinstance(weyl_time_average(state, ci), complex)
-        assert abs(ai - weyl_drive_coeffs(state, ci).get(0, 0j)) <= 1e-14
-        trapezoid = np.mean([weyl(state, 1j * ci * cmath.exp(1j * t)) for t in thetas])
+        assert isinstance(weyl_time_average(state, ci, k), complex)
+        # harmonic k of W on the drive circle
+        trapezoid = np.mean(np.exp(-1j * k * thetas) * weyl(state, 1j * ci * np.exp(1j * thetas)))
         assert abs(ai - trapezoid) <= 1e-12
+    assert np.max(np.abs(weyl_time_average(state, c) - weyl_time_average(state, -c))) <= 1e-14
 
 
 _ZS = st.lists(st.builds(cmath.rect, _grid(0.01, 6.0), _PHASES), min_size=1, max_size=8)
@@ -357,20 +410,24 @@ def test_weyl_time_average_strong_squeezing_is_finite():
     got = weyl_time_average(state, 1.0)
     assert got == pytest.approx(ref, rel=1e-13)
     assert got.real == pytest.approx(0.014614, abs=1e-6)
-    assert weyl_drive_coeffs(state, 1.0)[0] == pytest.approx(ref, rel=1e-13)
+    # the vacuum has w = 0, so harmonic 2 is the m = 1 term alone,
+    # pref (-1) e^{-v} I_1(v) e^{i chi} with chi = pi at c = 1
+    ref_2 = math.exp(-math.exp(-8.0) / 2.0) * float(sp.ive(1, math.sinh(8.0) / 2.0))
+    assert weyl_time_average(state, 1.0, 2) == pytest.approx(ref_2, rel=1e-13)
 
 
 def test_weyl_drive_coeffs_keep_what_the_time_average_sees():
-    # at a Bessel I argument below about 1e-27 the coefficients are NaN; they
-    # must not be filtered out, which would rebuild W as 0
+    # at a Bessel I argument below about 1e-27 the time average is NaN; no
+    # other harmonic may then read as a finite value, which would rebuild W
+    # from a partial series
     state, c = SqueezedState(0.5 + 0j, 1.0), 1e-17
-    coeffs = weyl_drive_coeffs(state, c)
     avg = weyl_time_average(state, c)
-    assert 0 in coeffs
-    if cmath.isnan(avg):
-        assert cmath.isnan(coeffs[0])
-    else:
-        assert coeffs[0] == pytest.approx(avg, abs=1e-14)
+    for k in (-2, -1, 1, 2):
+        coeff = weyl_time_average(state, c, k)
+        if cmath.isnan(avg):
+            assert cmath.isnan(coeff)
+        else:
+            assert abs(coeff) <= 1e-15
 
 
 @pytest.mark.xfail(strict=True, reason=(
