@@ -158,6 +158,60 @@ def test_quantum_gamma_against_window_oracle(state):
         assert abs(exact - window) <= 1e-6
 
 
+def _window_node_loop(state, coupling, tau, dim):
+    """Reference for verify.gamma_window_oracle: the trapezoid as a loop over
+    its nodes, two dense intensity operators and their product per node."""
+    q, w = coupling.q, MODE.omega
+    rho = fockbench.density_matrix(state, dim)
+    ts = np.arange(verify.WINDOW_POINTS) / verify.WINDOW_POINTS * (2.0 * math.pi / w)
+    total = 0j
+    for t in ts:
+        op1 = verify.intensity_operator(dim, q, w, 0.0, t)
+        op2 = verify.intensity_operator(dim, q, w, 0.0, t + tau)
+        total += fockbench.expectation(rho, op1 @ op2)
+    return total / verify.WINDOW_POINTS
+
+
+@pytest.mark.parametrize("dim", [48, 100])  # 100 is above WINDOW_POINTS
+@pytest.mark.parametrize(
+    "state",
+    [CoherentState(0.7 + 0.4j), SqueezedState(0.4, 1.1, 0.3), ThermalState(0.5), NumberState(3)],
+)
+def test_window_oracle_equals_the_node_loop(state, dim):
+    lags = np.array([-0.37, 0.123, 1.7]) * PERIOD
+    got = verify.gamma_window_oracle(state, COUPLING, MODE, lags, dim)
+    ref = np.array([_window_node_loop(state, COUPLING, tau, dim) for tau in lags])
+    scale = abs(_window_node_loop(state, COUPLING, 0.0, dim))
+    assert got.shape == lags.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+    assert isinstance(verify.gamma_window_oracle(state, COUPLING, MODE, lags[1], dim), complex)
+
+
+def test_window_oracle_keeps_the_node_aliasing():
+    # At dim 120 the node mean of e^{-i omega t (m-n)} is 1 at |m - n| = 96;
+    # a wide squeezed state under a strong coupling reaches those entries, so
+    # weighting rho by delta_mn instead misses the node loop by about 3e-5.
+    coupling, state, dim, tau = ChargeCoupling(4.0), SqueezedState(0j, 3.0), 120, 0.2 * PERIOD
+    ref = _window_node_loop(state, coupling, tau, dim)
+    assert abs(verify.gamma_window_oracle(state, coupling, MODE, tau, dim) - ref) <= 1e-13 * abs(ref)
+    rho_diag = np.diag(np.diag(fockbench.density_matrix(state, dim)))
+    ops = [verify.intensity_operator(dim, coupling.q, MODE.omega, 0.0, t) for t in (0.0, tau)]
+    assert abs(fockbench.expectation(rho_diag, ops[0] @ ops[1]) - ref) >= 1e-6
+
+
+def test_window_oracle_builds_one_displacement_per_lag(monkeypatch):
+    builds = []
+    build = fockbench.displacement_matrix
+
+    def counted(z, dim):
+        builds.append(z)
+        return build(z, dim)
+
+    monkeypatch.setattr(fockbench, "displacement_matrix", counted)
+    verify.gamma_window_oracle(NumberState(2), COUPLING, MODE, np.array([0.0, 0.31, 0.62]) * PERIOD, 48)
+    assert 0 < len(builds) <= 1 + 3
+
+
 def test_quantum_gamma_properties_and_number_im():
     taus = np.arange(64) / 64.0 * 2.0 * PERIOD
     st = NumberState(17)
