@@ -143,9 +143,9 @@ def _content_change(new, old) -> float:
     """Distance between successive truncations of a vector: the change of the
     shared entries plus the weight of the new ones.
 
-    A norm/deficit test is not enough: the squeeze generator is
-    anti-Hermitian, so its truncated exponential is unitary and hides
-    truncation error inside a rotated vector of perfect norm.
+    It assumes nothing of the builder: a truncation that moves the entries
+    it keeps while keeping its norm, which a norm or deficit test would
+    pass, is caught too.
     """
     dim = old.shape[0]
     return float(np.linalg.norm(new[:dim] - old)) + float(np.linalg.norm(new[dim:]))

@@ -281,6 +281,15 @@ def test_dim_cap_exhaustion_exits_3(tmp_path):
     assert cli.main(["run", "fig16", "--out", str(tmp_path), "--dim-cap", "8"]) == 3
 
 
+def test_an_underflowing_coherent_amplitude_exits_3(tmp_path, capsys):
+    # e^{-|a1|^2/2} underflows at a1 = 40: the oracle refuses the empty
+    # vector that its cross-check would otherwise converge on at once
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "fig16", "params": {"a1": 40, "samples": 5}}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
+    assert "error: CoherentState(amplitude=(40+0j)): its n = 0 amplitude is below" in capsys.readouterr().err
+
+
 def test_all_singular_exits_4(tmp_path):
     # one sample at phase zero: the odd-difference number ratio sits on its
     # tan-pole there, and these coherent amplitudes are phase-opposed so the
@@ -368,9 +377,16 @@ def test_verify_fails_a_nan_error(monkeypatch):
     assert verify.run_suite("weyl-oracle")["passed"] is False
 
 
-@pytest.mark.parametrize("suite", sorted(verify.SUITES))
-def test_verify_dim_cap_exhaustion_exits_3(suite):
-    assert cli.main(["verify", suite, "--dim-cap", "8"]) == 3
+# the squeezed r = 4.2 Weyl oracle converges at dim 1920 (60 doubled five
+# times), so a cap of 1024 stops it one doubling short
+@pytest.mark.parametrize("suite, cap", [pytest.param(suite, 8, id=suite) for suite in sorted(verify.SUITES)]
+                         + [pytest.param("weyl-oracle", 1024, id="weyl-oracle-1024")])
+def test_verify_dim_cap_exhaustion_exits_3(suite, cap):
+    assert cli.main(["verify", suite, "--dim-cap", str(cap)]) == 3
+
+
+def test_verify_weyl_oracle_converges_under_dim_cap_1920():
+    assert cli.main(["verify", "weyl-oracle", "--dim-cap", "1920"]) == 0
 
 
 def _child(*args):
@@ -397,7 +413,7 @@ def test_console_entry_point_runs():
 
 
 def test_importing_the_cli_leaves_scipy_sparse_linalg_unloaded():
-    # the oracle's matrix exponentials are its own Chebyshev propagator
+    # the oracle takes no matrix exponential, and scipy's would load this
     assert "scipy.sparse.linalg" not in _scipy_modules_after("import mesoweyl.cli")
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy import sparse
 from scipy.linalg import expm
-from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln
 
 from mesoweyl import fockbench
@@ -170,6 +169,21 @@ def test_weyl_numeric_raises_when_capped():
     policy = fockbench.TruncationPolicy(dim_cap=16, tol=1e-30)
     with pytest.raises(TruncationError):
         fockbench.weyl_numeric(SqueezedState(0j, 4.2), 0.5, policy)
+
+
+@pytest.mark.parametrize("state", [CoherentState(40.0), SqueezedState(60.0, 1.0)], ids=["coherent", "squeezed"])
+def test_weyl_numeric_raises_when_the_vacuum_amplitude_underflows(state):
+    # exp(-|alpha|^2/2) is 0.0 here: the vector would be empty and its Weyl
+    # value would converge at once to 0 (the closed form has modulus near one)
+    with pytest.raises(TruncationError, match="n = 0 amplitude"):
+        fockbench.weyl_numeric(state, 0.1)
+
+
+def test_the_vacuum_amplitude_guard_sits_at_the_smallest_normal_double():
+    # exp(-|alpha|^2/2) = 2.2e-308 at |alpha| = 37.64
+    assert fockbench.state_vector(CoherentState(37.6), 32)[0] >= np.finfo(float).tiny
+    with pytest.raises(TruncationError):
+        fockbench.state_vector(CoherentState(37.7), 32)
 
 
 def test_flux_matrix_elements_and_vacuum_variance():
@@ -422,7 +436,7 @@ def test_state_vectors_of_distinct_states_do_not_alias():
 
 
 def test_squeezed_vector_is_reproducible_and_leaves_the_global_rng_alone():
-    # the Chebyshev propagator draws no random numbers, so the bits must not
+    # the amplitude recurrence draws no random numbers, so the bits must not
     # depend on the global seed, and the global RNG state must not move
     state = SqueezedState(0j, 4.2)
     built = []
@@ -438,45 +452,36 @@ def test_squeezed_vector_is_reproducible_and_leaves_the_global_rng_alone():
     assert built[0] == built[1]
 
 
-def _squeeze_generator(r, varphi, dim):
-    a = fockbench.ladder(dim)
-    adag2 = (a.conj().T @ a.conj().T).tocsc()
-    return (-(r / 4.0) * cmath.exp(-1j * varphi)) * adag2 + ((r / 4.0) * cmath.exp(1j * varphi)) * (a @ a).tocsc()
+def _squeezed_amplitudes_mp(state, dim):
+    """<n|S(zeta)D(alpha)|0>, zeta = (r/2) e^{-i varphi}, in 60-digit mpmath,
+    from the Hermite form c_n = c_0 p^n H_n(alpha / sqrt(e^{-i varphi} sinh r))
+    / sqrt(n!), p = sqrt(e^{-i varphi} tanh(r/2) / 2), with c_0 =
+    exp(-|g|^2/2 - g*^2 t/2) / sqrt(cosh s), g = alpha cosh s -
+    alpha* e^{-i varphi} sinh s, t = e^{-i varphi} tanh s, s = r/2."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        a = mpmath.mpc(state.amplitude)
+        s = mpmath.mpf(state.r) / 2
+        rot = mpmath.expj(-mpmath.mpf(state.varphi))
+        t = rot * mpmath.tanh(s)
+        g = a * mpmath.cosh(s) - mpmath.conj(a) * rot * mpmath.sinh(s)
+        c0 = mpmath.exp(-abs(g) ** 2 / 2 - mpmath.conj(g) ** 2 * t / 2) / mpmath.sqrt(mpmath.cosh(s))
+        p = mpmath.sqrt(t / 2)
+        y = a / mpmath.sqrt(rot * mpmath.sinh(2 * s))
+        return np.array([complex(c0 * p ** n * mpmath.hermite(n, y) / mpmath.sqrt(mpmath.factorial(n)))
+                         for n in range(dim)])
 
 
-def _random_unit_vector(dim, seed):
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
-@pytest.mark.parametrize("dim", [2, 8, 33, 96])
-def test_expm_action_matches_dense_expm(dim):
-    a = fockbench.ladder(dim)
-    gens = [z * a.conj().T.tocsc() - np.conj(z) * a.tocsc()
-            for z in (0.2, 1.2 - 0.5j, -2.9j, 3.0 * cmath.exp(2.2j))]
-    gens += [_squeeze_generator(4.2, varphi, dim) for varphi in (0.9, -2.5)]
-    for k, gen in enumerate(gens):
-        vec = _random_unit_vector(dim, k)
-        ref = expm(gen.toarray()) @ vec
-        assert np.max(np.abs(fockbench._expm_action(gen, vec) - ref)) <= 1e-13
-
-
-@pytest.mark.parametrize("dim", [240, 480, 960, 1920])
-def test_squeezed_vector_matches_expm_multiply(dim):
-    # the acceptance r = 4.2 vector against scipy's Taylor-based action,
-    # which the oracle no longer uses
-    coh = fockbench.state_vector(CoherentState(0j), dim)
-    ref = expm_multiply(_squeeze_generator(4.2, 0.0, dim), coh)
-    vec = fockbench.state_vector(SqueezedState(0j, 4.2), dim)
-    assert np.max(np.abs(vec - ref)) <= 1e-12
-
-
-def test_zero_generator_acts_as_the_identity():
-    vec = fockbench.state_vector(CoherentState(0.6 - 0.2j), 24)
-    a = fockbench.ladder(24)
-    displace_by_zero = 0j * a.conj().T.tocsc() - 0j * a.tocsc()
-    for out in (fockbench._expm_action(displace_by_zero, vec),
-                fockbench._expm_action(_squeeze_generator(0.0, 0.3, 24), vec)):
-        assert np.array_equal(out, vec)
-        assert out is not vec and out.flags.writeable
+@pytest.mark.parametrize("state", [
+    SqueezedState(0j, 4.2),
+    SqueezedState(3.0, 4.2, 1.0),
+    SqueezedState(0.5j, 4.2),
+    SqueezedState(0.6 + 0.2j, 1.4, 0.9),
+    SqueezedState(7.4158, 4.2),
+], ids=["0-r4.2", "3-r4.2-phi1.0", "0.5i-r4.2", "0.6+0.2i-r1.4-phi0.9", "7.4158-r4.2"])
+def test_squeezed_vector_matches_the_mpmath_hermite_amplitudes(state):
+    # worst seen 5.0e-16; the truncation must not move the amplitudes it keeps
+    ref = _squeezed_amplitudes_mp(state, 600)
+    vec = fockbench.state_vector(state, 600)
+    assert np.max(np.abs(vec - ref)) <= 1e-14
+    assert fockbench.state_vector(state, 240).tobytes() == vec[:240].tobytes()

@@ -376,6 +376,15 @@ def test_weyl_array_bound_and_conjugate_symmetry(family, data, zs):
     assert np.max(np.abs(w - [weyl(state, zi) for zi in zs])) <= 1e-15
 
 
+@given(state=st.builds(SqueezedState, st.builds(cmath.rect, _grid(0.01, 3.0), _PHASES), _grid(0.01, 4.2), _PHASES),
+       zs=st.lists(st.builds(cmath.rect, _grid(0.01, 3.0), _PHASES), min_size=1, max_size=4))
+def test_squeezed_weyl_equals_the_matrix_oracle(state, zs):
+    # the oracle's vector comes from the state's eigen-equation, not from
+    # the Gaussian closed form; worst seen 4.2e-15
+    z = np.array(zs)
+    assert np.max(np.abs(weyl(state, z) - fockbench.weyl_numeric(state, z))) <= 1e-12
+
+
 @pytest.mark.parametrize("family", sorted(FAMILY_STATES))
 @given(data=st.data(), q=st.integers(1, 500), lags=st.lists(st.integers(-6000, 6000), min_size=1, max_size=5))
 def test_autocorrelation_array_lags_equal_one_lag_calls(family, data, q, lags):
