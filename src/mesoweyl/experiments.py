@@ -303,7 +303,7 @@ def _coherent_convergence(params, policy):
         return build
 
     _, info = fockbench.converged_two_mode_expectation(
-        twomode.coherent_pair_entangled(a1, a2).state, sin2(w1, wa), sin2(w2, wb), policy
+        twomode.coherent_pair_entangled(a1, a2), sin2(w1, wa), sin2(w2, wb), policy
     )
     return {
         "two_mode_dim": int(info.dim),

@@ -5,7 +5,9 @@ parameter enters pre-multiplied by the Cooper-pair charge: ``phase0`` is the
 static phase offset, ``omega_a`` the linear-ramp (Josephson) frequency and
 ``u_phase`` the classical sinusoid's phase amplitude.  Quantum drives couple
 through qprime = 2q and reduce, exactly as in the interference case, to Weyl
-function evaluations at sigma = i qprime e^{i w1 t}.
+function evaluations at sigma = i qprime e^{i w1 t}.  A ``SquidDrive`` carries
+its ring's critical current and offset; ``quantum_current`` and the two-ring
+moments are in units of the critical current, with no static offset.
 
 dc currents are exact zero-frequency coefficients: a Shapiro step sums the
 classical drive's Bessel harmonics J_j(u) against the Weyl function's
@@ -106,11 +108,10 @@ def classical_shapiro(drive: SquidDrive, n_step: int) -> float:
 # single ring, quantum drive
 
 def quantum_current(state, coupling: ChargeCoupling, omega_a: float, omega1: float,
-                    t: float, i_crit: float = 1.0, phase0: float = 0.0) -> float:
-    """<I> = I_c Im[e^{i(omega_a t + phase0)} W(sigma)], sigma = i q' e^{i w1 t}."""
+                    t: float) -> float:
+    """<I> / I_c = Im[e^{i omega_a t} W(sigma)], sigma = i q' e^{i w1 t}."""
     sigma = 1j * coupling.qprime * cmath.exp(1j * omega1 * t)
-    val = cmath.exp(1j * (omega_a * t + phase0)) * weyl(state, sigma)
-    return i_crit * val.imag
+    return (cmath.exp(1j * omega_a * t) * weyl(state, sigma)).imag
 
 
 def quantum_shapiro(state, drive: SquidDrive, n_step: int, coupling: ChargeCoupling) -> float:
@@ -134,7 +135,7 @@ def quantum_shapiro(state, drive: SquidDrive, n_step: int, coupling: ChargeCoupl
 
 def two_squid_currents_number(n1: int, n2: int, entangled: bool, coupling: ChargeCoupling,
                               omega_a: float, omega_b: float, omega1: float, omega2: float,
-                              t, i1: float = 1.0, i2: float = 1.0) -> TwoSquidMoments:
+                              t) -> TwoSquidMoments:
     """Current moments of two rings driven by the swapped number pair.
 
     Separable moments depend only on the occupations; entanglement adds a
@@ -152,12 +153,12 @@ def two_squid_currents_number(n1: int, n2: int, entangled: bool, coupling: Charg
     c2 = math.exp(-qp2) * l1 * l2
     d2 = math.exp(-4.0 * qp2) * l1_4 * l2_4
 
-    ia = i1 * c0 * np.sin(omega_a * t)
-    ib = i2 * c0 * np.sin(omega_b * t)
-    ia2 = 0.5 * i1 * i1 * (1.0 - c1 * np.cos(2.0 * omega_a * t))
-    ib2 = 0.5 * i2 * i2 * (1.0 - c1 * np.cos(2.0 * omega_b * t))
-    ia_ib = i1 * i2 * c2 * np.sin(omega_a * t) * np.sin(omega_b * t)
-    ia2_ib2 = 0.25 * i1 * i1 * i2 * i2 * (
+    ia = c0 * np.sin(omega_a * t)
+    ib = c0 * np.sin(omega_b * t)
+    ia2 = 0.5 * (1.0 - c1 * np.cos(2.0 * omega_a * t))
+    ib2 = 0.5 * (1.0 - c1 * np.cos(2.0 * omega_b * t))
+    ia_ib = c2 * np.sin(omega_a * t) * np.sin(omega_b * t)
+    ia2_ib2 = 0.25 * (
         1.0
         - c1 * np.cos(2.0 * omega_a * t)
         - c1 * np.cos(2.0 * omega_b * t)
@@ -169,12 +170,12 @@ def two_squid_currents_number(n1: int, n2: int, entangled: bool, coupling: Charg
         omega_big = d * (omega1 - omega2)
         c3 = 0.5 * math.exp(-qp2) * specfun.laguerre(n1, n2 - n1, qp2) * specfun.laguerre(n2, n1 - n2, qp2)
         parity = -1.0 if d & 1 else 1.0
-        i_cross = -i1 * i2 * c3 * (
+        i_cross = -c3 * (
             np.cos((omega_a + omega_b) * t) - parity * np.cos((omega_a - omega_b) * t)
         ) * np.cos(omega_big * t)
         ia_ib += i_cross
         g3 = 0.5 * math.exp(-4.0 * qp2) * specfun.laguerre(n1, n2 - n1, 4.0 * qp2) * specfun.laguerre(n2, n1 - n2, 4.0 * qp2)
-        ia2_ib2 += 0.25 * i1 * i1 * i2 * i2 * g3 * (
+        ia2_ib2 += 0.25 * g3 * (
             np.cos(2.0 * (omega_a + omega_b) * t) + parity * np.cos(2.0 * (omega_a - omega_b) * t)
         ) * np.cos(omega_big * t)
 
@@ -198,21 +199,19 @@ def cross_term_frequencies(n1: int, n2: int, omega_a: float, omega_b: float,
 # ---------------------------------------------------------------------------
 # two distant rings, coherent pair
 
-def _coherent_sep_current(a1, a2, qp: float, omega_ramp: float, omega_mw: float,
-                          t, i_c: float):
+def _coherent_sep_current(a1, a2, qp: float, omega_ramp: float, omega_mw: float, t):
     """Separable-pair ring current: mean of the two single-amplitude drives."""
     th1, th2 = cmath.phase(complex(a1)), cmath.phase(complex(a2))
     r1, r2 = abs(complex(a1)), abs(complex(a2))
-    pref = 0.5 * i_c * math.exp(-qp * qp / 2.0)
+    pref = 0.5 * math.exp(-qp * qp / 2.0)
     return pref * (
         np.sin(omega_ramp * t + 2.0 * qp * r1 * np.cos(omega_mw * t - th1))
         + np.sin(omega_ramp * t + 2.0 * qp * r2 * np.cos(omega_mw * t - th2))
     )
 
 
-def _coherent_ent_current(a1, a2, qp: float, omega_ramp: float, omega_mw: float,
-                          t, i_c: float):
-    """Entangled-pair ring current: 2N^2 I_sep + N^2 E F e^{-q'^2/2} I_c."""
+def _coherent_ent_current(a1, a2, qp: float, omega_ramp: float, omega_mw: float, t):
+    """Entangled-pair ring current: 2N^2 I_sep + N^2 E F e^{-q'^2/2}."""
     a1, a2 = complex(a1), complex(a2)
     th1, th2 = cmath.phase(a1), cmath.phase(a2)
     r1, r2 = abs(a1), abs(a2)
@@ -224,8 +223,8 @@ def _coherent_ent_current(a1, a2, qp: float, omega_ramp: float, omega_mw: float,
     c2 = np.cos(omega_mw * t - th2)
     g = qp * (r1 * s1 - r2 * s2)
     f_fac = (np.exp(g) + np.exp(-g)) * np.sin(omega_ramp * t + qp * (r1 * c1 + r2 * c2))
-    sep = _coherent_sep_current(a1, a2, qp, omega_ramp, omega_mw, t, i_c)
-    return 2.0 * norm2 * sep + norm2 * e_fac * f_fac * math.exp(-qp * qp / 2.0) * i_c
+    sep = _coherent_sep_current(a1, a2, qp, omega_ramp, omega_mw, t)
+    return 2.0 * norm2 * sep + norm2 * e_fac * f_fac * math.exp(-qp * qp / 2.0)
 
 
 def _sin_power_terms(phase, power: int) -> dict:
@@ -240,7 +239,7 @@ def _sin_power_terms(phase, power: int) -> dict:
 
 def two_squid_currents_coherent(a1, a2, entangled: bool, coupling: ChargeCoupling,
                                 omega_a: float, omega_b: float, omega1: float, omega2: float,
-                                t, i1: float = 1.0, i2: float = 1.0) -> TwoSquidMoments:
+                                t) -> TwoSquidMoments:
     """Current moments for the swapped coherent pair.
 
     First moments use the closed forms.  Products and second moments expand
@@ -253,10 +252,10 @@ def two_squid_currents_coherent(a1, a2, entangled: bool, coupling: ChargeCouplin
     """
     qp = coupling.qprime
     pair = coherent_pair_entangled if entangled else coherent_pair_separable
-    state2 = pair(a1, a2).state
+    state2 = pair(a1, a2)
     current = _coherent_ent_current if entangled else _coherent_sep_current
-    ia = current(a1, a2, qp, omega_a, omega1, t, i1)
-    ib = current(a1, a2, qp, omega_b, omega2, t, i2)
+    ia = current(a1, a2, qp, omega_a, omega1, t)
+    ib = current(a1, a2, qp, omega_b, omega2, t)
 
     sigma_a = 1j * qp * np.exp(1j * omega1 * t)
     sigma_b = 1j * qp * np.exp(1j * omega2 * t)
@@ -277,10 +276,10 @@ def two_squid_currents_coherent(a1, a2, entangled: bool, coupling: ChargeCouplin
     sin_b, sin2_b = _sin_power_terms(omega_b * t, 1), _sin_power_terms(omega_b * t, 2)
     return TwoSquidMoments(
         ia, ib,
-        i1 * i1 * moment(sin2_a, one),
-        i2 * i2 * moment(one, sin2_b),
-        i1 * i2 * moment(sin_a, sin_b),
-        i1 * i1 * i2 * i2 * moment(sin2_a, sin2_b),
+        moment(sin2_a, one),
+        moment(one, sin2_b),
+        moment(sin_a, sin_b),
+        moment(sin2_a, sin2_b),
     )
 
 

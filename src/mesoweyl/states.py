@@ -439,21 +439,8 @@ def flux_stats(state, mode: ModeParams, t: float):
 def emf_stats(state, mode: ModeParams, t: float):
     """(mean, standard deviation) of the electromotive force at time t.
 
-    The EMF is the flux quadrature a quarter period ahead, scaled by omega.
+    The EMF is the flux quadrature a quarter period ahead, scaled by omega:
+    emf(t) = omega flux(t + pi/(2 omega)).
     """
-    xi, w = mode.xi, mode.omega
-    if isinstance(state, NumberState):
-        return 0.0, w * xi * math.sqrt(state.n + 0.5)
-    if isinstance(state, CoherentState):
-        a = complex(state.amplitude)
-        mean = -math.sqrt(2.0) * w * xi * abs(a) * math.sin(w * t - cmath.phase(a))
-        return mean, w * xi / math.sqrt(2.0)
-    if isinstance(state, ThermalState):
-        return 0.0, w * xi * math.sqrt(0.5 / math.tanh(state.beta_omega / 2.0))
-    if isinstance(state, SqueezedState):
-        # the EMF is the time derivative of the mean flux
-        am = mean_annihilation(state)
-        mean = math.sqrt(2.0) * w * xi * (cmath.exp(-1j * w * t) * am).imag
-        var = 0.5 * (w * xi) ** 2 * (math.cosh(state.r) + math.sinh(state.r) * math.cos(2 * w * t + state.varphi))
-        return mean, math.sqrt(var)
-    raise TypeError(f"unsupported state {state!r}")
+    mean, sd = flux_stats(state, mode, t + math.pi / (2.0 * mode.omega))
+    return mode.omega * mean, mode.omega * sd

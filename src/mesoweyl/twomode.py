@@ -1,17 +1,18 @@
 """Two distant interference devices driven by a correlated two-mode field.
 
-Mode A (frequency omega_1) couples to device A, mode B (omega_2) to device B.
-Joint fringes follow from the two-mode Weyl function W2(z1, z2) =
-Tr[rho D(z1) x D(z2)], evaluated in closed form for mixtures and product
-superpositions of number / coherent kets.  The built-in number pair uses the
-equal-occupation convention N(|n1 n1> + |n2 n2>) whose ratio surface has the
-alpha/gamma closed form; the coherent pair is the swapped-amplitude family
+Mode A couples to device A, mode B to device B, at the fixed figure
+frequencies FIG_OMEGA_1 and FIG_OMEGA_2.  Joint fringes follow from the
+two-mode Weyl function W2(z1, z2) = Tr[rho D(z1) x D(z2)], evaluated in
+closed form for mixtures and product superpositions of number / coherent
+kets; the pair builders return those states themselves, and the intensities
+and ratio take them.  The built-in number pair uses the equal-occupation
+convention N(|n1 n1> + |n2 n2>) whose ratio surface has the alpha/gamma
+closed form; the coherent pair is the swapped-amplitude family
 N(|a1 a2> + |a2 a1>).
 """
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +21,6 @@ from .exceptions import SingularPointError
 from .states import (
     CoherentState,
     ChargeCoupling,
-    ModeParams,
     NumberState,
     TwoModeFactorizable,
     TwoModeProductSuperposition,
@@ -31,7 +31,6 @@ from .states import (
 )
 
 __all__ = [
-    "TwoModeField",
     "DEFAULT_COUPLING_Q",
     "number_pair_separable",
     "number_pair_entangled",
@@ -54,59 +53,39 @@ __all__ = [
 # constant" means operationally.
 DEFAULT_COUPLING_Q = 0.2143
 
+# the mode frequencies of devices A and B in every figure
 FIG_OMEGA_1 = 1.2e-4
 FIG_OMEGA_2 = 1.0e-4
 
 
-@dataclass(frozen=True)
-class TwoModeField:
-    """A two-mode state descriptor together with its mode parameters."""
-
-    state: object
-    mode_a: ModeParams
-    mode_b: ModeParams
-
-
-def _default_modes():
-    return ModeParams(FIG_OMEGA_1), ModeParams(FIG_OMEGA_2)
-
-
-def number_pair_separable(n1: int, n2: int, mode_a=None, mode_b=None) -> TwoModeField:
+def number_pair_separable(n1: int, n2: int) -> TwoModeSeparableMixture:
     """Classically correlated equal-occupation pair (|n1 n1> and |n2 n2>)."""
-    ma, mb = (mode_a, mode_b) if mode_a is not None else _default_modes()
-    state = TwoModeSeparableMixture(
+    return TwoModeSeparableMixture(
         ((0.5, NumberState(n1), NumberState(n1)), (0.5, NumberState(n2), NumberState(n2)))
     )
-    return TwoModeField(state, ma, mb)
 
 
-def number_pair_entangled(n1: int, n2: int, mode_a=None, mode_b=None) -> TwoModeField:
+def number_pair_entangled(n1: int, n2: int) -> TwoModeProductSuperposition:
     """Pure superposition N(|n1 n1> + |n2 n2>)."""
-    ma, mb = (mode_a, mode_b) if mode_a is not None else _default_modes()
     norm = 0.5 if n1 == n2 else 1.0 / math.sqrt(2.0)
-    state = TwoModeProductSuperposition(
+    return TwoModeProductSuperposition(
         ((norm, NumberState(n1), NumberState(n1)), (norm, NumberState(n2), NumberState(n2)))
     )
-    return TwoModeField(state, ma, mb)
 
 
-def coherent_pair_separable(a1, a2, mode_a=None, mode_b=None) -> TwoModeField:
+def coherent_pair_separable(a1, a2) -> TwoModeSeparableMixture:
     """Classically correlated swapped pair of coherent amplitudes."""
-    ma, mb = (mode_a, mode_b) if mode_a is not None else _default_modes()
-    state = TwoModeSeparableMixture(
+    return TwoModeSeparableMixture(
         ((0.5, CoherentState(a1), CoherentState(a2)), (0.5, CoherentState(a2), CoherentState(a1)))
     )
-    return TwoModeField(state, ma, mb)
 
 
-def coherent_pair_entangled(a1, a2, mode_a=None, mode_b=None) -> TwoModeField:
+def coherent_pair_entangled(a1, a2) -> TwoModeProductSuperposition:
     """N(|a1 a2> + |a2 a1>), N = [2 + 2 exp(-|a1-a2|^2)]^{-1/2}."""
-    ma, mb = (mode_a, mode_b) if mode_a is not None else _default_modes()
     norm = (2.0 + 2.0 * math.exp(-abs(complex(a1) - complex(a2)) ** 2)) ** -0.5
-    state = TwoModeProductSuperposition(
+    return TwoModeProductSuperposition(
         ((norm, CoherentState(a1), CoherentState(a2)), (norm, CoherentState(a2), CoherentState(a1)))
     )
-    return TwoModeField(state, ma, mb)
 
 
 # ---------------------------------------------------------------------------
@@ -148,50 +127,50 @@ def two_mode_weyl(state2, z1, z2):
 # ---------------------------------------------------------------------------
 # intensities, ratio and bounds
 
-def _lams(field: TwoModeField, coupling: ChargeCoupling, t: float):
-    la = 1j * coupling.q * cmath.exp(1j * field.mode_a.omega * t)
-    lb = 1j * coupling.q * cmath.exp(1j * field.mode_b.omega * t)
+def _lams(coupling: ChargeCoupling, t: float):
+    la = 1j * coupling.q * cmath.exp(1j * FIG_OMEGA_1 * t)
+    lb = 1j * coupling.q * cmath.exp(1j * FIG_OMEGA_2 * t)
     return la, lb
 
 
-def marginal_intensity(field: TwoModeField, which: str, coupling: ChargeCoupling, x: float, t: float) -> float:
+def marginal_intensity(state2, which: str, coupling: ChargeCoupling, x: float, t: float) -> float:
     """Single-screen fringe of the chosen device (reduced state of its mode)."""
-    la, lb = _lams(field, coupling, t)
+    la, lb = _lams(coupling, t)
     if which == "A":
-        w = two_mode_weyl(field.state, la, 0j)
+        w = two_mode_weyl(state2, la, 0j)
     elif which == "B":
-        w = two_mode_weyl(field.state, 0j, lb)
+        w = two_mode_weyl(state2, 0j, lb)
     else:
         raise ValueError("which must be 'A' or 'B'")
     return 1.0 + abs(w) * math.cos(x - cmath.phase(w))
 
 
-def joint_intensity(field: TwoModeField, coupling: ChargeCoupling, x_a: float, x_b: float, t: float) -> float:
+def joint_intensity(state2, coupling: ChargeCoupling, x_a: float, x_b: float, t: float) -> float:
     """Tr{rho [1 + cos(x_a - e flux_A)][1 + cos(x_b - e flux_B)]}.
 
     Each cosine is half a sum of displacements, giving nine two-mode Weyl
     evaluations (the u = 0 entries are reduced-state fringes).
     """
-    la, lb = _lams(field, coupling, t)
+    la, lb = _lams(coupling, t)
     total = 0j
     for ua in (0, 1, -1):
         ca = 1.0 if ua == 0 else 0.5 * cmath.exp(-1j * ua * x_a)
         for ub in (0, 1, -1):
             cb = 1.0 if ub == 0 else 0.5 * cmath.exp(-1j * ub * x_b)
-            total += ca * cb * two_mode_weyl(field.state, ua * la, ub * lb)
+            total += ca * cb * two_mode_weyl(state2, ua * la, ub * lb)
     return total.real
 
 
 _SINGULAR_EPS = 1e-12
 
 
-def ratio_R(field: TwoModeField, coupling: ChargeCoupling, x_a: float, x_b: float, t: float) -> float:
+def ratio_R(state2, coupling: ChargeCoupling, x_a: float, x_b: float, t: float) -> float:
     """R = I(x_a, x_b) / [I_A(x_a) I_B(x_b)]; unity iff the devices are independent."""
-    ia = marginal_intensity(field, "A", coupling, x_a, t)
-    ib = marginal_intensity(field, "B", coupling, x_b, t)
+    ia = marginal_intensity(state2, "A", coupling, x_a, t)
+    ib = marginal_intensity(state2, "B", coupling, x_b, t)
     if abs(ia) < _SINGULAR_EPS or abs(ib) < _SINGULAR_EPS:
         raise SingularPointError(f"marginal intensity vanishes at ({x_a}, {x_b})")
-    return joint_intensity(field, coupling, x_a, x_b, t) / (ia * ib)
+    return joint_intensity(state2, coupling, x_a, x_b, t) / (ia * ib)
 
 
 def number_pair_alpha_gamma(q: float, n1: int = 0, n2: int = 1):

@@ -279,11 +279,7 @@ def test_criterion_08_two_squid_closed_forms():
 
 def test_criterion_09_factorizability_baselines():
     coupling = ChargeCoupling(Q_FIT)
-    field = twomode.TwoModeField(
-        TwoModeFactorizable(CoherentState(1.1), ThermalState(0.9)),
-        ModeParams(W1),
-        ModeParams(W2),
-    )
+    field = TwoModeFactorizable(CoherentState(1.1), ThermalState(0.9))
     worst_r = max(
         abs(twomode.ratio_R(field, coupling, xa, xb, t) - 1.0)
         for xa in np.linspace(-2 * math.pi, 2 * math.pi, 7)

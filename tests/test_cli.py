@@ -290,6 +290,24 @@ def test_an_underflowing_coherent_amplitude_exits_3(tmp_path, capsys):
     assert "error: CoherentState(amplitude=(40+0j)): its n = 0 amplitude is below" in capsys.readouterr().err
 
 
+# the figures whose rows are their phase or time grid; fig7 has a samples
+# default too, but its rows are its kmax harmonics
+ONE_SAMPLE_FIGS = [name for name in ALL_FIGS if "samples" in EXPERIMENTS[name].defaults and name != "fig7"]
+
+
+@pytest.mark.parametrize("fig", ONE_SAMPLE_FIGS)
+def test_one_sample_is_a_one_row_figure(tmp_path, fig):
+    # samples: 1 is valid (README): the grid's start point alone, exit 0
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": fig, "params": {"samples": 1}}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / f"{fig}.csv").read_text().splitlines()
+    assert len(lines) == 2
+    assert all(math.isfinite(float(v)) for v in lines[1].split(","))
+    manifest = json.loads((tmp_path / f"{fig}.manifest.json").read_text())
+    assert manifest["n_rows"] == 1 and manifest["n_singular"] == 0
+
+
 def test_all_singular_exits_4(tmp_path):
     # one sample at phase zero: the odd-difference number ratio sits on its
     # tan-pole there, and these coherent amplitudes are phase-opposed so the

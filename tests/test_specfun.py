@@ -109,9 +109,10 @@ def test_one_minus_scaled_laguerre_is_accurate_at_large_x():
 
 
 def test_one_minus_scaled_laguerre_array_matches_the_float_path():
-    # the array path sums the small-x series term by term instead of with
-    # fsum; the grid takes in each zero of L_n below 0.5, where laguerre's
-    # exact sum takes over
+    # a float and an array go through the same recurrence and the same
+    # difference above 0.5, whose exp is numpy's vector loop for an array
+    # and math.exp for a float, so they may differ by roundoff; the grid
+    # takes in each zero of L_n below 0.5 and both sides of the switch
     for n in range(31):
         roots = np.polynomial.laguerre.lagroots([0] * n + [1]) if n else np.array([])
         xs = np.concatenate([
@@ -123,6 +124,48 @@ def test_one_minus_scaled_laguerre_array_matches_the_float_path():
         ref = [specfun.one_minus_scaled_laguerre(n, x) for x in xs.tolist()]
         assert got.shape == xs.shape
         assert got == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
+# x from 0 and 1e-300 through the 0.5 switch up to 700, and 1e300, where the
+# scaled value has underflowed to 0
+LAGUERRE_REF_X = sorted({0.0, 1e-300, 1e-200, 1e-30, 1e-12, 1e-6, 1e-3,
+                         *np.linspace(0.0, 0.5, 70).tolist(), np.nextafter(0.5, 1.0),
+                         *np.geomspace(0.5, 700.0, 40).tolist(), 1e300})
+
+
+def _scaled_laguerre_mp(mpmath, n, x):
+    """e^{-x/2} L_n(x) and 1 minus it, from mpmath's own Laguerre, to 50
+    digits of the difference: it is about (n + 1/2) x, so tiny x takes
+    -log10(x) digits more."""
+    with mpmath.workdps(50 + max(0, int(-math.log10(x))) if x else 50):
+        x = mpmath.mpf(x)
+        val = mpmath.exp(-x / 2) * mpmath.laguerre(n, 0, x)
+        return val, 1 - val
+
+
+def test_scaled_laguerre_and_one_minus_match_mpmath():
+    # Reference: 50-digit mpmath.  scaled_laguerre is held absolutely (its
+    # values lie in [-1, 1], and the recurrence does not keep relative
+    # accuracy near a zero of L_n): measured 2.7e-14 worst, bound 1e-13.
+    # one_minus_scaled_laguerre is held relatively, its point: it is positive
+    # for x > 0 and small as (n + 1/2) x near 0.  Measured 2.9e-14 worst on
+    # this grid (5.4e-14 with the fsum/exact-rational code it replaced),
+    # bound 1e-13.  Floats and arrays are both checked.
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.array(LAGUERRE_REF_X)
+    for n in range(41):
+        sl = specfun.scaled_laguerre(n, xs)
+        om = specfun.one_minus_scaled_laguerre(n, np.append(xs, math.inf))
+        assert om[-1] == 1.0 and specfun.one_minus_scaled_laguerre(n, math.inf) == 1.0
+        for i, x in enumerate(xs.tolist()):
+            ref, ref_om = _scaled_laguerre_mp(mpmath, n, x)
+            for got in (sl[i], specfun.scaled_laguerre(n, x)):
+                assert abs(got - ref) <= 1e-13, (n, x)
+            for got in (om[i], specfun.one_minus_scaled_laguerre(n, x)):
+                if x == 0.0:
+                    assert got == 0.0
+                else:
+                    assert abs((got - ref_om) / ref_om) <= 1e-13, (n, x)
 
 
 def test_order_cutoff_saturates_past_the_int64_range():

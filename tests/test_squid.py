@@ -208,16 +208,9 @@ def test_two_squid_number_moments_against_oracle():
     for entangled in (False, True):
         state2 = verify._number_pair_crossed(1, 3, entangled)
         for t in ts:
-            mom = squid.two_squid_currents_number(
-                1, 3, entangled, COUPLING, W1, W2, W1, W2, float(t), i1=1.3, i2=0.8
-            )
+            mom = squid.two_squid_currents_number(1, 3, entangled, COUPLING, W1, W2, W1, W2, float(t))
             oracle = verify._squid_oracle_moments_generic(
                 state2, COUPLING.qprime, W1, W2, W1, W2, float(t), POLICY
-            )
-            oracle = squid.TwoSquidMoments(
-                1.3 * oracle.ia, 0.8 * oracle.ib,
-                1.3 ** 2 * oracle.ia2, 0.8 ** 2 * oracle.ib2,
-                1.3 * 0.8 * oracle.ia_ib, (1.3 * 0.8) ** 2 * oracle.ia2_ib2,
             )
             scale = max(abs(v) for v in oracle)
             worst = max(abs(a - b) for a, b in zip(mom, oracle))
@@ -274,7 +267,7 @@ def test_coherent_first_moment_closed_forms_sixteen_times():
     eye = np.eye(dim, dtype=complex)
     for entangled in (False, True):
         pair = twomode.coherent_pair_entangled if entangled else twomode.coherent_pair_separable
-        state2 = pair(a1, a2).state
+        state2 = pair(a1, a2)
         for t in SIXTEEN_TIMES:
             t = float(t)
             mom = squid.two_squid_currents_coherent(a1, a2, entangled, COUPLING, W1, W2, W1, W2, t)
@@ -290,7 +283,7 @@ def test_two_squid_coherent_against_oracle_and_degeneracy():
     for a1, a2 in ((1.0, math.sqrt(3.0)), (0.7 + 0.4j, -1.1 + 0.2j)):
         for entangled in (False, True):
             pair = twomode.coherent_pair_entangled if entangled else twomode.coherent_pair_separable
-            state2 = pair(a1, a2).state
+            state2 = pair(a1, a2)
             for t in SIXTEEN_TIMES:
                 mom = squid.two_squid_currents_coherent(
                     a1, a2, entangled, COUPLING, W1, W2, W1, W2, float(t)
@@ -333,8 +326,8 @@ ARRAY_T = np.linspace(-3.0e5, 3.0e5, 61)
 ])
 def test_two_squid_moments_take_time_arrays(pair, entangled):
     moments, x1, x2, bound = pair
-    got = moments(x1, x2, entangled, COUPLING, W1, W2, W1, W2, ARRAY_T, 1.3, 0.8)
-    one = [moments(x1, x2, entangled, COUPLING, W1, W2, W1, W2, float(t), 1.3, 0.8) for t in ARRAY_T]
+    got = moments(x1, x2, entangled, COUPLING, W1, W2, W1, W2, ARRAY_T)
+    one = [moments(x1, x2, entangled, COUPLING, W1, W2, W1, W2, float(t)) for t in ARRAY_T]
     for k, field in enumerate(got):
         assert field.shape == ARRAY_T.shape
         assert np.max(np.abs(field - [m[k] for m in one])) <= bound
@@ -410,7 +403,8 @@ def test_ratio_c_singular_guard():
 
 
 def test_second_moments_bounded_by_critical_current():
+    # currents are in units of the critical current, so <I^2> <= 1
     for t in np.linspace(0.0, 2.0 * math.pi / abs(W1 - W2), 17):
-        mom = squid.two_squid_currents_number(1, 3, True, COUPLING, W1, W2, W1, W2, t, i1=1.4, i2=0.7)
-        assert 0.0 <= mom.ia2 <= 1.4 ** 2 + 1e-12
-        assert 0.0 <= mom.ib2 <= 0.7 ** 2 + 1e-12
+        mom = squid.two_squid_currents_number(1, 3, True, COUPLING, W1, W2, W1, W2, t)
+        assert 0.0 <= mom.ia2 <= 1.0 + 1e-12
+        assert 0.0 <= mom.ib2 <= 1.0 + 1e-12

@@ -10,7 +10,6 @@ from mesoweyl.exceptions import SingularPointError
 from mesoweyl.states import (
     ChargeCoupling,
     CoherentState,
-    ModeParams,
     NumberState,
     ThermalState,
     TwoModeFactorizable,
@@ -24,10 +23,6 @@ T0 = 0.37 / (W1 + W2)
 EPS = np.finfo(float).eps
 
 
-def _fact_field(sa, sb):
-    return twomode.TwoModeField(TwoModeFactorizable(sa, sb), ModeParams(W1), ModeParams(W2))
-
-
 def test_marginals_of_sep_and_ent_pairs_identical():
     sep = twomode.number_pair_separable(0, 1)
     ent = twomode.number_pair_entangled(0, 1)
@@ -39,7 +34,7 @@ def test_marginals_of_sep_and_ent_pairs_identical():
 
 
 def test_marginal_vacuum_factorizable():
-    field = _fact_field(NumberState(0), ThermalState(1.0))
+    field = TwoModeFactorizable(NumberState(0), ThermalState(1.0))
     for x in (-1.0, 0.0, 2.2):
         ref = 1.0 + math.exp(-Q * Q / 2.0) * math.cos(x)
         assert twomode.marginal_intensity(field, "A", COUPLING, x, T0) == pytest.approx(ref, rel=1e-13)
@@ -57,7 +52,7 @@ def test_marginal_number_pair_is_fringe_average():
 def test_marginal_matches_partial_trace_oracle():
     field = twomode.number_pair_entangled(0, 1)
     dim = 24
-    rho = fockbench.two_mode_density(field.state, dim, dim)
+    rho = fockbench.two_mode_density(field, dim, dim)
     red = fockbench.partial_trace(rho, (dim, dim), "A")
     for x in (0.4, 2.0):
         op = verify.intensity_operator(dim, Q, W1, x, T0)
@@ -67,7 +62,7 @@ def test_marginal_matches_partial_trace_oracle():
 
 
 def test_joint_factorizable_is_product_of_marginals():
-    field = _fact_field(CoherentState(0.9 + 0.3j), ThermalState(0.8))
+    field = TwoModeFactorizable(CoherentState(0.9 + 0.3j), ThermalState(0.8))
     for xa in (-2.0, 0.3):
         for xb in (1.1, 2.9):
             joint = twomode.joint_intensity(field, COUPLING, xa, xb, T0)
@@ -98,7 +93,7 @@ def test_joint_averaged_over_one_screen_gives_marginal():
 
 
 def test_ratio_factorizable_is_unity():
-    field = _fact_field(CoherentState(1.2), ThermalState(1.0))
+    field = TwoModeFactorizable(CoherentState(1.2), ThermalState(1.0))
     for xa in np.linspace(-2 * math.pi, 2 * math.pi, 9):
         for xb in np.linspace(-2 * math.pi, 2 * math.pi, 9):
             for t in (0.0, T0):
