@@ -14,6 +14,8 @@ import numpy as np
 from . import interference, squid, twomode
 from .exceptions import TruncationPolicy
 from .states import (
+    MEAN_PHOTONS,
+    SQUEEZING_R,
     ChargeCoupling,
     CoherentState,
     ModeParams,
@@ -21,7 +23,7 @@ from .states import (
     SqueezedState,
     ThermalState,
     emf_stats,
-    match_mean_photons,
+    matched_states,
     weyl,
 )
 
@@ -31,8 +33,6 @@ Q_DEFAULT = twomode.DEFAULT_COUPLING_Q
 QPRIME_DEFAULT = 0.5
 OMEGA_MICRO = 1.0e-4
 W1, W2 = twomode.FIG_OMEGA_1, twomode.FIG_OMEGA_2
-NBAR = 17.0
-R_LARGE = 4.2
 
 
 @dataclass
@@ -47,17 +47,6 @@ class ExperimentResult:
 
     def __post_init__(self):
         self.rows = np.asarray(self.rows, dtype=float).reshape(-1, len(self.columns))
-
-
-def _states_nbar(params):
-    nbar = params["mean_photons"]
-    r = params["squeezing_r"]
-    return {
-        "num": NumberState(int(round(nbar))),
-        "coh": match_mean_photons("coherent", nbar),
-        "sq": match_mean_photons("squeezed", nbar, r=r),
-        "th": match_mean_photons("thermal", nbar),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -136,61 +125,48 @@ def _fig5(params, policy):
     wt = _phase_grid(params)
     t = wt / mode.omega
     quantum = [interference.intensity_quantum(s, coupling, mode, 0.0, t)
-               for s in _states_nbar(params).values()]
+               for s in matched_states(params["mean_photons"], params["squeezing_r"]).values()]
     classical = interference.classical_intensity(params["classical_e_phi1"], mode.omega, t)
     rows = np.column_stack([wt, *quantum, classical])
     return ExperimentResult(["omega_t", "i_num", "i_coh", "i_sq", "i_th", "i_cl"], rows)
 
 
 def _autocorrelations(params, mode, taus):
-    """{family: operator autocorrelation over taus} for figs 6-7.  The
-    squeezed one runs a Miller pass over about 2 q^2 sinh(r) Bessel orders at
-    every lag (|c| <= 2q); fig7 takes 10 s at 1e4, growing as their square."""
+    """The operator autocorrelations over taus of figs 6-7, one per matched
+    state in column order num, coh, sq, th.  The squeezed one runs a Miller
+    pass over about 2 q^2 sinh(r) Bessel orders at every lag (|c| <= 2q);
+    fig7 takes 10 s at 1e4, growing as their square."""
     q = params["q"]
     if not 2.0 * q * q * math.sinh(params["squeezing_r"]) <= 1e4:
         raise ValueError(f"q = {q!r} is too large for the squeezed time average: "
                          "2 q^2 sinh(squeezing_r) must be at most 1e4")
-    return {k: interference.autocorrelation_quantum(s, ChargeCoupling(q), mode, taus)
-            for k, s in _states_nbar(params).items()}
+    return [interference.autocorrelation_quantum(s, ChargeCoupling(q), mode, taus)
+            for s in matched_states(params["mean_photons"], params["squeezing_r"]).values()]
 
 
 def _fig6(params, policy):
     mode = ModeParams(params["omega"])
-    e_phi1 = params["classical_e_phi1"]
     wtau = _phase_grid(params)
     taus = wtau / mode.omega
-    series = {k: interference.normalized_gamma(g)
-              for k, g in _autocorrelations(params, mode, taus).items()}
-    series["cl"] = interference.normalized_gamma(
-        interference.autocorrelation_classical(e_phi1, mode.omega, taus)
-    )
-    rows = []
-    for i, w in enumerate(wtau):
-        row = [w]
-        for k in ("num", "coh", "sq", "th", "cl"):
-            v = series[k].values[i]
-            row.extend((v.real, v.imag))
-        rows.append(tuple(row))
-    cols = ["omega_tau"]
-    for k in ("num", "coh", "sq", "th", "cl"):
+    gammas = [*_autocorrelations(params, mode, taus),
+              interference.autocorrelation_classical(params["classical_e_phi1"], mode.omega, taus)]
+    cols, parts = ["omega_tau"], [wtau]
+    for k, g in zip(("num", "coh", "sq", "th", "cl"), gammas):
+        v = interference.normalized_gamma(g).values
         cols += [f"re_gamma_{k}", f"im_gamma_{k}"]
-    return ExperimentResult(cols, rows)
+        parts += [v.real, v.imag]
+    return ExperimentResult(cols, np.column_stack(parts))
 
 
 def _fig7(params, policy):
     mode = ModeParams(params["omega"])
-    e_phi1 = params["classical_e_phi1"]
     kmax = params["kmax"]
     nsamp = params["spectral_samples"]
-    period = 2.0 * math.pi / mode.omega
-    taus = np.arange(nsamp) / nsamp * period
-    spectra = {k: interference.spectral_density(g, mode.omega, kmax)
-               for k, g in _autocorrelations(params, mode, taus).items()}
-    spectra["cl"] = interference.spectral_density(
-        interference.classical_gamma_series(e_phi1, mode.omega), mode.omega, kmax
-    )
-    rows = [(float(kk), *(spectra[k].values[i] for k in ("cl", "num", "coh", "sq", "th")))
-            for i, kk in enumerate(range(-kmax, kmax + 1))]
+    taus = np.arange(nsamp) / nsamp * (2.0 * math.pi / mode.omega)
+    gammas = [interference.autocorrelation_classical(params["classical_e_phi1"], mode.omega, taus),
+              *_autocorrelations(params, mode, taus)]
+    spectra = [interference.spectral_density(g, mode.omega, kmax).values for g in gammas]
+    rows = np.column_stack([np.arange(-kmax, kmax + 1, dtype=float), *spectra])
     return ExperimentResult(["k", "s_cl", "s_num", "s_coh", "s_sq", "s_th"], rows)
 
 
@@ -404,11 +380,11 @@ class Experiment:
 _NBAR_DEFAULTS = {
     "omega": OMEGA_MICRO,
     "q": Q_DEFAULT,
-    "mean_photons": NBAR,
-    "squeezing_r": R_LARGE,
+    "mean_photons": MEAN_PHOTONS,
+    "squeezing_r": SQUEEZING_R,
     # classical flux amplitude sqrt(2 <N>) enters only through the charge,
     # matched to the coherent drive's modulation depth 2 q sqrt(<N>)
-    "classical_e_phi1": 2.0 * Q_DEFAULT * math.sqrt(NBAR),
+    "classical_e_phi1": 2.0 * Q_DEFAULT * math.sqrt(MEAN_PHOTONS),
     "periods": 2.0,
     "samples": 513,
 }

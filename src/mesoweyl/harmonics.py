@@ -1,9 +1,9 @@
 """Finite harmonic series f(t) = sum_k c_k exp(i k w0 t).
 
 The classical intensity autocorrelation is such a series, with integer
-multiples of one base frequency, so its spectrum is read off exactly from the
-coefficients.  Keeping integer indices (not float frequencies) makes
-incommensurate content impossible to represent silently: series with
+multiples of one base frequency; ``interference.autocorrelation_classical``
+evaluates it on its lags.  Keeping integer indices (not float frequencies)
+makes incommensurate content impossible to represent silently: series with
 different bases do not add.  The Weyl function's harmonics on a drive circle
 come from ``states.weyl_time_average``, not from this class.
 """

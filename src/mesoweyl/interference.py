@@ -6,7 +6,8 @@ quantized drive the fringe becomes 1 + |W(lam)| cos(x - arg W(lam)) with
 lam = i q e^{iwt}; intensity autocorrelations reduce, via the displacement
 composition law D(z1)D(z2) = e^{i Im(z1 z2*)} D(z1+z2), to Weyl-function
 evaluations whose infinite-time averages are taken exactly (harmonic
-bookkeeping), never by long numeric windows.
+bookkeeping), never by long numeric windows.  Every spectral density, the
+classical one included, is numpy's FFT of Gamma(tau) sampled over one period.
 """
 
 import math
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
-from .exceptions import IncommensurateError
 from .harmonics import HarmonicSeries
 from .states import ChargeCoupling, ModeParams, weyl, weyl_time_average
 
@@ -25,7 +25,6 @@ __all__ = [
     "intensity_quantum",
     "visibility",
     "classical_intensity",
-    "classical_gamma_series",
     "autocorrelation_classical",
     "autocorrelation_quantum",
     "normalized_gamma",
@@ -77,7 +76,7 @@ def classical_intensity(e_phi1: float, omega: float, t):
     return 1.0 + np.cos(e_phi1 * np.sin(omega * t))
 
 
-def classical_gamma_series(e_phi1: float, omega: float) -> HarmonicSeries:
+def _classical_gamma_series(e_phi1: float, omega: float) -> HarmonicSeries:
     """Exact harmonic form of the classical intensity autocorrelation:
     [1+J_0]^2 at zero frequency plus J_{2K}^2 at +-2K omega."""
     js = specfun.bessel_j_harmonics(e_phi1)
@@ -90,7 +89,7 @@ def classical_gamma_series(e_phi1: float, omega: float) -> HarmonicSeries:
 
 def autocorrelation_classical(e_phi1: float, omega: float, taus) -> CorrelationSeries:
     """Gamma_cl(tau) sampled on the given lags."""
-    series = classical_gamma_series(e_phi1, omega)
+    series = _classical_gamma_series(e_phi1, omega)
     taus = np.asarray(taus, dtype=float)
     vals = series.evaluate(taus)
     g0 = complex(series.evaluate(0.0))
@@ -138,48 +137,29 @@ def normalized_gamma(series: CorrelationSeries) -> CorrelationSeries:
 # ---------------------------------------------------------------------------
 # spectral density
 
-def spectral_density(source, omega_base: float, kmax: int) -> SpectrumCoeffs:
-    """Coefficients S_K of Gamma(tau) = sum_K S_K e^{iK Omega tau}.
+def spectral_density(series: CorrelationSeries, omega_base: float, kmax: int) -> SpectrumCoeffs:
+    """Coefficients S_K, K = -kmax..kmax, of Gamma(tau) = sum_K S_K e^{iK Omega tau}.
 
-    Exact path: ``source`` is a HarmonicSeries whose frequencies must be
-    integer multiples of Omega.  Quadrature path: ``source`` is a
-    CorrelationSeries sampled uniformly over exactly one period 2 pi / Omega
-    (periodic trapezoid; spectrally accurate).
+    ``series`` is sampled uniformly over exactly one period 2 pi / Omega,
+    starting at tau = 0, so S_K is the m-point DFT of its values over m (the
+    periodic trapezoid; spectrally accurate).  Harmonics of Gamma at
+    |K| >= m / 2 alias onto lower ones, as does a requested |K| >= m / 2.
+    The coefficients of a Gamma with Gamma(-tau) = Gamma(tau)* are real; an
+    imaginary residue above 1e-10 Gamma(0) is refused.
     """
+    taus = series.taus
+    m = len(taus)
+    if m < 2:
+        raise ValueError("need at least two samples for the spectral density")
+    dt = taus[1] - taus[0]
+    if not np.allclose(np.diff(taus), dt, rtol=1e-9, atol=0.0):
+        raise ValueError("spectral density needs uniformly spaced lags")
+    period = 2.0 * math.pi / omega_base
+    if taus[0] != 0.0 or abs(m * dt - period) > 1e-9 * period:
+        raise ValueError("lags must start at 0 and cover exactly one period 2 pi / Omega")
     ks = np.arange(-kmax, kmax + 1)
-    if isinstance(source, HarmonicSeries):
-        vals = np.zeros(len(ks), dtype=complex)
-        for idx, amp in source.coeffs.items():
-            freq = idx * source.base
-            kk = freq / omega_base
-            k = int(round(kk))
-            if abs(freq - k * omega_base) > 1e-9 * max(abs(freq), omega_base):
-                raise IncommensurateError(
-                    f"series frequency {freq!r} incommensurate with Omega = {omega_base!r}"
-                )
-            if abs(k) <= kmax:
-                vals[k + kmax] += amp
-        return _as_spectrum(omega_base, ks, vals, scale=max(abs(vals).max(), 1.0))
-    if isinstance(source, CorrelationSeries):
-        taus = source.taus
-        m = len(taus)
-        if m < 2:
-            raise ValueError("need at least two samples for the quadrature path")
-        dt = taus[1] - taus[0]
-        if not np.allclose(np.diff(taus), dt, rtol=1e-9, atol=0.0):
-            raise ValueError("quadrature path needs uniformly spaced lags")
-        period = 2.0 * math.pi / omega_base
-        if abs(m * dt - period) > 1e-9 * period:
-            raise ValueError("lags must cover exactly one period 2 pi / Omega")
-        vals = np.array(
-            [np.sum(source.values * np.exp(-1j * k * omega_base * taus)) / m for k in ks]
-        )
-        return _as_spectrum(omega_base, ks, vals, scale=abs(source.gamma0))
-    raise TypeError("source must be a HarmonicSeries or a CorrelationSeries")
-
-
-def _as_spectrum(omega_base, ks, vals, scale) -> SpectrumCoeffs:
+    vals = np.fft.fft(series.values)[ks % m] / m
     resid = float(np.max(np.abs(vals.imag)))
-    if resid > 1e-10 * max(scale, 1e-300):
+    if resid > 1e-10 * max(abs(series.gamma0), 1e-300):
         raise ValueError(f"spectral coefficients not real (residue {resid:g})")
     return SpectrumCoeffs(omega=omega_base, k=ks, values=vals.real.copy())

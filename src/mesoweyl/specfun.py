@@ -93,10 +93,11 @@ def scaled_laguerre(n: int, x):
     The upward three-term recurrence (k+1) L_{k+1} = (2k+1-x) L_k - k L_{k-1}
     runs on the pre-scaled values, which are bounded by one, so nothing
     overflows at large n or x.  The accuracy is absolute, not relative near a
-    zero of L_n; ``laguerre`` keeps that.
+    zero of L_n; ``laguerre`` keeps that.  x is capped at 1e300, where the
+    scaled value has long underflowed to 0 and x = inf would give 0 * inf.
     """
-    exp = np.exp if isinstance(x, np.ndarray) else math.exp
-    prev, cur = 0.0, exp(-0.5 * x)
+    exp, cap = (np.exp, np.minimum) if isinstance(x, np.ndarray) else (math.exp, min)
+    prev, cur, x = 0.0, exp(-0.5 * x), cap(x, 1e300)
     for k in range(n):
         prev, cur = cur, ((2 * k + 1 - x) * cur - k * prev) / (k + 1)
     return cur
@@ -109,15 +110,13 @@ def one_minus_scaled_laguerre(n: int, x):
     At or below x = 0.5 the difference s_k = 1 - e^{-x/2} L_k(x) runs its own
     upward recurrence (k+1) s_{k+1} = (2k+1-x) s_k - k s_{k-1} + x from
     s_0 = -expm1(-x/2), which never forms the cancelling 1 - (1 - s).  Above
-    it, |e^{-x/2} L_n(x)| < 0.8, so the plain difference is accurate; x is
-    capped at 1e300 there, where the scaled value has long underflowed to 0
-    and x = inf would give 0 * inf.
+    it, |e^{-x/2} L_n(x)| < 0.8, so the plain difference is accurate.
     """
     xs = np.minimum(x, 0.5)
     prev, cur = 0.0, -np.expm1(-0.5 * xs)
     for k in range(n):
         prev, cur = cur, ((2 * k + 1 - xs) * cur - k * prev + xs) / (k + 1)
-    out = np.where(x <= 0.5, cur, 1.0 - scaled_laguerre(n, np.minimum(x, 1e300)))
+    out = np.where(x <= 0.5, cur, 1.0 - scaled_laguerre(n, x))
     return out if isinstance(x, np.ndarray) else float(out)
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "photon_counting",
     "mean_photons",
     "match_mean_photons",
+    "matched_states",
     "flux_stats",
     "emf_stats",
     "number_displacement_element",
@@ -412,6 +413,22 @@ def match_mean_photons(family: str, target: float, r: float = None, varphi: floa
         amp2 = max(target - floor, 0.0) / (math.cosh(r / 2.0) - math.sinh(r / 2.0)) ** 2
         return SqueezedState(complex(math.sqrt(amp2)), r, varphi)
     raise ValueError(f"unknown family {family!r}")
+
+
+# the paper's matched comparison: 17 mean photons, the squeezed state at r = 4.2
+MEAN_PHOTONS = 17.0
+SQUEEZING_R = 4.2
+
+
+def matched_states(nbar: float = MEAN_PHOTONS, r: float = SQUEEZING_R) -> dict:
+    """{family: state} for the four families at mean photon number nbar: the
+    number state at the nearest integer, the squeezed one at squeezing r."""
+    return {
+        "number": NumberState(int(round(nbar))),
+        "coherent": match_mean_photons("coherent", nbar),
+        "squeezed": match_mean_photons("squeezed", nbar, r=r),
+        "thermal": match_mean_photons("thermal", nbar),
+    }
 
 
 # ---------------------------------------------------------------------------

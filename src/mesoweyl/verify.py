@@ -14,6 +14,8 @@ from scipy.linalg import toeplitz
 
 from . import fockbench, interference, squid, twomode
 from .states import (
+    MEAN_PHOTONS,
+    SQUEEZING_R,
     ChargeCoupling,
     CoherentState,
     ModeParams,
@@ -26,32 +28,17 @@ from .states import (
     _scalar_or_array,
     emf_stats,
     flux_stats,
-    match_mean_photons,
+    matched_states,
     weyl,
 )
 
 __all__ = [
     "SUITES",
     "run_suite",
-    "acceptance_states",
     "weyl_z_grid",
     "gamma_window_oracle",
     "intensity_operator",
 ]
-
-MEAN_PHOTONS = 17.0
-SQUEEZING_R = 4.2
-
-
-def acceptance_states() -> dict:
-    """The four benchmark families with matched mean photon number."""
-    return {
-        "number": NumberState(int(MEAN_PHOTONS)),
-        "coherent": match_mean_photons("coherent", MEAN_PHOTONS),
-        "squeezed": match_mean_photons("squeezed", MEAN_PHOTONS, r=SQUEEZING_R),
-        "thermal": match_mean_photons("thermal", MEAN_PHOTONS),
-    }
-
 
 def weyl_z_grid() -> list:
     """25 points with |z| <= 3 covering radii and phases."""
@@ -123,7 +110,7 @@ def gamma_window_oracle(state, coupling, mode, tau, dim):
 def weyl_oracle_suite(policy=None) -> dict:
     policy = policy or fockbench.TruncationPolicy()
     grid = np.array(weyl_z_grid())
-    states = acceptance_states()
+    states = matched_states()
     checks = []
     for fam, state in states.items():
         diff = np.abs(weyl(state, grid) - fockbench.weyl_numeric(state, grid, policy))
@@ -156,7 +143,7 @@ def flux_stats_suite(policy=None) -> dict:
     mode = ModeParams(omega=1.0e-4, xi=1.0)
     times = [k * 2.0 * math.pi / (8.0 * mode.omega) for k in range(8)]
     checks = []
-    for fam, state in acceptance_states().items():
+    for fam, state in matched_states().items():
         # the state itself is converged (thermal weights or the pure vector),
         # and the sparse operators act on it: no dense matrix is formed
         thermal = isinstance(state, ThermalState)
@@ -187,7 +174,7 @@ def flux_stats_suite(policy=None) -> dict:
         checks.append(_check(f"flux-stats-vs-oracle-{fam}", err_f, 1e-8))
         checks.append(_check(f"emf-stats-vs-oracle-{fam}", err_e, 1e-8))
     # uncertainty product for the squeezed family
-    sq = acceptance_states()["squeezed"]
+    sq = matched_states()["squeezed"]
     slack = 0.0
     for t in times:
         _, sf = flux_stats(sq, mode, t)
@@ -204,12 +191,13 @@ def autocorr_suite(policy=None) -> dict:
     period = 2.0 * math.pi / mode.omega
     taus = np.arange(64) / 64.0 * 2.0 * period
     checks = []
-    states = acceptance_states()
+    states = matched_states()
     e_phi1 = math.sqrt(2.0 * MEAN_PHOTONS)
 
     gcl = interference.autocorrelation_classical(e_phi1, mode.omega, taus)
     prop_err = _gamma_property_error(
-        interference.classical_gamma_series(e_phi1, mode.omega).evaluate, gcl, taus
+        lambda lags: interference.autocorrelation_classical(e_phi1, mode.omega, lags).values,
+        gcl, taus,
     )
     checks.append(_check("classical-gamma-properties", prop_err, 1e-10))
     checks.append(

@@ -5,7 +5,9 @@
 (CSV values within 1e-12, the same NaN positions, equal manifests), on every
 seed for finite values outside the manifest's singular rows.  This runs the
 same check on the seeded configs of both figure workloads, in process, so
-output drift shows in the test suite.  ``perfbench/`` is read, never written.
+output drift shows in the test suite; the verify workload's suites must pass
+every check, as ``perfbench/worker.py`` counts them.  ``perfbench/`` is read,
+never written.
 """
 
 import importlib.util
@@ -13,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from mesoweyl import cli
+from mesoweyl import cli, verify
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 CONFIGS = PERFBENCH.parent / "configs"
@@ -51,3 +53,13 @@ def test_benchmark_figures_pass_the_benchmark_output_check(tmp_path, references,
         if found:
             problems[name] = found
     assert problems == {}
+
+
+def test_benchmark_verify_suites_pass_every_check():
+    kind, suites = workloads.WORKLOADS["verify"]
+    assert kind == "verify"
+    failed = {}
+    for name in suites:
+        report = verify.run_suite(name)
+        failed[name] = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert failed == {name: [] for name in suites}

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mesoweyl import fockbench, interference, specfun, verify
-from mesoweyl.exceptions import IncommensurateError
 from mesoweyl.harmonics import HarmonicSeries
 from mesoweyl.states import (
     ChargeCoupling,
@@ -236,22 +237,39 @@ def test_normalized_gamma_rejects_degenerate():
 # spectral density
 
 def test_classical_spectral_density_exact_and_quadrature():
+    # the FFT of Gamma_cl sampled over one period of Omega = 2 omega against
+    # its exact coefficients, (1 + J_0)^2 at K = 0 and J_{2K}^2 at +-K
     e_phi1 = math.sqrt(34.0)
     kmax = 24
-    series = interference.classical_gamma_series(e_phi1, MODE.omega)
-    spec = interference.spectral_density(series, 2.0 * MODE.omega, kmax)
+    n = 4096
+    taus = np.arange(n) / n * (2.0 * math.pi / (2.0 * MODE.omega))
+    sampled = interference.autocorrelation_classical(e_phi1, MODE.omega, taus)
+    spec = interference.spectral_density(sampled, 2.0 * MODE.omega, kmax)
     j0 = sp.jv(0, e_phi1)
     assert spec.values[kmax] == pytest.approx((1.0 + j0) ** 2, rel=1e-12)
     for k in range(1, kmax + 1):
         ref = sp.jv(2 * k, e_phi1) ** 2
         assert spec.values[kmax + k] == pytest.approx(ref, abs=1e-14)
-        assert spec.values[kmax - k] == spec.values[kmax + k]
+        assert abs(spec.values[kmax - k] - spec.values[kmax + k]) <= 1e-15
 
-    n = 4096
-    taus = np.arange(n) / n * (2.0 * math.pi / (2.0 * MODE.omega))
-    sampled = interference.autocorrelation_classical(e_phi1, MODE.omega, taus)
-    quad = interference.spectral_density(sampled, 2.0 * MODE.omega, kmax)
-    assert np.max(np.abs(quad.values - spec.values)) <= 1e-8
+
+_SPECTRUM = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=21, max_size=21)
+
+
+@given(m=st.integers(32, 256), kmax=st.integers(0, 21), coeffs=_SPECTRUM)
+def test_spectral_density_returns_the_coefficients_of_a_sampled_series(m, kmax, coeffs):
+    # A nonnegative spectrum on |K| <= 10, as an autocorrelation has, each
+    # coefficient 0 or in [1e-3, 1], sampled on m uniform lags over one
+    # period: the FFT returns its coefficients, and 0 outside the band
+    # (kmax <= m - 11 keeps the band from aliasing into the returned K).
+    # Worst seen 2.6e-15 of max |c_K| over 5,000 random draws, bound 1e-14.
+    series = HarmonicSeries(MODE.omega, {k: complex(c) for k, c in zip(range(-10, 11), coeffs)})
+    taus = np.arange(m) / m * PERIOD
+    sampled = interference.CorrelationSeries(taus, series.evaluate(taus), series.evaluate(0.0).real)
+    spec = interference.spectral_density(sampled, MODE.omega, kmax)
+    want = [series.coeffs.get(k, 0j).real for k in range(-kmax, kmax + 1)]
+    assert spec.k.tolist() == list(range(-kmax, kmax + 1))
+    assert np.max(np.abs(spec.values - want)) <= 1e-14 * max(coeffs)
 
 
 def test_quantum_spectral_asymmetry_and_reconstruction():
@@ -278,16 +296,15 @@ def _reconstruct_gamma(spec, taus):
     return out
 
 
-def test_spectral_density_incommensurate_rejected():
-    series = HarmonicSeries(1.0, {1: 1.0 + 0j})
-    with pytest.raises(IncommensurateError):
-        interference.spectral_density(series, 0.7, 4)
-
-
 def test_spectral_quadrature_validation():
     taus = np.array([0.0, 0.3, 0.9])
     series = interference.CorrelationSeries(taus, np.ones(3, dtype=complex), 1.0)
     with pytest.raises(ValueError):
+        interference.spectral_density(series, 1.0, 4)
+    # one period of uniform lags, but shifted off tau = 0
+    taus = (np.arange(8) + 0.5) / 8 * 2.0 * math.pi
+    series = interference.CorrelationSeries(taus, np.ones(8, dtype=complex), 1.0)
+    with pytest.raises(ValueError, match="start at 0"):
         interference.spectral_density(series, 1.0, 4)
 
 

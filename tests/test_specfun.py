@@ -150,11 +150,13 @@ def test_scaled_laguerre_and_one_minus_match_mpmath():
     # one_minus_scaled_laguerre is held relatively, its point: it is positive
     # for x > 0 and small as (n + 1/2) x near 0.  Measured 2.9e-14 worst on
     # this grid (5.4e-14 with the fsum/exact-rational code it replaced),
-    # bound 1e-13.  Floats and arrays are both checked.
+    # bound 1e-13.  Floats and arrays are both checked, and x = inf gives the
+    # limits 0 and 1.
     mpmath = pytest.importorskip("mpmath")
     xs = np.array(LAGUERRE_REF_X)
     for n in range(41):
-        sl = specfun.scaled_laguerre(n, xs)
+        sl = specfun.scaled_laguerre(n, np.append(xs, math.inf))
+        assert sl[-1] == 0.0 and specfun.scaled_laguerre(n, math.inf) == 0.0
         om = specfun.one_minus_scaled_laguerre(n, np.append(xs, math.inf))
         assert om[-1] == 1.0 and specfun.one_minus_scaled_laguerre(n, math.inf) == 1.0
         for i, x in enumerate(xs.tolist()):
