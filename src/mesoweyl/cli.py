@@ -55,7 +55,7 @@ def write_csv(path: str, columns, rows) -> None:
         fh.write(",".join(columns) + "\n")
         for i in range(0, len(rows), CSV_BLOCK_ROWS):
             cells = [text[code[i:i + CSV_BLOCK_ROWS]].tolist() for text, code in zip(texts, codes)]
-            fh.write("".join([",".join(row) + "\n" for row in zip(*cells)]))
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def write_manifest(path: str, manifest: dict) -> None:

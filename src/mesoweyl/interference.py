@@ -103,22 +103,22 @@ def autocorrelation_quantum(state, coupling: ChargeCoupling, mode: ModeParams, t
     """Operator autocorrelation of I(t) = 1 + cos[e flux(t)] at x = 0.
 
     cos is expanded into displacements D(+-lam); products collapse through the
-    composition law, and the t-average keeps only zero-frequency harmonics.
-    Each of the four sign quadrants is one time-average call over all lags,
-    with lag 0 appended for Gamma(0).
+    composition law, and the t-average Wbar keeps only zero-frequency
+    harmonics.  The drive circle -c e^{i theta} is c e^{i (theta + pi)}, so
+    Wbar(-c) = Wbar(c): the sign quadrant (sa, sb) repeats (-sa, -sb), and
+    the six time averages are three, each one call over all lags with lag 0
+    appended for Gamma(0).
     """
     q, omega = coupling.q, mode.omega
-    singles = (weyl_time_average(state, q) + weyl_time_average(state, -q)).real
+    singles = 2.0 * weyl_time_average(state, q).real
     taus = np.asarray(taus, dtype=float)
     lags = np.append(taus, 0.0)
     e = np.exp(1j * omega * lags)
     s = np.sin(omega * lags)
     quad = 0j
-    for sa in (1.0, -1.0):
-        for sb in (1.0, -1.0):
-            phase = np.exp(-1j * sa * sb * q * q * s)
-            quad += phase * weyl_time_average(state, q * (sa + sb * e))
-    vals = 1.0 + singles + 0.25 * quad
+    for sb in (1.0, -1.0):
+        quad += np.exp(-1j * sb * q * q * s) * weyl_time_average(state, q * (1.0 + sb * e))
+    vals = 1.0 + singles + 0.5 * quad
     return CorrelationSeries(taus=taus, values=vals[:-1], gamma0=vals[-1].real)
 
 

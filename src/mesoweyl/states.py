@@ -217,10 +217,10 @@ def weyl_time_average(state, c, k: int = 0):
     e^{-i k theta} W(i c e^{i theta}), for an integer k.
 
     k = 0 is the exact infinite-time average; the a_k over all k rebuild W on
-    the drive circle, W(i c e^{i theta}) = sum_k a_k e^{i k theta}.  c is a
-    complex number, which gives a complex, or an array of them, which gives a
-    complex array of its shape: one call covers a whole lag grid of the
-    autocorrelation.
+    the drive circle, W(i c e^{i theta}) = sum_k a_k e^{i k theta}, and as
+    -c e^{i theta} = c e^{i (theta + pi)}, a_k(-c) = (-1)^k a_k(c).  A complex
+    c gives a complex, an array of them a complex array of its shape: one
+    call covers a whole lag grid of the autocorrelation.
     """
     c = np.asarray(c, dtype=complex)
     # as in weyl: |c| ** 2 overflows past 1e154, where every coefficient has

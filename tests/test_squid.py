@@ -16,7 +16,6 @@ from mesoweyl.states import (
     SqueezedState,
     ThermalState,
     TwoModeFactorizable,
-    weyl,
 )
 
 COUPLING = ChargeCoupling(0.25)  # qprime = 0.5, the reproduction default

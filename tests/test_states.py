@@ -387,7 +387,9 @@ def test_weyl_time_average_takes_arrays(family, data, cs, k):
         # harmonic k of W on the drive circle
         trapezoid = np.mean(np.exp(-1j * k * thetas) * weyl(state, 1j * ci * np.exp(1j * thetas)))
         assert abs(ai - trapezoid) <= 1e-12
-    assert np.max(np.abs(weyl_time_average(state, c) - weyl_time_average(state, -c))) <= 1e-14
+    # -c e^{i theta} is c e^{i (theta + pi)}, so a_k(-c) = (-1)^k a_k(c); worst
+    # seen 6.7e-16 in 1,000 examples per family
+    assert np.max(np.abs(weyl_time_average(state, -c, k) - (-1) ** k * avg)) <= 1e-14
 
 
 _ZS = st.lists(st.builds(cmath.rect, _grid(0.01, 6.0), _PHASES), min_size=1, max_size=8)
