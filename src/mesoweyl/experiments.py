@@ -51,8 +51,8 @@ class ExperimentResult:
 
 # ---------------------------------------------------------------------------
 
-# the size parameters and the least value each takes
-_SIZES = {"samples": 1, "grid_points": 1, "kmax": 0, "spectral_samples": 2}
+# the integer parameters (sizes and occupations) and the least value each takes
+_SIZES = {"samples": 1, "grid_points": 1, "kmax": 0, "spectral_samples": 2, "n1": 0, "n2": 0}
 
 
 def _is_number(v):
@@ -61,10 +61,10 @@ def _is_number(v):
 
 
 def _check_params(params, defaults):
-    """Reject, naming it, a size that is not an integer of at least its
-    least value, a parameter whose default is a number but whose value is not
-    a JSON number (a string, null, a boolean, a list or an object), and a NaN
-    or infinite number."""
+    """Reject, naming it, a size or an occupation that is not an integer of
+    at least its least value, a parameter whose default is a number but
+    whose value is not a JSON number (a string, null, a boolean, a list or
+    an object), and a NaN or infinite number."""
     for name, v in params.items():
         if name in _SIZES:
             if isinstance(v, bool) or not isinstance(v, int) or v < _SIZES[name]:

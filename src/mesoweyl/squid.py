@@ -15,13 +15,15 @@ harmonics on the drive circle, ``states.weyl_time_average(state, q', k)``;
 finite-window numeric averages exist only as test oracles.
 
 Two distant rings couple to the swapped two-mode families
-(|n1 n2>, |n2 n1>) and (|a1 a2>, |a2 a1>); number-pair moments have closed
-forms.  Coherent-pair first moments have closed forms too; their products and
-second moments compose two-mode Weyl values W2(j sigma_A, k sigma_B), with
-sin(phi + X) and sin^2(phi + X) written as sums of D(j sigma), j in
-{0, +-1, +-2}, the same route ``twomode.joint_intensity`` takes.  The
-two-ring moments and ratios take t as a float or an array of times, so a
-whole phase grid is one call, and a ratio's pole reads NaN.
+(|n1 n2>, |n2 n1>) and (|a1 a2>, |a2 a1>).  Every coherent-pair moment
+writes sin(phi + X) and sin^2(phi + X) as sums of D(j sigma), j in
+{0, +-1, +-2}, and takes ``twomode.displacement_expectation``, the route of
+``twomode.joint_intensity`` too.  The number pair keeps its Laguerre closed
+forms: its W2(j sigma_A, k sigma_B) has one modulus per order, so each
+Laguerre value is computed once per call, where the scalar
+``number_displacement_element`` would evaluate one per element per time.
+The two-ring moments and ratios take t as a float or an array of times, so
+a whole phase grid is one call, and a ratio's pole reads NaN.
 """
 
 import cmath
@@ -33,7 +35,7 @@ import numpy as np
 
 from . import specfun
 from .states import ChargeCoupling, weyl, weyl_time_average
-from .twomode import coherent_pair_entangled, coherent_pair_separable, two_mode_weyl
+from .twomode import coherent_pair_entangled, coherent_pair_separable, displacement_expectation
 
 __all__ = [
     "SquidDrive",
@@ -199,34 +201,6 @@ def cross_term_frequencies(n1: int, n2: int, omega_a: float, omega_b: float,
 # ---------------------------------------------------------------------------
 # two distant rings, coherent pair
 
-def _coherent_sep_current(a1, a2, qp: float, omega_ramp: float, omega_mw: float, t):
-    """Separable-pair ring current: mean of the two single-amplitude drives."""
-    th1, th2 = cmath.phase(complex(a1)), cmath.phase(complex(a2))
-    r1, r2 = abs(complex(a1)), abs(complex(a2))
-    pref = 0.5 * math.exp(-qp * qp / 2.0)
-    return pref * (
-        np.sin(omega_ramp * t + 2.0 * qp * r1 * np.cos(omega_mw * t - th1))
-        + np.sin(omega_ramp * t + 2.0 * qp * r2 * np.cos(omega_mw * t - th2))
-    )
-
-
-def _coherent_ent_current(a1, a2, qp: float, omega_ramp: float, omega_mw: float, t):
-    """Entangled-pair ring current: 2N^2 I_sep + N^2 E F e^{-q'^2/2}."""
-    a1, a2 = complex(a1), complex(a2)
-    th1, th2 = cmath.phase(a1), cmath.phase(a2)
-    r1, r2 = abs(a1), abs(a2)
-    norm2 = 1.0 / (2.0 + 2.0 * math.exp(-abs(a1 - a2) ** 2))
-    e_fac = math.exp(-r1 * r1 - r2 * r2 + 2.0 * r1 * r2 * math.cos(th1 - th2))
-    s1 = np.sin(omega_mw * t - th1)
-    s2 = np.sin(omega_mw * t - th2)
-    c1 = np.cos(omega_mw * t - th1)
-    c2 = np.cos(omega_mw * t - th2)
-    g = qp * (r1 * s1 - r2 * s2)
-    f_fac = (np.exp(g) + np.exp(-g)) * np.sin(omega_ramp * t + qp * (r1 * c1 + r2 * c2))
-    sep = _coherent_sep_current(a1, a2, qp, omega_ramp, omega_mw, t)
-    return 2.0 * norm2 * sep + norm2 * e_fac * f_fac * math.exp(-qp * qp / 2.0)
-
-
 def _sin_power_terms(phase, power: int) -> dict:
     """sin(phase + X) (power 1) or sin^2(phase + X) (power 2) as {j: c_j},
     meaning sum_j c_j D(j sigma), where D(sigma) = e^{iX} and D(sigma)^2 = D(2 sigma)."""
@@ -242,45 +216,25 @@ def two_squid_currents_coherent(a1, a2, entangled: bool, coupling: ChargeCouplin
                                 t) -> TwoSquidMoments:
     """Current moments for the swapped coherent pair.
 
-    First moments use the closed forms.  Products and second moments expand
-    sin(omega t + X) = (e^{i omega t} D(sigma) - e^{-i omega t} D(-sigma))/2i
-    and sin^2 = (2 - e^{2i omega t} D(2 sigma) - e^{-2i omega t} D(-2 sigma))/4
-    on each ring, sigma = i q' e^{i w t}, and sum the two-mode Weyl values of
-    the pair at (j sigma_A, k sigma_B).  t is a float or an array of times,
-    and each moment has its shape: the 13 distinct (j, k) of the 19 terms are
-    13 broadcast ``two_mode_weyl`` calls.
+    Each ring expands sin(omega t + X) = (e^{i omega t} D(sigma) -
+    e^{-i omega t} D(-sigma))/2i and sin^2 = (2 - e^{2i omega t} D(2 sigma) -
+    e^{-2i omega t} D(-2 sigma))/4, sigma = i q' e^{i w t}, and each moment is
+    one ``twomode.displacement_expectation`` of the pair.  t is a float or an
+    array of times, and each moment has its shape: the six moments make 10
+    broadcast ``two_mode_weyl`` calls.
     """
-    qp = coupling.qprime
     pair = coherent_pair_entangled if entangled else coherent_pair_separable
     state2 = pair(a1, a2)
-    current = _coherent_ent_current if entangled else _coherent_sep_current
-    ia = current(a1, a2, qp, omega_a, omega1, t)
-    ib = current(a1, a2, qp, omega_b, omega2, t)
-
-    sigma_a = 1j * qp * np.exp(1j * omega1 * t)
-    sigma_b = 1j * qp * np.exp(1j * omega2 * t)
-    # (j, k) -> W2(j sigma_A, k sigma_B): sin^2 needs j, k in {0, +-2}, sin {+-1}
-    weyl2 = {(j, k): two_mode_weyl(state2, j * sigma_a, k * sigma_b)
-             for js in ((0, 2, -2), (1, -1)) for j in js for k in js}
-
-    def moment(terms_a, terms_b):
-        # <f_A g_B> = Re sum_jk a_j b_k W2(j sigma_A, k sigma_B)
-        total = 0j
-        for j, ca in terms_a.items():
-            for k, cb in terms_b.items():
-                total += ca * cb * weyl2[j, k]
-        return total.real
-
+    sigma_a = 1j * coupling.qprime * np.exp(1j * omega1 * t)
+    sigma_b = 1j * coupling.qprime * np.exp(1j * omega2 * t)
     one = {0: 1.0}
     sin_a, sin2_a = _sin_power_terms(omega_a * t, 1), _sin_power_terms(omega_a * t, 2)
     sin_b, sin2_b = _sin_power_terms(omega_b * t, 1), _sin_power_terms(omega_b * t, 2)
-    return TwoSquidMoments(
-        ia, ib,
-        moment(sin2_a, one),
-        moment(one, sin2_b),
-        moment(sin_a, sin_b),
-        moment(sin2_a, sin2_b),
-    )
+    return TwoSquidMoments(*(
+        displacement_expectation(state2, terms_a, terms_b, sigma_a, sigma_b)
+        for terms_a, terms_b in ((sin_a, one), (one, sin_b), (sin2_a, one), (one, sin2_b),
+                                 (sin_a, sin_b), (sin2_a, sin2_b))
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -328,17 +282,19 @@ def ratio_c_sep_number(n1: int, n2: int, coupling: ChargeCoupling) -> float:
 def ratio_c_ent_number(n1: int, n2: int, coupling: ChargeCoupling, t,
                        omega1: float, omega2: float,
                        omega_a: float = None, omega_b: float = None):
-    """Entangled ratio; even occupation differences oscillate around the
-    separable value at Omega, odd differences carry tan-poles at the ramp
-    zeros (points where a ramp sine is under _POLE_MARGIN give NaN, as does
-    a vanishing Laguerre sum).  t is a float or an array of times."""
+    """Entangled ratio; equal occupations give the separable value, even
+    occupation differences oscillate around it at Omega, odd differences
+    carry tan-poles at the ramp zeros (points where a ramp sine is under
+    _POLE_MARGIN give NaN, as does a vanishing Laguerre sum).  t is a float
+    or an array of times."""
     qp2 = coupling.qprime ** 2
     l1 = specfun.laguerre(n1, 0, qp2)
     l2 = specfun.laguerre(n2, 0, qp2)
     lc1 = specfun.laguerre(n1, n2 - n1, qp2)
     lc2 = specfun.laguerre(n2, n1 - n2, qp2)
     base = ratio_c_sep_number(n1, n2, coupling)
-    amp = _ratio(4.0 * lc1 * lc2, (l1 + l2) ** 2)
+    # |n n> has no cross term, as in two_squid_currents_number
+    amp = _ratio(4.0 * lc1 * lc2, (l1 + l2) ** 2) if n1 != n2 else 0.0
     d = n1 - n2
     osc = np.cos(d * (omega1 - omega2) * t)
     if d % 2 == 0:

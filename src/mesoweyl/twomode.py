@@ -5,7 +5,10 @@ frequencies FIG_OMEGA_1 and FIG_OMEGA_2.  Joint fringes follow from the
 two-mode Weyl function W2(z1, z2) = Tr[rho D(z1) x D(z2)], evaluated in
 closed form for mixtures and product superpositions of number / coherent
 kets; the pair builders return those states themselves, and the intensities
-and ratio take them.  The built-in number pair uses the equal-occupation
+and ratio take them.  ``displacement_expectation`` is the one route from an
+observable of each device, written as a sum of displacements, to its
+two-mode expectation; the fringes here and the two-ring moments of ``squid``
+both take it.  The built-in number pair uses the equal-occupation
 convention N(|n1 n1> + |n2 n2>) whose ratio surface has the alpha/gamma
 closed form; the coherent pair is the swapped-amplitude family
 N(|a1 a2> + |a2 a1>).
@@ -37,6 +40,7 @@ __all__ = [
     "coherent_pair_separable",
     "coherent_pair_entangled",
     "two_mode_weyl",
+    "displacement_expectation",
     "marginal_intensity",
     "joint_intensity",
     "ratio_R",
@@ -124,6 +128,24 @@ def two_mode_weyl(state2, z1, z2):
     raise TypeError(f"unsupported two-mode state {state2!r}")
 
 
+def displacement_expectation(state2, terms_a: dict, terms_b: dict, z_a, z_b):
+    """Re Tr[rho f_A g_B] for f_A = sum_j a_j D(j z_a) on mode A and
+    g_B = sum_k b_k D(k z_b) on mode B, given as {j: a_j} and {k: b_k}.
+
+    Both must be Hermitian: orders symmetric about 0 and a_{-j} = a_j^*.
+    Since W2(-z1, -z2) = W2(z1, z2)^*, the (j, k) and (-j, -k) terms are
+    complex conjugates, so each such pair is one ``two_mode_weyl`` call at
+    the larger (j, k), counted twice by real part; (0, 0) is Tr rho = 1.
+    Coefficients and z broadcast as ``two_mode_weyl`` does.
+    """
+    total = np.real(terms_a.get(0, 0.0) * terms_b.get(0, 0.0))
+    for j, a in terms_a.items():
+        for k, b in terms_b.items():
+            if (j, k) > (0, 0):
+                total = total + 2.0 * np.real(a * b * two_mode_weyl(state2, j * z_a, k * z_b))
+    return total
+
+
 # ---------------------------------------------------------------------------
 # intensities, ratio and bounds
 
@@ -133,32 +155,30 @@ def _lams(coupling: ChargeCoupling, t: float):
     return la, lb
 
 
+def _fringe_terms(x: float) -> dict:
+    """1 + cos(x - e flux) = 1 + (e^{-ix} D(lam) + e^{ix} D(-lam))/2 as {j: c_j}."""
+    half = 0.5 * cmath.exp(-1j * x)
+    return {0: 1.0, 1: half, -1: half.conjugate()}
+
+
 def marginal_intensity(state2, which: str, coupling: ChargeCoupling, x: float, t: float) -> float:
     """Single-screen fringe of the chosen device (reduced state of its mode)."""
     la, lb = _lams(coupling, t)
     if which == "A":
-        w = two_mode_weyl(state2, la, 0j)
+        terms_a, terms_b = _fringe_terms(x), {0: 1.0}
     elif which == "B":
-        w = two_mode_weyl(state2, 0j, lb)
+        terms_a, terms_b = {0: 1.0}, _fringe_terms(x)
     else:
         raise ValueError("which must be 'A' or 'B'")
-    return 1.0 + abs(w) * math.cos(x - cmath.phase(w))
+    return float(displacement_expectation(state2, terms_a, terms_b, la, lb))
 
 
 def joint_intensity(state2, coupling: ChargeCoupling, x_a: float, x_b: float, t: float) -> float:
-    """Tr{rho [1 + cos(x_a - e flux_A)][1 + cos(x_b - e flux_B)]}.
-
-    Each cosine is half a sum of displacements, giving nine two-mode Weyl
-    evaluations (the u = 0 entries are reduced-state fringes).
-    """
+    """Tr{rho [1 + cos(x_a - e flux_A)][1 + cos(x_b - e flux_B)]}: each
+    fringe is three displacement terms, so ``displacement_expectation``
+    makes four two-mode Weyl evaluations."""
     la, lb = _lams(coupling, t)
-    total = 0j
-    for ua in (0, 1, -1):
-        ca = 1.0 if ua == 0 else 0.5 * cmath.exp(-1j * ua * x_a)
-        for ub in (0, 1, -1):
-            cb = 1.0 if ub == 0 else 0.5 * cmath.exp(-1j * ub * x_b)
-            total += ca * cb * two_mode_weyl(state2, ua * la, ub * lb)
-    return total.real
+    return float(displacement_expectation(state2, _fringe_terms(x_a), _fringe_terms(x_b), la, lb))
 
 
 _SINGULAR_EPS = 1e-12

@@ -373,7 +373,7 @@ def squid_suite(policy=None) -> dict:
 
 def _number_pair_crossed(n1, n2, entangled):
     if entangled:
-        c = 1.0 / math.sqrt(2.0)
+        c = 0.5 if n1 == n2 else 1.0 / math.sqrt(2.0)
         return TwoModeProductSuperposition(
             ((c, NumberState(n1), NumberState(n2)), (c, NumberState(n2), NumberState(n1)))
         )

@@ -211,6 +211,10 @@ def test_invalid_configs_exit_2(tmp_path, capsys):
               for bad_value in ("x", 2.5, 0, -1, True, None)]
     sizes += [("fig7", "kmax", bad_value) for bad_value in ("x", 2.5, -1, None)]
     sizes += [("fig7", "spectral_samples", bad_value) for bad_value in ("x", 2.5, 1, 0, None)]
+    # so must the occupations: a float is not rounded, even 2.0
+    sizes += [(fig, name, bad_value)
+              for fig in ("fig9", "fig10", "fig11", "fig14", "fig15", "fig16", "fig17", "fig18")
+              for name in ("n1", "n2") for bad_value in (1.5, 2.0, -1, True)]
     capsys.readouterr()
     for fig, name, bad_value in sizes:
         bad.write_text(json.dumps({"experiment": fig, "params": {name: bad_value}}))
@@ -222,6 +226,16 @@ def test_invalid_configs_exit_2(tmp_path, capsys):
         bad.write_text(json.dumps({"experiment": fig, "params": {name: bad_value}}))
         assert cli.main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert f"error: {name} must be finite, got " in capsys.readouterr().err
+
+
+def test_fig15_equal_occupations_write_a_zero_number_difference(tmp_path):
+    # N(|2 2> + |2 2>) is the product |2 2>: entangled and separable ratios agree
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "fig15", "params": {"n1": 2, "n2": 2, "samples": 17}}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "fig15.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["d_rc_num"]) for r in rows] == [0.0] * 17
 
 
 def test_fig6_runs_at_large_photon_numbers(tmp_path):

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mesoweyl import fockbench, specfun, squid, twomode, verify
+from mesoweyl import experiments, fockbench, specfun, squid, twomode, verify
 from mesoweyl.states import (
     ChargeCoupling,
     CoherentState,
@@ -301,6 +301,71 @@ def test_two_squid_coherent_against_oracle_and_degeneracy():
     assert squid.ratio_c2(ent) == pytest.approx(1.0, abs=1e-10)
 
 
+def _coherent_moments_mp(mpmath, a1, a2, entangled, qp, wa, wb, w1, w2, t):
+    """The six moments of the swapped coherent pair at one float time t, as
+    Re sum_jk a_j b_k W2(j sigma_A, k sigma_B) in 50-digit mpmath, from the
+    coherent matrix elements <b|D(z)|a> = e^{(z a* - z* a)/2} <b|a + z>."""
+    with mpmath.workdps(50):
+        a1, a2 = mpmath.mpc(a1), mpmath.mpc(a2)
+        qp, wa, wb, w1, w2, t = (mpmath.mpf(v) for v in (qp, wa, wb, w1, w2, t))
+        conj = mpmath.conj
+
+        def element(b, z, a):
+            c = a + z
+            return mpmath.exp((z * conj(a) - conj(z) * a) / 2
+                              - abs(b) ** 2 / 2 - abs(c) ** 2 / 2 + conj(b) * c)
+
+        if entangled:
+            norm = (2 + 2 * mpmath.exp(-abs(a1 - a2) ** 2)) ** -0.5
+            kets = ((norm, a1, a2), (norm, a2, a1))
+
+            def pair_weyl(z1, z2):
+                return sum(ck * conj(cl) * element(va, z1, ua) * element(vb, z2, ub)
+                           for ck, ua, ub in kets for cl, va, vb in kets)
+        else:
+            def pair_weyl(z1, z2):
+                return sum(element(sa, z1, sa) * element(sb, z2, sb)
+                           for sa, sb in ((a1, a2), (a2, a1))) / 2
+
+        def sin_terms(omega, power):
+            e = mpmath.expj(omega * t)
+            if power == 1:
+                return {1: e / 2j, -1: -conj(e) / 2j}
+            return {0: mpmath.mpf(1) / 2, 2: -e * e / 4, -2: -conj(e * e) / 4}
+
+        sig_a = 1j * qp * mpmath.expj(w1 * t)
+        sig_b = 1j * qp * mpmath.expj(w2 * t)
+        one = {0: mpmath.mpf(1)}
+        sin_a, sin2_a = sin_terms(wa, 1), sin_terms(wa, 2)
+        sin_b, sin2_b = sin_terms(wb, 1), sin_terms(wb, 2)
+        return [
+            float(mpmath.re(sum(ca * cb * pair_weyl(j * sig_a, k * sig_b)
+                                for j, ca in terms_a.items() for k, cb in terms_b.items())))
+            for terms_a, terms_b in ((sin_a, one), (one, sin_b), (sin2_a, one), (one, sin2_b),
+                                     (sin_a, sin_b), (sin2_a, sin2_b))
+        ]
+
+
+def test_two_squid_coherent_matches_an_mpmath_reference():
+    # fig14's shipped times: 17 spread over the window plus rows 99, 227 and
+    # 253, which sit next to the ratio poles.  The worst error measured was
+    # 1.1e-14, set by the rounding of omega t in double precision.
+    mpmath = pytest.importorskip("mpmath")
+    p = experiments.EXPERIMENTS["fig14"].defaults
+    coupling = ChargeCoupling(p["qprime"] / 2.0)
+    omegas = (p["omega_a"], p["omega_b"], p["omega_1"], p["omega_2"])
+    times = np.linspace(0.0, p["periods"] * 2.0 * math.pi, p["samples"]) / (
+        p["omega_1"] - p["omega_2"])
+    rows = sorted({*range(0, p["samples"], 16), 99, 227, 253})
+    for entangled in (False, True):
+        got = squid.two_squid_currents_coherent(
+            p["a1"], p["a2"], entangled, coupling, *omegas, times[rows])
+        for i, row in enumerate(rows):
+            ref = _coherent_moments_mp(mpmath, p["a1"], p["a2"], entangled, coupling.qprime,
+                                       *omegas, float(times[row]))
+            assert np.max(np.abs(np.array(got)[:, i] - ref)) <= 5e-14
+
+
 def test_ratio_factorizable_unity():
     state2 = TwoModeFactorizable(CoherentState(1.0), CoherentState(0.8 + 0.4j))
     t = 0.3 / W1
@@ -384,6 +449,22 @@ def test_ratio_c_ent_number_odd_difference_and_poles():
     assert math.isnan(vals[0]) and vals[1] == got
     with pytest.raises(ValueError):
         squid.ratio_c_ent_number(1, 2, COUPLING, 1.0, W1, W2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_ratio_c_ent_number_at_equal_occupations(n):
+    # N(|n n> + |n n>) is the product |n n>: no cross term, the ratio is 1
+    ts = SIXTEEN_TIMES[::4]
+    got = squid.ratio_c_ent_number(n, n, COUPLING, ts, W1, W2, W1, W2)
+    mom = squid.two_squid_currents_number(n, n, True, COUPLING, W1, W2, W1, W2, ts)
+    assert got == pytest.approx(squid.ratio_c(mom), rel=1e-12)
+    assert got == pytest.approx(np.ones_like(ts), rel=1e-12)
+    state2 = verify._number_pair_crossed(n, n, True)
+    for t, value in zip(ts, got):
+        oracle = verify._squid_oracle_moments_generic(
+            state2, COUPLING.qprime, W1, W2, W1, W2, float(t), POLICY
+        )
+        assert squid.ratio_c(oracle) == pytest.approx(value, abs=1e-8)
 
 
 def test_ratio_c_singular_guard():

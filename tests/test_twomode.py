@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mesoweyl import fockbench, twomode, verify
+from mesoweyl import fockbench, squid, twomode, verify
 from mesoweyl.exceptions import SingularPointError
 from mesoweyl.states import (
     ChargeCoupling,
@@ -98,6 +98,55 @@ def test_ratio_factorizable_is_unity():
         for xb in np.linspace(-2 * math.pi, 2 * math.pi, 9):
             for t in (0.0, T0):
                 assert abs(twomode.ratio_R(field, COUPLING, xa, xb, t) - 1.0) <= 1e-12
+
+
+_AMPLITUDE = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _hermitian_terms(draw, phase):
+    """{j: c_j} with c_{-j} = c_j^*: random coefficients at orders up to
+    +-2, or squid's sin / sin^2 expansion at the time array's ring phase."""
+    kind = draw(st.sampled_from(["random", "sin", "sin2"]))
+    if kind != "random":
+        return squid._sin_power_terms(phase, 1 if kind == "sin" else 2)
+    terms = {}
+    if draw(st.booleans()):
+        terms[0] = draw(st.floats(-2.0, 2.0))
+    for j in draw(st.sets(st.sampled_from([1, 2]), min_size=1)):
+        terms[j] = draw(_AMPLITUDE)
+        terms[-j] = terms[j].conjugate()
+    return terms
+
+
+@given(
+    pair=st.sampled_from(["separable", "entangled", "factorizable"]),
+    a1=_AMPLITUDE,
+    a2=_AMPLITUDE,
+    beta_omega=st.floats(0.1, 5.0),
+    q=st.floats(0.05, 2.0),
+    t=st.lists(st.floats(0.0, 2.0 * math.pi / (W1 - W2)), min_size=1, max_size=5),
+    data=st.data(),
+)
+def test_displacement_expectation_is_the_full_double_sum(pair, a1, a2, beta_omega, q, t, data):
+    state2 = {
+        "separable": lambda: twomode.coherent_pair_separable(a1, a2),
+        "entangled": lambda: twomode.coherent_pair_entangled(a1, a2),
+        "factorizable": lambda: TwoModeFactorizable(ThermalState(beta_omega), CoherentState(a2)),
+    }[pair]()
+    t = np.array(t)
+    z_a = 1j * q * np.exp(1j * W1 * t)
+    z_b = 1j * q * np.exp(1j * W2 * t)
+    terms_a = data.draw(_hermitian_terms(W1 * t))
+    terms_b = data.draw(_hermitian_terms(W2 * t))
+    # every (j, k), (0, 0) included, as its own two-mode Weyl value
+    full = sum(a * b * twomode.two_mode_weyl(state2, j * z_a, k * z_b)
+               for j, a in terms_a.items() for k, b in terms_b.items())
+    got = twomode.displacement_expectation(state2, terms_a, terms_b, z_a, z_b)
+    scale = sum(np.max(np.abs(a)) for a in terms_a.values()) * sum(
+        np.max(np.abs(b)) for b in terms_b.values())
+    # 2.2e-16 * max(1, scale) was the worst over 300 random draws
+    assert np.max(np.abs(got - np.real(full))) <= 1e-14 * max(1.0, scale)
 
 
 _SCREEN = st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1, max_size=3)
