@@ -13,15 +13,17 @@ instead of being hidden.
 
 Pure state vectors are built once per (state, dim) and cached, so the
 doubling loops and every z share them; so are displacement bands, per
-(|z|, dim), so every arg z at one |z| shares one.  The cached arrays are
-read-only.
+(|z|, dim), so every arg z at one |z| shares one, and the Bessel coefficient
+tables of the Weyl oracle, per (set of |z|, dim), so every state shares one.
+The cached arrays are read-only.
 Nothing here estimates a norm or draws random numbers, so the oracle gives
 the same bits on every run.  The oracle Weyl function ``weyl_numeric`` takes a
 complex z or an array of them; for a pure state it gets every value from one
 set of Chebyshev moments per (state, dim), by the kernel polynomial method
 (Weisse, Wellein, Alvermann & Fehske, Rev. Mod. Phys. 78, 275, 2006): one
-block recurrence over the distinct arg z, and one row of Bessel coefficients
-per distinct |z|.
+block recurrence over the distinct arg z, which gives two moments per step,
+and one row of Bessel coefficients per distinct |z|, each evaluated up to
+its own order bound.
 
 Two-mode matrices use mode-A-major ordering: index = i_A * dim_B + i_B.
 """
@@ -147,19 +149,29 @@ def _pure_vector(state, dim: int) -> np.ndarray:
     return v
 
 
-def _jacobi_anger(args: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of exp(i s x) = sum_k eps_k i^k J_k(s) T_k(x),
-    |x| <= 1, eps_0 = 1, eps_k = 2: one row per s >= 0 of args.
+# Every state at one dim and one set of |z| asks for the same table, so each
+# is built once.
+@lru_cache(maxsize=16)
+def _jacobi_anger(args: tuple) -> np.ndarray:
+    """Read-only Chebyshev coefficients of exp(i s x) = sum_k eps_k i^k
+    J_k(s) T_k(x), |x| <= 1, eps_0 = 1, eps_k = 2: one row per s >= 0 of the
+    tuple args.
 
     Each |T_k(x)| <= 1, and |J_k(s)| <= (s/2)^k / k! falls faster than any
-    geometric series past k ~ s, so the rows share one length, set by the
-    largest s: they stop after the last coefficient above 1e-18 in any row.
+    geometric series past k ~ s, so each row is evaluated up to its own order
+    bound and holds exact zeros above it; the table stops after the last
+    coefficient above 1e-18 in any row.
     """
-    top = float(np.max(args, initial=0.0))
-    ks = np.arange(int(1.5 * top + 13.0 * top ** (1.0 / 3.0)) + 21)  # (s/2)^k / k! < 1e-18 at the end
-    coeff = np.where(ks, 2.0, 1.0) * 1j ** (ks % 4) * jv(ks, args[:, None])
+    s = np.array(args, dtype=float)
+    bound = (1.5 * s + 13.0 * s ** (1.0 / 3.0)).astype(int) + 21  # (s/2)^k / k! < 1e-18 at the bound
+    ks = np.arange(bound.max(initial=21))
+    row, k = np.nonzero(ks < bound[:, None])
+    coeff = np.zeros((s.size, ks.size), dtype=complex)
+    coeff[row, k] = np.where(k, 2.0, 1.0) * 1j ** (k % 4) * jv(k, s[row])
     last = np.flatnonzero(np.any(np.abs(coeff) > 1e-18, axis=0)).max(initial=0)
-    return coeff[:, : last + 1]
+    out = coeff[:, : last + 1]
+    out.setflags(write=False)
+    return out
 
 
 def thermal_weights(state: ThermalState, dim: int) -> np.ndarray:
@@ -325,25 +337,33 @@ def _pure_weyl(vec: np.ndarray, z: np.ndarray) -> np.ndarray:
     coefficients eps_k i^k J_k(r b) of ``_jacobi_anger``.  So W(z) is the dot
     product of its radius' coefficients with its angle's moments
     mu_k(t) = <w_t|T_k(H/b)|w_t>, w_t = U^dag vec: one block recurrence over
-    the distinct angles, as long as the largest radius needs, and one row of
-    Bessel values per distinct radius.
+    the distinct angles, as long as the largest radius needs, and one cached
+    table of Bessel values for the distinct radii.  T_k(H/b) is Hermitian and
+    T_m T_n = (T_{m+n} + T_{|m-n|}) / 2, so each step r_k = T_k(H/b) w_t
+    gives two moments, mu_{2k} = 2 <r_k|r_k> - mu_0 and mu_{2k+1} =
+    2 <r_{k+1}|r_k> - mu_1, and the recurrence takes half as many steps as
+    there are moments.
     """
     dim = vec.shape[0]
     radii, at_r = np.unique(np.abs(z.ravel()), return_inverse=True)
     angles, at_t = np.unique(np.angle(z.ravel()), return_inverse=True)
     b = 2.0 * math.sqrt(dim)  # > 2 |a| >= |H|
-    coeff = _jacobi_anger(radii * b)
+    coeff = _jacobi_anger(tuple(radii * b))
+    n = coeff.shape[1]
     w = vec[:, None] * np.exp(-1j * np.outer(np.arange(dim), angles))
-    w_bar = w.conj()
     a = ladder(dim)
     step = (-2j / b) * (a.conj().T - a).tocsr()  # 2 H / b
-    mu = np.empty((angles.size, coeff.shape[1]), dtype=complex)
+    mu = np.empty((angles.size, n + 1), dtype=complex)  # moments come in pairs
     prev, cur = w, 0.5 * (step @ w)
+    w_bar, cur_bar = w.conj(), cur.conj()
     mu[:, 0] = np.einsum("ij,ij->j", w_bar, w)
-    for k in range(1, coeff.shape[1]):
-        mu[:, k] = np.einsum("ij,ij->j", w_bar, cur)
+    mu[:, 1] = np.einsum("ij,ij->j", w_bar, cur)
+    for k in range(1, (n + 1) // 2):
+        mu[:, 2 * k] = 2.0 * np.einsum("ij,ij->j", cur_bar, cur) - mu[:, 0]
         prev, cur = cur, step @ cur - prev
-    return np.einsum("ij,ij->i", coeff[at_r], mu[at_t]).reshape(z.shape)
+        cur_bar = cur.conj()
+        mu[:, 2 * k + 1] = 2.0 * np.einsum("ij,ij->j", cur_bar, prev) - mu[:, 1]
+    return np.einsum("ij,ij->i", coeff[at_r], mu[at_t, :n]).reshape(z.shape)
 
 
 def weyl_numeric_report(state, z, policy: TruncationPolicy = DEFAULT_POLICY):

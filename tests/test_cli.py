@@ -12,9 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mesoweyl
-from mesoweyl import cli, experiments, verify
+from mesoweyl import cli, experiments, fockbench, verify
 from mesoweyl.experiments import EXPERIMENTS
-from mesoweyl.states import weyl
 
 ALL_FIGS = ["fig1", "fig4", "fig5", "fig6", "fig7", "fig9", "fig10", "fig11",
             "fig14", "fig15", "fig16", "fig17", "fig18"]
@@ -395,18 +394,17 @@ def test_verify_cli_reports(capsys, suite):
     assert all("max_error" in c and "tolerance" in c for c in report["checks"])
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "each suite folds its errors with the builtin max, and max(0.0, nan) is "
-    "0.0; a NaN-propagating fold also fails the autocorr suite, whose squeezed "
-    "Gamma(tau) is NaN at 2 of its 64 lags (the Bessel I defect that "
-    "test_weyl_time_average_tiny_bessel_i_argument pins), so the two are "
-    "fixed together"
-))
-def test_verify_fails_a_nan_error(monkeypatch):
-    def weyl_nan_at_half(state, z):
-        return complex(math.nan, math.nan) if z == 0.5 else weyl(state, z)
-    monkeypatch.setattr(verify, "weyl", weyl_nan_at_half)
-    assert verify.run_suite("weyl-oracle")["passed"] is False
+@pytest.mark.parametrize("module, name", [(verify, "weyl"), (fockbench, "weyl_numeric")],
+                         ids=["closed-form", "oracle"])
+def test_verify_fails_a_nan_error(monkeypatch, module, name):
+    real = getattr(module, name)
+
+    def nan_at_half(state, z, *args):
+        return np.where(np.asarray(z) == 0.5, complex(math.nan, math.nan), real(state, z, *args))
+    monkeypatch.setattr(module, name, nan_at_half)
+    report = verify.run_suite("weyl-oracle")
+    assert report["passed"] is False
+    assert any(math.isnan(c["max_error"]) and not c["passed"] for c in report["checks"])
 
 
 # the squeezed r = 4.2 Weyl oracle converges at dim 1920 (60 doubled five

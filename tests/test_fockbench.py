@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
-from scipy.special import gammaln
+from scipy.special import gammaln, jv
 
-from mesoweyl import fockbench
+from mesoweyl import fockbench, verify
 from mesoweyl.exceptions import TruncationError
 from mesoweyl.states import (
     CoherentState,
@@ -20,6 +22,7 @@ from mesoweyl.states import (
     TwoModeFactorizable,
     TwoModeProductSuperposition,
     TwoModeSeparableMixture,
+    matched_states,
     number_displacement_element,
 )
 
@@ -165,6 +168,78 @@ def test_an_array_converges_at_the_largest_dim_its_points_need(state):
     assert info.dim >= max(i.dim for _, i in per_z)
     assert info.delta < fockbench.DEFAULT_POLICY.tol
     assert np.max(np.abs(vals.ravel() - [w for w, _ in per_z])) <= 1e-10
+
+
+def _three_term_weyl(vec, z):
+    """<vec|D(z)|vec> by the plain Chebyshev recurrence, one moment
+    <w|T_k(H/b)|w> per step: the reference for fockbench._pure_weyl, which
+    takes two moments per step."""
+    dim = vec.shape[0]
+    radii, at_r = np.unique(np.abs(z.ravel()), return_inverse=True)
+    angles, at_t = np.unique(np.angle(z.ravel()), return_inverse=True)
+    b = 2.0 * math.sqrt(dim)
+    coeff = fockbench._jacobi_anger(tuple(radii * b))
+    w = vec[:, None] * np.exp(-1j * np.outer(np.arange(dim), angles))
+    a = fockbench.ladder(dim)
+    step = (-2j / b) * (a.conj().T - a).tocsr()
+    mu = np.empty((angles.size, coeff.shape[1]), dtype=complex)
+    prev, cur = w, 0.5 * (step @ w)
+    mu[:, 0] = np.einsum("ij,ij->j", w.conj(), w)
+    for k in range(1, coeff.shape[1]):
+        mu[:, k] = np.einsum("ij,ij->j", w.conj(), cur)
+        prev, cur = cur, step @ cur - prev
+    return np.einsum("ij,ij->i", coeff[at_r], mu[at_t]).reshape(z.shape)
+
+
+def _assert_pure_weyl_matches_the_three_term_recurrence(vec, z):
+    got = fockbench._pure_weyl(vec, z)
+    assert got.shape == z.shape
+    assert np.max(np.abs(got - _three_term_weyl(vec, z))) <= 1e-13 * np.vdot(vec, vec).real
+
+
+@given(dim=st.integers(8, 256), points=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e3))
+def test_pure_weyl_equals_the_three_term_recurrence_on_random_vectors(dim, points, seed, scale):
+    rng = np.random.default_rng(seed)
+    vec = scale * (rng.normal(size=dim) + 1j * rng.normal(size=dim))
+    z = rng.uniform(0.0, 3.0, points) * np.exp(1j * rng.uniform(-math.pi, math.pi, points))
+    _assert_pure_weyl_matches_the_three_term_recurrence(vec, np.append(z, [0j, z[0]]))
+
+
+@pytest.mark.parametrize("state", ARRAY_STATES)
+def test_pure_weyl_equals_the_three_term_recurrence_on_the_array_states(state):
+    # the thermal state has no vector; the square roots of its weights are one
+    dim = 96
+    if isinstance(state, ThermalState):
+        vec = np.sqrt(fockbench.thermal_weights(state, dim)).astype(complex)
+    else:
+        vec = fockbench.state_vector(state, dim)
+    _assert_pure_weyl_matches_the_three_term_recurrence(vec, _z_array())
+
+
+def test_jacobi_anger_rows_stop_at_their_own_order_bound():
+    args = (0.0, 0.3, 4.0, 37.5, 263.0)
+    fockbench._jacobi_anger.cache_clear()
+    table = fockbench._jacobi_anger(args)
+    assert fockbench._jacobi_anger(args) is table
+    with pytest.raises(ValueError):
+        table[0, 0] = 2.0
+    bounds = [int(1.5 * s + 13.0 * s ** (1.0 / 3.0)) + 21 for s in args]
+    assert bounds[-1] >= table.shape[1] > bounds[-2]
+    for bound, row in zip(bounds, table):
+        assert not row[bound:].any()
+    # every order up to the largest bound, past the table's end too
+    ks = np.arange(bounds[-1])
+    full = np.where(ks, 2.0, 1.0) * 1j ** (ks % 4) * jv(ks, np.array(args)[:, None])
+    full[:, : table.shape[1]] -= table
+    assert np.max(np.abs(full)) <= 1e-18
+
+
+def test_weyl_oracle_dims_on_the_verify_grid():
+    # the oracle's speed must not come from converging at a smaller dim
+    grid = np.array(verify.weyl_z_grid())
+    dims = {fam: fockbench.weyl_numeric_report(state, grid)[1].dim for fam, state in matched_states().items()}
+    assert dims == {"number": 120, "coherent": 240, "squeezed": 1920, "thermal": 960}
 
 
 def test_weyl_numeric_raises_when_capped():
