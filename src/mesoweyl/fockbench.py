@@ -1,9 +1,10 @@
 """Truncated Fock-space matrix oracle.
 
-Everything here is built from the ladder operator, the defining recurrences
-of the pure states and brute force traces, independently of the closed forms
-elsewhere, so that every closed-form result can be verified numerically, on
-the number basis |0>..|dim-1>.  The one ``ladder`` and the operators built
+Everything here is built from the ladder operator, the Fock amplitudes of the
+pure states (``states.fock_amplitudes``, which no closed-form Weyl function
+reads) and brute force traces, independently of the closed forms elsewhere,
+so that every closed-form result can be verified numerically, on the number
+basis |0>..|dim-1>.  The one ``ladder`` and the operators built
 from it (flux, EMF and displacement generators) are scipy.sparse arrays;
 displacement and density matrices are dense complex numpy arrays.
 Truncation is explicit: one loop, ``converge``, doubles the dimension under a
@@ -41,15 +42,14 @@ from scipy.special import gammaln, jv
 
 from .exceptions import TruncationError, TruncationPolicy
 from .states import (
-    CoherentState,
     ModeParams,
     NumberState,
-    SqueezedState,
     ThermalState,
     TwoModeFactorizable,
     TwoModeProductSuperposition,
     TwoModeSeparableMixture,
     _scalar_or_array,
+    fock_amplitudes,
     mean_photons,
 )
 
@@ -113,34 +113,7 @@ def state_vector(state, dim: int) -> np.ndarray:
 # call.
 @lru_cache(maxsize=32)
 def _pure_vector(state, dim: int) -> np.ndarray:
-    if isinstance(state, NumberState):
-        if state.n >= dim:
-            raise ValueError("dim too small for the requested number state")
-        v = np.zeros(dim, dtype=complex)
-        v[state.n] = 1.0
-    elif isinstance(state, CoherentState):
-        a = complex(state.amplitude)
-        v = np.zeros(dim, dtype=complex)
-        c = math.exp(-abs(a) ** 2 / 2.0)
-        for n in range(dim):
-            v[n] = c
-            c = c * a / math.sqrt(n + 1)
-    elif isinstance(state, SqueezedState):
-        # S(zeta) D(alpha)|0>, zeta = s e^{-i varphi}, s = r/2, solves
-        # (a + t a^dag) psi = (alpha / cosh s) psi, t = e^{-i varphi} tanh s
-        # (Yuen, Phys. Rev. A 13, 2226, 1976); c_0 = <0|S(zeta)|alpha> is
-        # taken from the normal-ordered S(zeta), whose exponent cancels least.
-        a = complex(state.amplitude)
-        s = state.r / 2.0
-        t = cmath.exp(-1j * state.varphi) * math.tanh(s)
-        beta = a / math.cosh(s)
-        v = np.zeros(dim, dtype=complex)
-        prev, c = 0j, cmath.exp((t.conjugate() * a * a - abs(a) ** 2) / 2.0) / math.sqrt(math.cosh(s))
-        for n in range(dim):
-            v[n] = c
-            prev, c = c, (beta * c - t * math.sqrt(n) * prev) / math.sqrt(n + 1)
-    else:
-        raise TypeError(f"{state!r} is not a pure state with a vector form")
+    v = fock_amplitudes(state, dim)
     if not isinstance(state, NumberState) and abs(v[0]) < sys.float_info.min:
         # every amplitude is a multiple of c_0: below this it has lost its
         # digits, or underflowed to an empty vector that would converge at once

@@ -5,9 +5,9 @@ parameter enters pre-multiplied by the Cooper-pair charge: ``phase0`` is the
 static phase offset, ``omega_a`` the linear-ramp (Josephson) frequency and
 ``u_phase`` the classical sinusoid's phase amplitude.  Quantum drives couple
 through qprime = 2q and reduce, exactly as in the interference case, to Weyl
-function evaluations at sigma = i qprime e^{i w1 t}.  A ``SquidDrive`` carries
-its ring's critical current and offset; ``quantum_current`` and the two-ring
-moments are in units of the critical current, with no static offset.
+function evaluations at sigma = i qprime e^{i w1 t}.  Every ring current is
+in units of the critical current I_c.  A ``SquidDrive`` carries its ring's
+static offset; ``quantum_current`` and the two-ring moments take none.
 
 dc currents are exact zero-frequency coefficients: a Shapiro step sums the
 classical drive's Bessel harmonics J_j(u) against the Weyl function's
@@ -58,17 +58,14 @@ __all__ = [
 @dataclass(frozen=True)
 class SquidDrive:
     """Charge-scaled drive of one ring: static offset, ramp frequency,
-    sinusoid amplitude, microwave frequency, critical current."""
+    sinusoid amplitude, microwave frequency."""
 
     phase0: float = 0.0     # 2e * phi_0
     omega_a: float = 0.0    # 2e * V, the Josephson frequency
     u_phase: float = 0.0    # 2e * u
     omega1: float = 1.0     # microwave drive frequency
-    i_crit: float = 1.0
 
     def __post_init__(self):
-        if self.i_crit <= 0:
-            raise ValueError("critical current must be positive")
         if self.omega1 <= 0:
             raise ValueError("microwave frequency must be positive")
 
@@ -86,24 +83,24 @@ class TwoSquidMoments(NamedTuple):
 # single ring, classical drive
 
 def classical_current(drive: SquidDrive, t: float) -> float:
-    """I = I_c sin(phase0 + omega_a t + u_phase sin(omega1 t))."""
-    return drive.i_crit * math.sin(
+    """I / I_c = sin(phase0 + omega_a t + u_phase sin(omega1 t))."""
+    return math.sin(
         drive.phase0 + drive.omega_a * t + drive.u_phase * math.sin(drive.omega1 * t)
     )
 
 
 def classical_current_expansion(drive: SquidDrive, t: float) -> float:
-    """Bessel-expanded current I_c sum_n J_n(u) sin[(omega_a + n omega1)t + phase0]."""
+    """Bessel-expanded current I / I_c = sum_n J_n(u) sin[(omega_a + n omega1)t + phase0]."""
     total = 0.0
     for n, jn in specfun.bessel_j_harmonics(drive.u_phase).items():
         total += jn * math.sin((drive.omega_a + n * drive.omega1) * t + drive.phase0)
-    return drive.i_crit * total
+    return total
 
 
 def classical_shapiro(drive: SquidDrive, n_step: int) -> float:
     """dc current on step n (resonance omega_a = n omega1 imposed):
-    I_c J_{-n}(u_phase) sin(phase0)."""
-    return drive.i_crit * float(specfun.jv(-n_step, drive.u_phase)) * math.sin(drive.phase0)
+    I / I_c = J_{-n}(u_phase) sin(phase0)."""
+    return float(specfun.jv(-n_step, drive.u_phase)) * math.sin(drive.phase0)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +118,7 @@ def quantum_shapiro(state, drive: SquidDrive, n_step: int, coupling: ChargeCoupl
 
     The ramp e^{i n w1 t}, the sinusoid sum_j J_j(u) e^{i j w1 t} and the
     Weyl function sum_k a_k e^{i k w1 t} meet at zero frequency where
-    n + j + k = 0, so the step is I_c Im[e^{i phase0} sum_j J_j(u) a_{-n-j}]
+    n + j + k = 0, so the step is Im[e^{i phase0} sum_j J_j(u) a_{-n-j}]
     with a_k = ``weyl_time_average(state, q', k)``.  A phase-matched coherent
     state (amplitude u/(2 q') at arg A = pi/2) has a_k = e^{-q'^2/2} J_k(u),
     so it reproduces every classical step scaled by e^{-q'^2/2}; squeezed
@@ -129,7 +126,7 @@ def quantum_shapiro(state, drive: SquidDrive, n_step: int, coupling: ChargeCoupl
     """
     avg = sum(jj * weyl_time_average(state, coupling.qprime, -n_step - j)
               for j, jj in specfun.bessel_j_harmonics(drive.u_phase).items())
-    return drive.i_crit * (cmath.exp(1j * drive.phase0) * avg).imag
+    return (cmath.exp(1j * drive.phase0) * avg).imag
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ autocorrelations read k = 0, the SQUID Shapiro steps every k they need.
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +40,7 @@ __all__ = [
     "TwoModeProductSuperposition",
     "weyl",
     "weyl_time_average",
+    "fock_amplitudes",
     "photon_counting",
     "mean_photons",
     "match_mean_photons",
@@ -316,28 +316,36 @@ def _poisson(mean: float, n: int) -> float:
     return math.exp(n * math.log(mean) - mean - math.lgamma(n + 1))
 
 
-@lru_cache(maxsize=256)
-def _squeezed_amplitudes(amplitude: complex, r: float, varphi: float, nmax: int) -> tuple:
-    """Fock amplitudes of S D(A)|0> = D(A') S|0> by the annihilator recurrence.
+def fock_amplitudes(state, dim: int) -> np.ndarray:
+    """<n|psi> for n < dim, of a number, coherent or squeezed state.
 
-    With s = r/2 and squeeze phase theta = -varphi, the state is annihilated
-    by cosh(s)(a - beta) + e^{i theta} sinh(s)(a^dag - beta*), beta = A' =
-    A cosh(s) - A* e^{i theta} sinh(s).
+    S(zeta) D(alpha)|0>, zeta = s e^{-i varphi}, s = r/2, solves
+    (a + t a^dag) psi = (alpha / cosh s) psi, t = e^{-i varphi} tanh s
+    (Yuen, Phys. Rev. A 13, 2226, 1976); c_0 = <0|S(zeta)|alpha> is taken from
+    the normal-ordered S(zeta), whose exponent cancels least.  A coherent
+    state is the same recurrence at r = 0, where t = 0.
     """
-    s = r / 2.0
-    theta = -varphi
-    a = complex(amplitude)
-    beta = a * math.cosh(s) - a.conjugate() * cmath.exp(1j * theta) * math.sinh(s)
-    th = math.tanh(s)
-    e_th = cmath.exp(1j * theta) * th
-    c0 = (1.0 / math.cosh(s)) ** 0.5 * cmath.exp(
-        -0.5 * (abs(beta) ** 2 + e_th * beta.conjugate() ** 2)
-    )
-    amps = [c0, (beta + e_th * beta.conjugate()) * c0]
-    for n in range(1, nmax):
-        nxt = ((beta + e_th * beta.conjugate()) * amps[n] - e_th * math.sqrt(n) * amps[n - 1]) / math.sqrt(n + 1)
-        amps.append(nxt)
-    return tuple(amps[: nmax + 1])
+    if isinstance(state, NumberState):
+        if state.n >= dim:
+            raise ValueError("dim too small for the requested number state")
+        v = np.zeros(dim, dtype=complex)
+        v[state.n] = 1.0
+        return v
+    if isinstance(state, CoherentState):
+        s, t = 0.0, 0j
+    elif isinstance(state, SqueezedState):
+        s = state.r / 2.0
+        t = cmath.exp(-1j * state.varphi) * math.tanh(s)
+    else:
+        raise TypeError(f"{state!r} is not a pure state with a vector form")
+    a = complex(state.amplitude)
+    beta = a / math.cosh(s)
+    roots = np.sqrt(np.arange(dim + 1.0)).tolist()
+    amps, prev, c = [], 0j, cmath.exp((t.conjugate() * a * a - abs(a) ** 2) / 2.0) / math.sqrt(math.cosh(s))
+    for n in range(dim):
+        amps.append(c)
+        prev, c = c, (beta * c - t * roots[n] * prev) / roots[n + 1]
+    return np.array(amps, dtype=complex)
 
 
 def photon_counting(state, n: int) -> float:
@@ -352,8 +360,7 @@ def photon_counting(state, n: int) -> float:
         bw = state.beta_omega
         return (1.0 - math.exp(-bw)) * math.exp(-bw * n)
     if isinstance(state, SqueezedState):
-        amps = _squeezed_amplitudes(complex(state.amplitude), state.r, state.varphi, n)
-        return abs(amps[n]) ** 2
+        return abs(fock_amplitudes(state, n + 1)[n]) ** 2
     raise TypeError(f"unsupported state {state!r}")
 
 

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mesoweyl
-from mesoweyl import cli, experiments, fockbench, verify
+from mesoweyl import cli, experiments, fockbench, squid, twomode, verify
 from mesoweyl.experiments import EXPERIMENTS
 
 ALL_FIGS = ["fig1", "fig4", "fig5", "fig6", "fig7", "fig9", "fig10", "fig11",
@@ -394,15 +394,22 @@ def test_verify_cli_reports(capsys, suite):
     assert all("max_error" in c and "tolerance" in c for c in report["checks"])
 
 
-@pytest.mark.parametrize("module, name", [(verify, "weyl"), (fockbench, "weyl_numeric")],
-                         ids=["closed-form", "oracle"])
-def test_verify_fails_a_nan_error(monkeypatch, module, name):
+# each patch turns a closed form (or the oracle) NaN at some of the inputs a
+# suite reads, after finite ones, which the builtin max would let through
+@pytest.mark.parametrize("suite, module, name, hit", [
+    ("weyl-oracle", verify, "weyl", lambda state, z, *rest: np.asarray(z) == 0.5),
+    ("weyl-oracle", fockbench, "weyl_numeric", lambda state, z, *rest: np.asarray(z) == 0.5),
+    ("flux-stats", verify, "flux_stats", lambda state, mode, t: t > 0.0),
+    ("twomode", twomode, "joint_intensity", lambda state2, coupling, xa, xb, t: xa == 2.0),
+    ("squid", squid, "quantum_shapiro", lambda state, drive, n, coupling: n == 3),
+], ids=["closed-form", "oracle", "flux-stats", "twomode", "squid"])
+def test_verify_fails_a_nan_error(monkeypatch, suite, module, name, hit):
     real = getattr(module, name)
 
-    def nan_at_half(state, z, *args):
-        return np.where(np.asarray(z) == 0.5, complex(math.nan, math.nan), real(state, z, *args))
-    monkeypatch.setattr(module, name, nan_at_half)
-    report = verify.run_suite("weyl-oracle")
+    def nan_where_hit(*args):
+        return np.where(hit(*args), math.nan, real(*args))
+    monkeypatch.setattr(module, name, nan_where_hit)
+    report = verify.run_suite(suite)
     assert report["passed"] is False
     assert any(math.isnan(c["max_error"]) and not c["passed"] for c in report["checks"])
 

@@ -549,26 +549,6 @@ def test_squeezed_vector_matches_expm_multiply(dim):
     assert np.max(np.abs(vec - ref)) <= 1e-12
 
 
-def _squeezed_amplitudes_mp(state, dim):
-    """<n|S(zeta)D(alpha)|0>, zeta = (r/2) e^{-i varphi}, in 60-digit mpmath,
-    from the Hermite form c_n = c_0 p^n H_n(alpha / sqrt(e^{-i varphi} sinh r))
-    / sqrt(n!), p = sqrt(e^{-i varphi} tanh(r/2) / 2), with c_0 =
-    exp(-|g|^2/2 - g*^2 t/2) / sqrt(cosh s), g = alpha cosh s -
-    alpha* e^{-i varphi} sinh s, t = e^{-i varphi} tanh s, s = r/2."""
-    mpmath = pytest.importorskip("mpmath")
-    with mpmath.workdps(60):
-        a = mpmath.mpc(state.amplitude)
-        s = mpmath.mpf(state.r) / 2
-        rot = mpmath.expj(-mpmath.mpf(state.varphi))
-        t = rot * mpmath.tanh(s)
-        g = a * mpmath.cosh(s) - mpmath.conj(a) * rot * mpmath.sinh(s)
-        c0 = mpmath.exp(-abs(g) ** 2 / 2 - mpmath.conj(g) ** 2 * t / 2) / mpmath.sqrt(mpmath.cosh(s))
-        p = mpmath.sqrt(t / 2)
-        y = a / mpmath.sqrt(rot * mpmath.sinh(2 * s))
-        return np.array([complex(c0 * p ** n * mpmath.hermite(n, y) / mpmath.sqrt(mpmath.factorial(n)))
-                         for n in range(dim)])
-
-
 @pytest.mark.parametrize("state", [
     SqueezedState(0j, 4.2),
     SqueezedState(3.0, 4.2, 1.0),
@@ -576,9 +556,9 @@ def _squeezed_amplitudes_mp(state, dim):
     SqueezedState(0.6 + 0.2j, 1.4, 0.9),
     SqueezedState(7.4158, 4.2),
 ], ids=["0-r4.2", "3-r4.2-phi1.0", "0.5i-r4.2", "0.6+0.2i-r1.4-phi0.9", "7.4158-r4.2"])
-def test_squeezed_vector_matches_the_mpmath_hermite_amplitudes(state):
+def test_squeezed_vector_matches_the_mpmath_hermite_amplitudes(state, hermite_amplitudes):
     # worst seen 5.0e-16; the truncation must not move the amplitudes it keeps
-    ref = _squeezed_amplitudes_mp(state, 600)
+    ref = hermite_amplitudes(state, 600)
     vec = fockbench.state_vector(state, 600)
     assert np.max(np.abs(vec - ref)) <= 1e-14
     assert fockbench.state_vector(state, 240).tobytes() == vec[:240].tobytes()

@@ -24,8 +24,8 @@ POLICY = fockbench.TruncationPolicy(tol=1e-11)
 
 
 def test_classical_current_basics():
-    d = squid.SquidDrive(phase0=0.9, omega_a=2e-4, u_phase=0.0, omega1=1e-4, i_crit=2.0)
-    assert squid.classical_current(d, 0.0) == pytest.approx(2.0 * math.sin(0.9))
+    d = squid.SquidDrive(phase0=0.9, omega_a=2e-4, u_phase=0.0, omega1=1e-4)
+    assert squid.classical_current(d, 0.0) == pytest.approx(math.sin(0.9))
 
 
 def test_classical_expansion_matches_direct():

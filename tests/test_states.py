@@ -17,7 +17,9 @@ from mesoweyl.states import (
     ThermalState,
     emf_stats,
     flux_stats,
+    fock_amplitudes,
     match_mean_photons,
+    matched_states,
     mean_photons,
     number_displacement_element,
     photon_counting,
@@ -149,6 +151,27 @@ def test_photon_counting_squeezed_matches_fock_diagonal(state):
         assert photon_counting(state, n) == pytest.approx(rho[n, n].real, abs=1e-12)
     total = sum(photon_counting(state, n) for n in range(dim))
     assert total == pytest.approx(1.0, abs=1e-10)
+
+
+def test_photon_counting_at_the_papers_squeezed_state(hermite_amplitudes):
+    # r = 4.2 at 17 mean photons; worst seen 1.8e-13 relative, at n = 168
+    state = matched_states()["squeezed"]
+    ref = np.abs(hermite_amplitudes(state, 201)) ** 2
+    got = np.array([photon_counting(state, n) for n in range(201)])
+    assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+
+def test_photon_counting_coherent_stays_finite_where_its_amplitudes_underflow():
+    # at |A| = 40 the vacuum amplitude e^{-800} underflows, so every Fock
+    # amplitude reads 0; the Poisson law, taken in log space, keeps P(n)
+    mpmath = pytest.importorskip("mpmath")
+    state = CoherentState(40)
+    assert fock_amplitudes(state, 1601)[1600] == 0.0
+    with mpmath.workdps(40):
+        ref = float(mpmath.exp(1600 * mpmath.log(1600) - 1600 - mpmath.loggamma(1601)))
+    p = photon_counting(state, 1600)
+    assert p > 0.0
+    assert p == pytest.approx(ref, rel=1e-12)  # worst seen 7.6e-14
 
 
 def test_mean_photons_examples():
