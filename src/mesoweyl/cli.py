@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__, experiments
-from .exceptions import TruncationError, TruncationPolicy
+from .exceptions import DIM_CAP, TruncationError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -80,10 +80,6 @@ def load_config(path: str) -> dict:
     return config
 
 
-def _policy_from_args(args) -> TruncationPolicy:
-    return TruncationPolicy(tol=1e-11, dim_cap=args.dim_cap)
-
-
 def _cmd_run(args) -> int:
     if args.config:
         try:
@@ -105,9 +101,7 @@ def _cmd_run(args) -> int:
         print(f"error: cannot use output directory {out_dir}: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     try:
-        result = experiments.run_experiment(
-            name, config.get("params", {}), _policy_from_args(args)
-        )
+        result = experiments.run_experiment(name, config.get("params", {}), args.dim_cap)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -143,7 +137,7 @@ def _cmd_verify(args) -> int:
     from . import verify
 
     try:
-        report = verify.run_suite(args.suite, _policy_from_args(args))
+        report = verify.run_suite(args.suite, args.dim_cap)
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -165,6 +159,13 @@ def _fig_key(name: str):
     return int(name.replace("fig", ""))
 
 
+def _dim_cap(text: str) -> int:
+    cap = int(text)
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {cap}")
+    return cap
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mesoweyl",
@@ -177,12 +178,12 @@ def main(argv=None) -> int:
     p_run.add_argument("experiment", nargs="?", help="experiment name (see list-experiments)")
     p_run.add_argument("--config", help="JSON config path")
     p_run.add_argument("--out", help="output directory")
-    p_run.add_argument("--dim-cap", type=int, default=4096, help="Fock truncation cap")
+    p_run.add_argument("--dim-cap", type=_dim_cap, default=DIM_CAP, help="Fock truncation cap")
     p_run.set_defaults(func=_cmd_run)
 
     p_ver = sub.add_parser("verify", help="run an oracle-equivalence suite")
     p_ver.add_argument("suite", choices=VERIFY_SUITES)
-    p_ver.add_argument("--dim-cap", type=int, default=4096)
+    p_ver.add_argument("--dim-cap", type=_dim_cap, default=DIM_CAP, help="Fock truncation cap")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_list = sub.add_parser("list-experiments", help="list shipped experiments")

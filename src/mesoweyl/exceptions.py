@@ -1,15 +1,16 @@
-"""Package-wide error types, and the truncation policy whose exhaustion
-raises TruncationError.
+"""Package-wide error types, and the Fock oracle's default dimension cap,
+whose exhaustion raises TruncationError.
 
-Nothing here imports scipy, so the CLI can build a policy for a run that
-never reaches the Fock oracle.
+Nothing here imports scipy, so the CLI can take its ``--dim-cap`` default
+for a run that never reaches the Fock oracle.
 """
 
-from dataclasses import dataclass
+# the largest dimension the oracle's doubling may reach: its only setting
+DIM_CAP = 4096
 
 
 class TruncationError(RuntimeError):
-    """A Fock-space computation failed to converge under its dimension cap."""
+    """A Fock-space computation underflowed, or failed to converge under its cap."""
 
 
 class SingularPointError(ValueError):
@@ -18,12 +19,3 @@ class SingularPointError(ValueError):
 
 class IncommensurateError(ValueError):
     """Harmonic content is not commensurate with the requested base frequency."""
-
-
-@dataclass(frozen=True)
-class TruncationPolicy:
-    """Dimension-doubling policy: start at a state-derived dimension, double
-    until the target moves by less than tol, stop at dim_cap."""
-
-    tol: float = 1e-10
-    dim_cap: int = 4096

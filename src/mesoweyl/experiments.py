@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import interference, squid, twomode
-from .exceptions import TruncationPolicy
+from .exceptions import DIM_CAP
 from .states import (
     MEAN_PHOTONS,
     SQUEEZING_R,
@@ -80,7 +80,7 @@ def _phase_grid(params):
     return np.linspace(0.0, params["periods"] * 2.0 * math.pi, params["samples"])
 
 
-def _fig1(params, policy):
+def _fig1(params, dim_cap):
     mode = ModeParams(params["omega"], params["xi"])
     r = params["squeezing_r"]
     amp_coh = params["amplitude"]
@@ -100,7 +100,7 @@ def _fig1(params, policy):
     )
 
 
-def _fig4(params, policy):
+def _fig4(params, dim_cap):
     mode = ModeParams(params["omega"])
     coupling = ChargeCoupling(params["q"])
     states = {
@@ -119,7 +119,7 @@ def _fig4(params, policy):
     return ExperimentResult(cols, rows)
 
 
-def _fig5(params, policy):
+def _fig5(params, dim_cap):
     mode = ModeParams(params["omega"])
     coupling = ChargeCoupling(params["q"])
     wt = _phase_grid(params)
@@ -144,7 +144,7 @@ def _autocorrelations(params, mode, taus):
             for s in matched_states(params["mean_photons"], params["squeezing_r"]).values()]
 
 
-def _fig6(params, policy):
+def _fig6(params, dim_cap):
     mode = ModeParams(params["omega"])
     wtau = _phase_grid(params)
     taus = wtau / mode.omega
@@ -158,7 +158,7 @@ def _fig6(params, policy):
     return ExperimentResult(cols, np.column_stack(parts))
 
 
-def _fig7(params, policy):
+def _fig7(params, dim_cap):
     mode = ModeParams(params["omega"])
     kmax = params["kmax"]
     nsamp = params["spectral_samples"]
@@ -200,7 +200,7 @@ def _poles_as_nan(vals):
     return int(np.count_nonzero(pole))
 
 
-def _fig9(params, policy):
+def _fig9(params, dim_cap):
     q = params["q"]
     lower, upper = twomode.sep_bounds(q, params["n1"], params["n2"])
     rows, vals, n_sing = _ratio_surface_rows(params, entangled=False, t=0.0)
@@ -217,7 +217,7 @@ def _fig9(params, policy):
     return ExperimentResult(["x_a", "x_b", "r_sep"], rows, manifest, n_singular=n_sing)
 
 
-def _fig10(params, policy):
+def _fig10(params, dim_cap):
     t = math.pi / (params["omega_1"] + params["omega_2"])
     lower, upper = twomode.sep_bounds(params["q"], params["n1"], params["n2"])
     rows, vals, n_sing = _ratio_surface_rows(params, entangled=True, t=t)
@@ -232,7 +232,7 @@ def _fig10(params, policy):
     return ExperimentResult(["x_a", "x_b", "r_ent"], rows, manifest, n_singular=n_sing)
 
 
-def _fig11(params, policy):
+def _fig11(params, dim_cap):
     q = params["q"]
     n1, n2 = params["n1"], params["n2"]
     xa, xb = params["x_a"], params["x_b"]
@@ -261,7 +261,7 @@ def _squid_params(params):
     )
 
 
-def _coherent_convergence(params, policy):
+def _coherent_convergence(params, dim_cap):
     """One-point oracle cross-check for the manifest: the converged two-mode
     truncation of <sin^2 sin^2> for the entangled coherent pair at a
     representative time inside the plotted window.  The figure data come from
@@ -279,7 +279,7 @@ def _coherent_convergence(params, policy):
         return build
 
     _, info = fockbench.converged_two_mode_expectation(
-        twomode.coherent_pair_entangled(a1, a2), sin2(w1, wa), sin2(w2, wb), policy
+        twomode.coherent_pair_entangled(a1, a2), sin2(w1, wa), sin2(w2, wb), dim_cap
     )
     return {
         "two_mode_dim": int(info.dim),
@@ -305,7 +305,7 @@ def _pair_moments(params, t, pair):
     return [moments(x1, x2, e, coupling, wa, wb, w1, w2, t) for e in (False, True)]
 
 
-def _two_ring_figure(params, policy, phases, series, singular=None):
+def _two_ring_figure(params, dim_cap, phases, series, singular=None):
     """The table of figs 14-18: a row (phase, *values) per phase point, from
     ``series`` = {column: values over the phases or one value}, a pole as
     NaN.  A row counts as singular (for exit purposes) only when every value
@@ -316,21 +316,21 @@ def _two_ring_figure(params, policy, phases, series, singular=None):
     manifest = {}
     if singular is not None:
         manifest["singular_phases"] = phases[singular(pole, axis=1)].tolist()
-    manifest["convergence"] = _coherent_convergence(params, policy)
+    manifest["convergence"] = _coherent_convergence(params, dim_cap)
     return ExperimentResult(["omega_diff_t", *series], rows, manifest,
                             n_singular=int(np.count_nonzero(pole.all(axis=1))))
 
 
-def _fig14(params, policy):
+def _fig14(params, dim_cap):
     coupling, wa, wb, w1, w2, n1, n2, a1, a2 = _squid_params(params)
     phases, t = _beat_times(params)
     mom = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
     series = {"rc_sep_num": squid.ratio_c_sep_number(n1, n2, coupling),
               "rc_sep_coh": squid.ratio_c(mom)}
-    return _two_ring_figure(params, policy, phases, series, np.any)
+    return _two_ring_figure(params, dim_cap, phases, series, np.any)
 
 
-def _fig15(params, policy):
+def _fig15(params, dim_cap):
     coupling, wa, wb, w1, w2, n1, n2, _, _ = _squid_params(params)
     phases, t = _beat_times(params)
     sep, ent = _pair_moments(params, t, "coherent")
@@ -339,32 +339,32 @@ def _fig15(params, policy):
         - squid.ratio_c_ent_number(n1, n2, coupling, t, w1, w2, wa, wb),
         "d_rc_coh": squid.ratio_c(sep) - squid.ratio_c(ent),
     }
-    return _two_ring_figure(params, policy, phases, series, np.all)
+    return _two_ring_figure(params, dim_cap, phases, series, np.all)
 
 
-def _fig16(params, policy):
+def _fig16(params, dim_cap):
     phases, t = _beat_times(params)
     sep, ent = _pair_moments(params, t, "coherent")
     series = {"d_ia_coh": sep.ia - ent.ia, "d_ia2_coh": sep.ia2 - ent.ia2}
-    return _two_ring_figure(params, policy, phases, series)
+    return _two_ring_figure(params, dim_cap, phases, series)
 
 
-def _fig17(params, policy):
+def _fig17(params, dim_cap):
     phases, t = _beat_times(params)
     num_sep, num_ent = _pair_moments(params, t, "number")
     coh_sep, coh_ent = _pair_moments(params, t, "coherent")
     series = {"d_iaib_num": num_sep.ia_ib - num_ent.ia_ib,
               "d_iaib_coh": coh_sep.ia_ib - coh_ent.ia_ib}
-    return _two_ring_figure(params, policy, phases, series)
+    return _two_ring_figure(params, dim_cap, phases, series)
 
 
-def _fig18(params, policy):
+def _fig18(params, dim_cap):
     phases, t = _beat_times(params)
     num_sep, num_ent = _pair_moments(params, t, "number")
     coh_sep, coh_ent = _pair_moments(params, t, "coherent")
     series = {"d_rc2_num": squid.ratio_c2(num_sep) - squid.ratio_c2(num_ent),
               "d_rc2_coh": squid.ratio_c2(coh_sep) - squid.ratio_c2(coh_ent)}
-    return _two_ring_figure(params, policy, phases, series, np.all)
+    return _two_ring_figure(params, dim_cap, phases, series, np.all)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +466,7 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(name: str, overrides: dict = None, policy=None) -> ExperimentResult:
+def run_experiment(name: str, overrides: dict = None, dim_cap: int = DIM_CAP) -> ExperimentResult:
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}")
     exp = EXPERIMENTS[name]
@@ -476,8 +476,7 @@ def run_experiment(name: str, overrides: dict = None, policy=None) -> Experiment
         raise ValueError(f"unknown parameters for {name}: {sorted(unknown)}")
     params.update(overrides or {})
     _check_params(params, exp.defaults)
-    policy = policy or TruncationPolicy(tol=1e-11)
-    result = exp.build(params, policy)
+    result = exp.build(params, dim_cap)
     result.manifest = {
         "experiment": name,
         "params": params,

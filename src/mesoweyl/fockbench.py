@@ -1,16 +1,16 @@
 """Truncated Fock-space matrix oracle.
 
 Everything here is built from the ladder operator, the Fock amplitudes of the
-pure states (``states.fock_amplitudes``, which no closed-form Weyl function
-reads) and brute force traces, independently of the closed forms elsewhere,
-so that every closed-form result can be verified numerically, on the number
-basis |0>..|dim-1>.  The one ``ladder`` and the operators built
+pure states (``states.checked_amplitudes``, which no closed-form Weyl
+function reads) and brute force traces, independently of the closed forms
+elsewhere, so that every closed-form result can be verified numerically, on
+the number basis |0>..|dim-1>.  The one ``ladder`` and the operators built
 from it (flux, EMF and displacement generators) are scipy.sparse arrays;
 displacement and density matrices are dense complex numpy arrays.
-Truncation is explicit: one loop, ``converge``, doubles the dimension under a
-TruncationPolicy until the evaluated quantity stabilizes, and truncated
-density matrices are never renormalized; the trace deficit is reported
-instead of being hidden.
+Truncation is explicit: one loop, ``converge``, doubles the dimension until
+the evaluated quantity moves by less than TOL, under a dimension cap (the
+only setting, DIM_CAP by default), and truncated density matrices are never
+renormalized; the trace deficit is reported instead of being hidden.
 
 Pure state vectors are built once per (state, dim) and cached, so the
 doubling loops and every z share them; so are displacement bands, per
@@ -31,7 +31,6 @@ Two-mode matrices use mode-A-major ordering: index = i_A * dim_B + i_B.
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,21 +39,21 @@ from scipy import sparse
 from scipy.linalg import toeplitz
 from scipy.special import gammaln, jv
 
-from .exceptions import TruncationError, TruncationPolicy
+from .exceptions import DIM_CAP, TruncationError
 from .states import (
     ModeParams,
-    NumberState,
     ThermalState,
     TwoModeFactorizable,
     TwoModeProductSuperposition,
     TwoModeSeparableMixture,
     _scalar_or_array,
-    fock_amplitudes,
+    checked_amplitudes,
     mean_photons,
 )
 
 __all__ = [
-    "TruncationPolicy",
+    "DIM_CAP",
+    "TOL",
     "ConvergenceInfo",
     "ladder",
     "state_vector",
@@ -84,7 +83,8 @@ class ConvergenceInfo:
     trace_deficit: float
 
 
-DEFAULT_POLICY = TruncationPolicy()
+# the change below which converge stops doubling
+TOL = 1e-11
 
 
 def default_dim(state) -> int:
@@ -113,11 +113,8 @@ def state_vector(state, dim: int) -> np.ndarray:
 # call.
 @lru_cache(maxsize=32)
 def _pure_vector(state, dim: int) -> np.ndarray:
-    v = fock_amplitudes(state, dim)
-    if not isinstance(state, NumberState) and abs(v[0]) < sys.float_info.min:
-        # every amplitude is a multiple of c_0: below this it has lost its
-        # digits, or underflowed to an empty vector that would converge at once
-        raise TruncationError(f"{state!r}: its n = 0 amplitude is below the smallest normal double")
+    # an underflowed c_0 would give an empty vector that converges at once
+    v = checked_amplitudes(state, dim)
     v.setflags(write=False)
     return v
 
@@ -268,24 +265,24 @@ def expectation(rho: np.ndarray, obs) -> complex:
     return complex(np.sum(rho * obs.T))
 
 
-def converge(evaluate, dim: int, policy: TruncationPolicy, what: str, distance=None):
+def converge(evaluate, dim: int, dim_cap: int, what: str, distance=None):
     """The oracle's one dimension-doubling loop.
 
     evaluate(dim) is taken at dim, 2 dim, 4 dim, ... until distance(new,
-    previous) < policy.tol; distance defaults to the modulus of the change.
+    previous) < TOL; distance defaults to the modulus of the change.
     Returns (value, dim, delta) at the first converged dimension, and raises
     TruncationError naming ``what`` once the next doubling would pass
-    policy.dim_cap.
+    dim_cap.
     """
     val = evaluate(dim)
     while True:
         new_dim = 2 * dim
-        if new_dim > policy.dim_cap:
-            raise TruncationError(f"{what} did not converge below dim cap {policy.dim_cap}")
+        if new_dim > dim_cap:
+            raise TruncationError(f"{what} did not converge below dim cap {dim_cap}")
         new_val = evaluate(new_dim)
         delta = distance(new_val, val) if distance else abs(new_val - val)
         dim, val = new_dim, new_val
-        if delta < policy.tol:
+        if delta < TOL:
             return val, dim, delta
 
 
@@ -339,7 +336,7 @@ def _pure_weyl(vec: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", coeff[at_r], mu[at_t, :n]).reshape(z.shape)
 
 
-def weyl_numeric_report(state, z, policy: TruncationPolicy = DEFAULT_POLICY):
+def weyl_numeric_report(state, z, dim_cap: int = DIM_CAP):
     """Oracle Weyl value with its convergence diagnostics.
 
     z is a complex number, which gives a complex, or an array of them, which
@@ -348,16 +345,16 @@ def weyl_numeric_report(state, z, policy: TruncationPolicy = DEFAULT_POLICY):
     that any of its z would need on its own.
     """
     (val, deficit), dim, delta = converge(
-        lambda dim: _weyl_value(state, z, dim), default_dim(state), policy,
+        lambda dim: _weyl_value(state, z, dim), default_dim(state), dim_cap,
         "weyl_numeric", lambda new, old: float(np.max(np.abs(new[0] - old[0]), initial=0.0)),
     )
     return _scalar_or_array(val), ConvergenceInfo(dim=dim, delta=delta, trace_deficit=deficit)
 
 
-def weyl_numeric(state, z, policy: TruncationPolicy = DEFAULT_POLICY):
-    """Tr[density_matrix x displacement_matrix], converged under the policy,
-    at a complex z (a complex) or an array of them (an array of its shape)."""
-    val, _ = weyl_numeric_report(state, z, policy)
+def weyl_numeric(state, z, dim_cap: int = DIM_CAP):
+    """Tr[density_matrix x displacement_matrix], converged under dim_cap, at
+    a complex z (a complex) or an array of them (an array of its shape)."""
+    val, _ = weyl_numeric_report(state, z, dim_cap)
     return val
 
 
@@ -429,7 +426,7 @@ def two_mode_expectation(state2, op_a: np.ndarray, op_b: np.ndarray) -> complex:
     return total
 
 
-def converged_two_mode_expectation(state2, build_a, build_b, policy: TruncationPolicy = DEFAULT_POLICY):
+def converged_two_mode_expectation(state2, build_a, build_b, dim_cap: int = DIM_CAP):
     """Two-mode expectation converged by doubling both mode dimensions.
 
     build_a(dim) and build_b(dim) return the single-mode observable matrices.
@@ -437,7 +434,7 @@ def converged_two_mode_expectation(state2, build_a, build_b, policy: TruncationP
     """
     val, dim, delta = converge(
         lambda dim: two_mode_expectation(state2, build_a(dim), build_b(dim)),
-        _default_two_mode_dim(state2), policy, "two-mode expectation",
+        _default_two_mode_dim(state2), dim_cap, "two-mode expectation",
     )
     eye = np.eye(dim, dtype=complex)
     deficit = 1.0 - float(two_mode_expectation(state2, eye, eye).real)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import specfun
+from .exceptions import TruncationError
 
 __all__ = [
     "NumberState",
@@ -41,6 +42,7 @@ __all__ = [
     "weyl",
     "weyl_time_average",
     "fock_amplitudes",
+    "checked_amplitudes",
     "photon_counting",
     "mean_photons",
     "match_mean_photons",
@@ -348,8 +350,18 @@ def fock_amplitudes(state, dim: int) -> np.ndarray:
     return np.array(amps, dtype=complex)
 
 
+def checked_amplitudes(state, dim: int) -> np.ndarray:
+    """fock_amplitudes, refused where a coherent or squeezed state's c_0 is
+    below the smallest normal double: every amplitude is a multiple of c_0,
+    so there it has lost its digits, or underflowed to an empty vector."""
+    v = fock_amplitudes(state, dim)
+    if not isinstance(state, NumberState) and abs(v[0]) < np.finfo(float).tiny:
+        raise TruncationError(f"{state!r}: its n = 0 amplitude is below the smallest normal double")
+    return v
+
+
 def photon_counting(state, n: int) -> float:
-    """P(n) = <n| rho |n>."""
+    """P(n) = <n| rho |n>; a squeezed state's raises where its c_0 underflows."""
     if n < 0:
         raise ValueError("photon count must be nonnegative")
     if isinstance(state, NumberState):
@@ -360,7 +372,7 @@ def photon_counting(state, n: int) -> float:
         bw = state.beta_omega
         return (1.0 - math.exp(-bw)) * math.exp(-bw * n)
     if isinstance(state, SqueezedState):
-        return abs(fock_amplitudes(state, n + 1)[n]) ** 2
+        return abs(checked_amplitudes(state, n + 1)[n]) ** 2
     raise TypeError(f"unsupported state {state!r}")
 
 

@@ -266,9 +266,7 @@ def sep_bounds(q: float, n1: int = 0, n2: int = 1):
     arrays of its shape.
     """
     x = q * q
-    w1 = weyl(NumberState(n1), 1j * q).real
-    w2 = weyl(NumberState(n2), 1j * q).real
-    alpha = 0.5 * (w1 + w2)
+    alpha, _ = number_pair_alpha_gamma(q, n1, n2)
     # 1 - W_n does not round to 0 where W_n rounds to 1
     om1 = specfun.one_minus_scaled_laguerre(n1, x)
     om2 = specfun.one_minus_scaled_laguerre(n2, x)

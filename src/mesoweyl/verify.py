@@ -2,7 +2,8 @@
 
 Each suite returns a machine-readable report: a list of named checks with a
 measured maximum error, its tolerance and a pass flag.  The CLI ``verify``
-subcommand prints these as JSON; the test suite asserts on them.
+subcommand prints these as JSON; the test suite asserts on them.  A suite's
+one setting is the oracle's dimension cap, DIM_CAP unless the caller gives one.
 """
 
 import cmath
@@ -13,6 +14,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from . import fockbench, interference, squid, twomode
+from .exceptions import DIM_CAP
 from .states import (
     MEAN_PHOTONS,
     SQUEEZING_R,
@@ -111,13 +113,12 @@ def gamma_window_oracle(state, coupling, mode, tau, dim):
 # ---------------------------------------------------------------------------
 # suites
 
-def weyl_oracle_suite(policy=None) -> dict:
-    policy = policy or fockbench.TruncationPolicy()
+def weyl_oracle_suite(dim_cap: int = DIM_CAP) -> dict:
     grid = np.array(weyl_z_grid())
     states = matched_states()
     checks = []
     for fam, state in states.items():
-        diff = np.abs(weyl(state, grid) - fockbench.weyl_numeric(state, grid, policy))
+        diff = np.abs(weyl(state, grid) - fockbench.weyl_numeric(state, grid, dim_cap))
         checks.append(_check(f"weyl-closed-vs-oracle-{fam}", np.max(diff, initial=0.0), 1e-8))
     bound = np.max([np.abs(weyl(state, grid)) - 1.0 for state in states.values()], initial=0.0)
     checks.append(_check("weyl-magnitude-bound", bound, 1e-12))
@@ -138,8 +139,7 @@ def _content_change(new, old) -> float:
     return float(np.linalg.norm(new[:dim] - old)) + float(np.linalg.norm(new[dim:]))
 
 
-def flux_stats_suite(policy=None) -> dict:
-    policy = policy or fockbench.TruncationPolicy()
+def flux_stats_suite(dim_cap: int = DIM_CAP) -> dict:
     mode = ModeParams(omega=1.0e-4, xi=1.0)
     times = [k * 2.0 * math.pi / (8.0 * mode.omega) for k in range(8)]
     checks = []
@@ -149,7 +149,7 @@ def flux_stats_suite(policy=None) -> dict:
         thermal = isinstance(state, ThermalState)
         build = fockbench.thermal_weights if thermal else fockbench.state_vector
         psi, dim, _ = fockbench.converge(
-            partial(build, state), fockbench.default_dim(state), policy,
+            partial(build, state), fockbench.default_dim(state), dim_cap,
             f"{fam} state", _content_change,
         )
 
@@ -181,8 +181,7 @@ def flux_stats_suite(policy=None) -> dict:
     return _report("flux-stats", checks)
 
 
-def autocorr_suite(policy=None) -> dict:
-    policy = policy or fockbench.TruncationPolicy()
+def autocorr_suite(dim_cap: int = DIM_CAP) -> dict:
     coupling = ChargeCoupling(twomode.DEFAULT_COUPLING_Q)
     mode = ModeParams(omega=1.0e-4)
     period = 2.0 * math.pi / mode.omega
@@ -225,9 +224,9 @@ def autocorr_suite(policy=None) -> dict:
     for fam, state in small.items():
         # the window oracle runs at one fixed dimension, which must fit the cap
         dim = max(48, fockbench.default_dim(state))
-        if dim > policy.dim_cap:
+        if dim > dim_cap:
             raise fockbench.TruncationError(
-                f"autocorr window oracle needs dim {dim}, above dim cap {policy.dim_cap}"
+                f"autocorr window oracle needs dim {dim}, above dim cap {dim_cap}"
             )
         exact = interference.autocorrelation_quantum(state, coupling, mode, lags).values
         window = gamma_window_oracle(state, coupling, mode, lags, dim)
@@ -246,8 +245,7 @@ def _gamma_property_error(lags_fn, series, taus) -> float:
     return max(err, *(np.abs(b - np.conj(a)) / max(g0, 1e-300)))
 
 
-def twomode_suite(policy=None) -> dict:
-    policy = policy or fockbench.TruncationPolicy(tol=1e-11)
+def twomode_suite(dim_cap: int = DIM_CAP) -> dict:
     q = twomode.DEFAULT_COUPLING_Q
     coupling = ChargeCoupling(q)
     checks = []
@@ -273,7 +271,7 @@ def twomode_suite(policy=None) -> dict:
                 state2,
                 lambda dim: intensity_operator(dim, q, twomode.FIG_OMEGA_1, xa, t),
                 lambda dim: intensity_operator(dim, q, twomode.FIG_OMEGA_2, xb, t),
-                policy,
+                dim_cap,
             )
             errs.append(abs(closed - oracle))
         checks.append(_check(f"joint-intensity-vs-oracle-{name}", np.max(errs), 1e-8))
@@ -299,8 +297,7 @@ def twomode_suite(policy=None) -> dict:
     return _report("twomode", checks)
 
 
-def squid_suite(policy=None) -> dict:
-    policy = policy or fockbench.TruncationPolicy(tol=1e-11)
+def squid_suite(dim_cap: int = DIM_CAP) -> dict:
     coupling = ChargeCoupling(0.25)  # qprime = 0.5
     checks = []
 
@@ -348,14 +345,14 @@ def squid_suite(policy=None) -> dict:
             mom = squid.two_squid_currents_number(
                 1, 3, entangled, coupling, wa, wb, w1, w2, float(t)
             )
-            oracle = _squid_oracle_moments_generic(state2, coupling.qprime, wa, wb, w1, w2, float(t), policy)
+            oracle = _squid_oracle_moments_generic(state2, coupling.qprime, wa, wb, w1, w2, float(t), dim_cap)
             errs.append(np.max(np.abs(np.array(mom) - np.array(oracle))) / np.max(np.abs(oracle)))
     checks.append(_check("two-squid-number-moments-vs-oracle", np.max(errs), 1e-8))
 
     # factorizable baseline
     fact = TwoModeFactorizable(CoherentState(1.0), CoherentState(0.8 + 0.4j))
     t0 = 0.3 / w1
-    mom = _squid_oracle_moments_generic(fact, coupling.qprime, wa, wb, w1, w2, t0, policy)
+    mom = _squid_oracle_moments_generic(fact, coupling.qprime, wa, wb, w1, w2, t0, dim_cap)
     err = np.max([abs(squid.ratio_c(mom) - 1.0), abs(squid.ratio_c2(mom) - 1.0)])
     checks.append(_check("factorizable-current-ratios-unity", err, 1e-12))
     return _report("squid", checks)
@@ -372,7 +369,7 @@ def _number_pair_crossed(n1, n2, entangled):
     )
 
 
-def _squid_oracle_moments_generic(state2, qp, wa, wb, w1, w2, t, policy) -> squid.TwoSquidMoments:
+def _squid_oracle_moments_generic(state2, qp, wa, wb, w1, w2, t, dim_cap=DIM_CAP) -> squid.TwoSquidMoments:
     def sa(dim):
         return fockbench.sin_phase_operator(dim, qp, w1, wa, t)
 
@@ -388,12 +385,12 @@ def _squid_oracle_moments_generic(state2, qp, wa, wb, w1, w2, t, policy) -> squi
         return s @ s
 
     eye = lambda dim: np.eye(dim, dtype=complex)
-    ia, _ = fockbench.converged_two_mode_expectation(state2, sa, eye, policy)
-    ib, _ = fockbench.converged_two_mode_expectation(state2, eye, sb, policy)
-    ia2, _ = fockbench.converged_two_mode_expectation(state2, sa2, eye, policy)
-    ib2, _ = fockbench.converged_two_mode_expectation(state2, eye, sb2, policy)
-    iaib, _ = fockbench.converged_two_mode_expectation(state2, sa, sb, policy)
-    ia2ib2, _ = fockbench.converged_two_mode_expectation(state2, sa2, sb2, policy)
+    ia, _ = fockbench.converged_two_mode_expectation(state2, sa, eye, dim_cap)
+    ib, _ = fockbench.converged_two_mode_expectation(state2, eye, sb, dim_cap)
+    ia2, _ = fockbench.converged_two_mode_expectation(state2, sa2, eye, dim_cap)
+    ib2, _ = fockbench.converged_two_mode_expectation(state2, eye, sb2, dim_cap)
+    iaib, _ = fockbench.converged_two_mode_expectation(state2, sa, sb, dim_cap)
+    ia2ib2, _ = fockbench.converged_two_mode_expectation(state2, sa2, sb2, dim_cap)
     return squid.TwoSquidMoments(
         ia.real, ib.real, ia2.real, ib2.real, iaib.real, ia2ib2.real
     )
@@ -408,7 +405,7 @@ SUITES = {
 }
 
 
-def run_suite(name: str, policy=None) -> dict:
+def run_suite(name: str, dim_cap: int = DIM_CAP) -> dict:
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    return SUITES[name](policy)
+    return SUITES[name](dim_cap)

@@ -236,7 +236,6 @@ def test_criterion_07_shapiro_steps():
 
 def test_criterion_08_two_squid_closed_forms():
     coupling = ChargeCoupling(QPRIME / 2.0)
-    policy = fockbench.TruncationPolicy(tol=1e-11)
     ts = (np.arange(16) + 0.5) / 16.0 * 2.0 * math.pi / abs(W1 - W2)
     worst = 0.0
     for entangled in (False, True):
@@ -244,7 +243,7 @@ def test_criterion_08_two_squid_closed_forms():
         for t in ts:
             mom = squid.two_squid_currents_number(1, 3, entangled, coupling, W1, W2, W1, W2, float(t))
             oracle = verify._squid_oracle_moments_generic(
-                state2, coupling.qprime, W1, W2, W1, W2, float(t), policy
+                state2, coupling.qprime, W1, W2, W1, W2, float(t)
             )
             scale = max(abs(v) for v in oracle)
             worst = max(worst, max(abs(a - b) for a, b in zip(mom, oracle)) / scale)
@@ -287,10 +286,9 @@ def test_criterion_09_factorizability_baselines():
     )
 
     sq_coupling = ChargeCoupling(QPRIME / 2.0)
-    policy = fockbench.TruncationPolicy(tol=1e-11)
     state2 = TwoModeFactorizable(CoherentState(1.0), CoherentState(0.7 + 0.5j))
     t = 0.3 / W1
-    mom = verify._squid_oracle_moments_generic(state2, sq_coupling.qprime, W1, W2, W1, W2, t, policy)
+    mom = verify._squid_oracle_moments_generic(state2, sq_coupling.qprime, W1, W2, W1, W2, t)
     worst_c = max(abs(squid.ratio_c(mom) - 1.0), abs(squid.ratio_c2(mom) - 1.0))
 
     dim = 16

@@ -426,6 +426,29 @@ def test_verify_weyl_oracle_converges_under_dim_cap_1920():
     assert cli.main(["verify", "weyl-oracle", "--dim-cap", "1920"]) == 0
 
 
+# a cap below one used to reach the oracle (fig16 exited 3 with "dim cap -3")
+# or pass unread (figs 1-11)
+@pytest.mark.parametrize("command", [["run", "fig16"], ["run", "fig4"], ["verify", "weyl-oracle"]],
+                         ids=["run-fig16", "run-fig4", "verify"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_a_dim_cap_below_one_exits_2(tmp_path, monkeypatch, capsys, command, cap):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--dim-cap", cap])
+    assert exc.value.code == 2
+    assert f"argument --dim-cap: must be at least 1, not {cap}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("suite", sorted(verify.SUITES))
+def test_verify_prints_the_report_of_run_suite(capsys, suite):
+    # the benchmark calls run_suite(name) with no cap: it must run what the
+    # command line runs
+    assert cli.main(["verify", suite]) == 0
+    printed = capsys.readouterr().out
+    assert printed == json.dumps(verify.run_suite(suite), indent=2, sort_keys=True) + "\n"
+
+
 def _child(*args):
     """Run a fresh interpreter on args; it imports the same mesoweyl as this
     process, installed or not."""

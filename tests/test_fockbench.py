@@ -166,7 +166,7 @@ def test_an_array_converges_at_the_largest_dim_its_points_need(state):
     vals, info = fockbench.weyl_numeric_report(state, z)
     per_z = [fockbench.weyl_numeric_report(state, point) for point in z.ravel().tolist()]
     assert info.dim >= max(i.dim for _, i in per_z)
-    assert info.delta < fockbench.DEFAULT_POLICY.tol
+    assert info.delta < fockbench.TOL
     assert np.max(np.abs(vals.ravel() - [w for w, _ in per_z])) <= 1e-10
 
 
@@ -243,9 +243,9 @@ def test_weyl_oracle_dims_on_the_verify_grid():
 
 
 def test_weyl_numeric_raises_when_capped():
-    policy = fockbench.TruncationPolicy(dim_cap=16, tol=1e-30)
-    with pytest.raises(TruncationError):
-        fockbench.weyl_numeric(SqueezedState(0j, 4.2), 0.5, policy)
+    # the state starts at a dim above the cap, so its first doubling passes it
+    with pytest.raises(TruncationError, match="weyl_numeric did not converge below dim cap 16"):
+        fockbench.weyl_numeric(SqueezedState(0j, 4.2), 0.5, 16)
 
 
 @pytest.mark.parametrize("state", [CoherentState(40.0), SqueezedState(60.0, 1.0)], ids=["coherent", "squeezed"])
@@ -291,15 +291,16 @@ def test_converge_doubles_until_the_change_is_below_tol():
 
     def evaluate(dim):
         seen.append(dim)
-        return 2.0 ** -dim
+        return 2.0 ** (-3 * dim)
 
-    policy = fockbench.TruncationPolicy(tol=1e-3, dim_cap=32)
-    val, dim, delta = fockbench.converge(evaluate, 4, policy, "probe")
+    # the changes are 2^-12 - 2^-24, 2^-24 - 2^-48 and 2^-48 - 2^-96: only
+    # the last is below the tolerance
+    assert 2.0 ** -24 - 2.0 ** -48 > fockbench.TOL > 2.0 ** -48 - 2.0 ** -96
+    val, dim, delta = fockbench.converge(evaluate, 4, 32, "probe")
     assert seen == [4, 8, 16, 32] and dim == 32
-    assert val == 2.0 ** -32 and delta == 2.0 ** -16 - 2.0 ** -32
-    capped = fockbench.TruncationPolicy(tol=1e-3, dim_cap=16)
+    assert val == 2.0 ** -96 and delta == 2.0 ** -48 - 2.0 ** -96
     with pytest.raises(TruncationError, match="probe did not converge below dim cap 16"):
-        fockbench.converge(evaluate, 4, capped, "probe")
+        fockbench.converge(evaluate, 4, 16, "probe")
 
 
 def test_expectation_examples():

@@ -20,7 +20,6 @@ from mesoweyl.states import (
 
 COUPLING = ChargeCoupling(0.25)  # qprime = 0.5, the reproduction default
 W1, W2 = 1.2e-4, 1.0e-4
-POLICY = fockbench.TruncationPolicy(tol=1e-11)
 
 
 def test_classical_current_basics():
@@ -209,7 +208,7 @@ def test_two_squid_number_moments_against_oracle():
         for t in ts:
             mom = squid.two_squid_currents_number(1, 3, entangled, COUPLING, W1, W2, W1, W2, float(t))
             oracle = verify._squid_oracle_moments_generic(
-                state2, COUPLING.qprime, W1, W2, W1, W2, float(t), POLICY
+                state2, COUPLING.qprime, W1, W2, W1, W2, float(t)
             )
             scale = max(abs(v) for v in oracle)
             worst = max(abs(a - b) for a, b in zip(mom, oracle))
@@ -288,7 +287,7 @@ def test_two_squid_coherent_against_oracle_and_degeneracy():
                     a1, a2, entangled, COUPLING, W1, W2, W1, W2, float(t)
                 )
                 oracle = verify._squid_oracle_moments_generic(
-                    state2, COUPLING.qprime, W1, W2, W1, W2, float(t), POLICY
+                    state2, COUPLING.qprime, W1, W2, W1, W2, float(t)
                 )
                 for name in squid.TwoSquidMoments._fields:
                     assert getattr(mom, name) == pytest.approx(getattr(oracle, name), abs=1e-12)
@@ -369,7 +368,7 @@ def test_two_squid_coherent_matches_an_mpmath_reference():
 def test_ratio_factorizable_unity():
     state2 = TwoModeFactorizable(CoherentState(1.0), CoherentState(0.8 + 0.4j))
     t = 0.3 / W1
-    mom = verify._squid_oracle_moments_generic(state2, COUPLING.qprime, W1, W2, W1, W2, t, POLICY)
+    mom = verify._squid_oracle_moments_generic(state2, COUPLING.qprime, W1, W2, W1, W2, t)
     assert squid.ratio_c(mom) == pytest.approx(1.0, abs=1e-12)
     assert squid.ratio_c2(mom) == pytest.approx(1.0, abs=1e-12)
 
@@ -462,7 +461,7 @@ def test_ratio_c_ent_number_at_equal_occupations(n):
     state2 = verify._number_pair_crossed(n, n, True)
     for t, value in zip(ts, got):
         oracle = verify._squid_oracle_moments_generic(
-            state2, COUPLING.qprime, W1, W2, W1, W2, float(t), POLICY
+            state2, COUPLING.qprime, W1, W2, W1, W2, float(t)
         )
         assert squid.ratio_c(oracle) == pytest.approx(value, abs=1e-8)
 

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mesoweyl import fockbench, interference, specfun
+from mesoweyl.exceptions import TruncationError
 from mesoweyl.states import (
     ChargeCoupling,
     CoherentState,
@@ -172,6 +173,16 @@ def test_photon_counting_coherent_stays_finite_where_its_amplitudes_underflow():
     p = photon_counting(state, 1600)
     assert p > 0.0
     assert p == pytest.approx(ref, rel=1e-12)  # worst seen 7.6e-14
+
+
+def test_photon_counting_squeezed_raises_where_its_vacuum_amplitude_underflows():
+    # c_0 underflows at |A| = 60, so every amplitude, and P(n) with it, would
+    # read 0 even at the mean photon number, 3257.4; the oracle refuses the
+    # same state with the same error
+    state = SqueezedState(60, 0.1)
+    assert mean_photons(state) == pytest.approx(3257.4, abs=0.05)
+    with pytest.raises(TruncationError, match="n = 0 amplitude is below the smallest normal double"):
+        photon_counting(state, 3257)
 
 
 def test_mean_photons_examples():
