@@ -75,6 +75,16 @@ def _check_params(params, defaults):
             raise ValueError(f"{name} must be finite, got {v!r}")
 
 
+def _beat(params, sign):
+    """omega_1 + sign * omega_2 (sign 1 or -1), whose phase is the abscissa of
+    figs 10-11 (sum) and 14-18 (difference); refused where it is zero."""
+    w1, w2 = params["omega_1"], params["omega_2"]
+    if w1 + sign * w2 == 0:
+        raise ValueError(f"omega_1 {'+-'[sign < 0]} omega_2 must be nonzero, "
+                         f"got omega_1 = {w1!r}, omega_2 = {w2!r}")
+    return w1 + sign * w2
+
+
 def _phase_grid(params):
     """The plotted phases: samples points over periods * 2 pi."""
     return np.linspace(0.0, params["periods"] * 2.0 * math.pi, params["samples"])
@@ -218,7 +228,7 @@ def _fig9(params, dim_cap):
 
 
 def _fig10(params, dim_cap):
-    t = math.pi / (params["omega_1"] + params["omega_2"])
+    t = math.pi / _beat(params, 1)
     lower, upper = twomode.sep_bounds(params["q"], params["n1"], params["n2"])
     rows, vals, n_sing = _ratio_surface_rows(params, entangled=True, t=t)
     manifest = {
@@ -240,7 +250,7 @@ def _fig11(params, dim_cap):
     phases = _phase_grid(params)
     with np.errstate(divide="ignore", invalid="ignore"):  # poles are counted below
         r_sep = twomode.ratio_sep_closed(q, xa, xb, n1, n2)
-        r_ent = twomode.ratio_ent_closed(q, xa, xb, phases / (w1 + w2), w1, w2, n1, n2)
+        r_ent = twomode.ratio_ent_closed(q, xa, xb, phases / _beat(params, 1), w1, w2, n1, n2)
     # a screen point on a marginal zero puts every row on the pole
     r_sep = r_sep if math.isfinite(r_sep) else math.nan
     n_sing = _poles_as_nan(r_ent)
@@ -270,16 +280,14 @@ def _coherent_convergence(params, dim_cap):
     from . import fockbench
 
     coupling, wa, wb, w1, w2, _, _, a1, a2 = _squid_params(params)
-    t = (0.5 * params["periods"] * 2.0 * math.pi) / (w1 - w2)
+    t = (0.5 * params["periods"] * 2.0 * math.pi) / _beat(params, -1)
 
-    def sin2(omega_mw, omega_ramp):
-        def build(dim):
-            s = fockbench.sin_phase_operator(dim, coupling.qprime, omega_mw, omega_ramp, t)
-            return s @ s
-        return build
+    def build(dim):
+        return [(fockbench.sin_phase_powers(dim, coupling.qprime, w1, wa, t)[1],
+                 fockbench.sin_phase_powers(dim, coupling.qprime, w2, wb, t)[1])]
 
     _, info = fockbench.converged_two_mode_expectation(
-        twomode.coherent_pair_entangled(a1, a2), sin2(w1, wa), sin2(w2, wb), dim_cap
+        twomode.coherent_pair_entangled(a1, a2), build, dim_cap
     )
     return {
         "two_mode_dim": int(info.dim),
@@ -291,7 +299,7 @@ def _coherent_convergence(params, dim_cap):
 def _beat_times(params):
     """The phase grid of figs 14-18 and its times t = phase / (omega_1 - omega_2)."""
     phases = _phase_grid(params)
-    return phases, phases / (params["omega_1"] - params["omega_2"])
+    return phases, phases / _beat(params, -1)
 
 
 def _pair_moments(params, t, pair):

@@ -10,7 +10,9 @@ displacement and density matrices are dense complex numpy arrays.
 Truncation is explicit: one loop, ``converge``, doubles the dimension until
 the evaluated quantity moves by less than TOL, under a dimension cap (the
 only setting, DIM_CAP by default), and truncated density matrices are never
-renormalized; the trace deficit is reported instead of being hidden.
+renormalized; the trace deficit is reported instead of being hidden.  An
+array (a z grid, a list of two-mode observable pairs) converges as one, by
+its largest change.
 
 Pure state vectors are built once per (state, dim) and cached, so the
 doubling loops and every z share them; so are displacement bands, per
@@ -36,10 +38,10 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import toeplitz
 from scipy.special import gammaln, jv
 
 from .exceptions import DIM_CAP, TruncationError
+from .squid import TwoSquidMoments
 from .states import (
     ModeParams,
     ThermalState,
@@ -59,11 +61,13 @@ __all__ = [
     "state_vector",
     "thermal_weights",
     "density_matrix",
+    "hermitian_toeplitz",
     "displacement_matrix",
     "displacement_diagonal",
     "flux_matrix",
     "emf_matrix",
     "sin_phase_operator",
+    "sin_phase_powers",
     "expectation",
     "converge",
     "weyl_numeric",
@@ -72,6 +76,7 @@ __all__ = [
     "partial_trace",
     "two_mode_expectation",
     "converged_two_mode_expectation",
+    "two_squid_moments",
     "default_dim",
 ]
 
@@ -162,6 +167,12 @@ def trace_deficit(rho: np.ndarray) -> float:
     return 1.0 - float(np.trace(rho).real)
 
 
+def hermitian_toeplitz(c: np.ndarray) -> np.ndarray:
+    """The matrix of entries c[m - n] at m >= n and conj(c[n - m]) above."""
+    n = c.size
+    return np.concatenate((c.conj()[:0:-1], c))[n - 1 + np.subtract.outer(np.arange(n), np.arange(n))]
+
+
 def displacement_matrix(z, dim: int) -> np.ndarray:
     """Matrix of D(z) = exp(z a^dag - z* a) on the truncated basis.
 
@@ -176,7 +187,7 @@ def displacement_matrix(z, dim: int) -> np.ndarray:
         return np.eye(dim, dtype=complex)
     arg = cmath.phase(z)
     ph = np.array([cmath.exp(1j * d * arg) for d in range(dim)])
-    return _signed_band(abs(z), dim) * toeplitz(ph, ph.conj())
+    return _signed_band(abs(z), dim) * hermitian_toeplitz(ph)
 
 
 # Behind displacement_matrix for the same reason as _pure_vector.
@@ -256,6 +267,12 @@ def sin_phase_operator(dim, qp, omega_mw, omega_ramp, t) -> np.ndarray:
     return (ph * d - np.conj(ph) * d.conj().T) / 2j
 
 
+def sin_phase_powers(dim, qp, omega_mw, omega_ramp, t):
+    """(S, S @ S), the ring current and its square, for S = sin_phase_operator(...)."""
+    s = sin_phase_operator(dim, qp, omega_mw, omega_ramp, t)
+    return s, s @ s
+
+
 def expectation(rho: np.ndarray, obs) -> complex:
     """Tr(rho obs) for a dense or scipy.sparse observable."""
     if rho.shape != obs.shape:
@@ -265,14 +282,20 @@ def expectation(rho: np.ndarray, obs) -> complex:
     return complex(np.sum(rho * obs.T))
 
 
-def converge(evaluate, dim: int, dim_cap: int, what: str, distance=None):
+def _max_change(new, old) -> float:
+    """The largest modulus of the change over an array, or of a scalar's."""
+    return float(np.max(np.abs(np.subtract(new, old)), initial=0.0))
+
+
+def converge(evaluate, dim: int, dim_cap: int, what: str, distance=_max_change):
     """The oracle's one dimension-doubling loop.
 
     evaluate(dim) is taken at dim, 2 dim, 4 dim, ... until distance(new,
-    previous) < TOL; distance defaults to the modulus of the change.
-    Returns (value, dim, delta) at the first converged dimension, and raises
-    TruncationError naming ``what`` once the next doubling would pass
-    dim_cap.
+    previous) < TOL; distance defaults to the largest modulus of the change,
+    so an array converges as a whole, at the largest dimension that any of
+    its entries would need on its own.  Returns (value, dim, delta) at the
+    first converged dimension, and raises TruncationError naming ``what``
+    once the next doubling would pass dim_cap.
     """
     val = evaluate(dim)
     while True:
@@ -280,7 +303,7 @@ def converge(evaluate, dim: int, dim_cap: int, what: str, distance=None):
         if new_dim > dim_cap:
             raise TruncationError(f"{what} did not converge below dim cap {dim_cap}")
         new_val = evaluate(new_dim)
-        delta = distance(new_val, val) if distance else abs(new_val - val)
+        delta = distance(new_val, val)
         dim, val = new_dim, new_val
         if delta < TOL:
             return val, dim, delta
@@ -340,13 +363,11 @@ def weyl_numeric_report(state, z, dim_cap: int = DIM_CAP):
     """Oracle Weyl value with its convergence diagnostics.
 
     z is a complex number, which gives a complex, or an array of them, which
-    gives a complex array of its shape.  An array converges as a whole: its
-    distance is the largest change over it, so its dimension is the largest
-    that any of its z would need on its own.
+    gives a complex array of its shape and converges as a whole.
     """
     (val, deficit), dim, delta = converge(
         lambda dim: _weyl_value(state, z, dim), default_dim(state), dim_cap,
-        "weyl_numeric", lambda new, old: float(np.max(np.abs(new[0] - old[0]), initial=0.0)),
+        "weyl_numeric", lambda new, old: _max_change(new[0], old[0]),
     )
     return _scalar_or_array(val), ConvergenceInfo(dim=dim, delta=delta, trace_deficit=deficit)
 
@@ -426,14 +447,13 @@ def two_mode_expectation(state2, op_a: np.ndarray, op_b: np.ndarray) -> complex:
     return total
 
 
-def converged_two_mode_expectation(state2, build_a, build_b, dim_cap: int = DIM_CAP):
-    """Two-mode expectation converged by doubling both mode dimensions.
-
-    build_a(dim) and build_b(dim) return the single-mode observable matrices.
-    Returns (value, ConvergenceInfo) with the joint trace deficit.
+def converged_two_mode_expectation(state2, build, dim_cap: int = DIM_CAP):
+    """Tr[rho (op_a x op_b)] for each single-mode pair (op_a, op_b) of the
+    list build(dim), converged as one array by doubling both mode dimensions.
+    Returns (complex array, ConvergenceInfo) with the joint trace deficit.
     """
     val, dim, delta = converge(
-        lambda dim: two_mode_expectation(state2, build_a(dim), build_b(dim)),
+        lambda dim: np.array([two_mode_expectation(state2, a, b) for a, b in build(dim)]),
         _default_two_mode_dim(state2), dim_cap, "two-mode expectation",
     )
     eye = np.eye(dim, dtype=complex)
@@ -441,8 +461,20 @@ def converged_two_mode_expectation(state2, build_a, build_b, dim_cap: int = DIM_
     return val, ConvergenceInfo(dim=dim, delta=delta, trace_deficit=deficit)
 
 
+def two_squid_moments(state2, qp, wa, wb, w1, w2, t, dim_cap: int = DIM_CAP) -> TwoSquidMoments:
+    """The six two-ring current moments of state2 at time t: ring A's current
+    sin_phase_operator(dim, qp, w1, wa, t) on mode A, ring B's (w2, wb) on
+    mode B, each squared once per dimension, all six in one loop."""
+    def build(dim):
+        sa, sa2 = sin_phase_powers(dim, qp, w1, wa, t)
+        sb, sb2 = sin_phase_powers(dim, qp, w2, wb, t)
+        eye = np.eye(dim, dtype=complex)
+        return [(sa, eye), (eye, sb), (sa2, eye), (eye, sb2), (sa, sb), (sa2, sb2)]
+
+    val, _ = converged_two_mode_expectation(state2, build, dim_cap)
+    return TwoSquidMoments(*val.real.tolist())
+
+
 def _default_two_mode_dim(state2) -> int:
-    _, comps = _components(state2)
-    dims = [default_dim(s) for _, sa, sb in comps for s in (sa, sb)]
-    return max(dims) if dims else 32
+    return max((default_dim(s) for _, sa, sb in _components(state2)[1] for s in (sa, sb)), default=32)
 

@@ -37,6 +37,7 @@ __all__ = [
     "DEFAULT_COUPLING_Q",
     "number_pair_separable",
     "number_pair_entangled",
+    "number_pair_crossed",
     "coherent_pair_separable",
     "coherent_pair_entangled",
     "two_mode_weyl",
@@ -75,6 +76,16 @@ def number_pair_entangled(n1: int, n2: int) -> TwoModeProductSuperposition:
     return TwoModeProductSuperposition(
         ((norm, NumberState(n1), NumberState(n1)), (norm, NumberState(n2), NumberState(n2)))
     )
+
+
+def number_pair_crossed(n1: int, n2: int, entangled: bool):
+    """The swapped number pair of the two-ring moments: N(|n1 n2> + |n2 n1>)
+    when entangled, else the even mixture of |n1 n2> and |n2 n1>."""
+    kets = ((NumberState(n1), NumberState(n2)), (NumberState(n2), NumberState(n1)))
+    if entangled:
+        norm = 0.5 if n1 == n2 else 1.0 / math.sqrt(2.0)
+        return TwoModeProductSuperposition(tuple((norm, *k) for k in kets))
+    return TwoModeSeparableMixture(tuple((0.5, *k) for k in kets))
 
 
 def coherent_pair_separable(a1, a2) -> TwoModeSeparableMixture:

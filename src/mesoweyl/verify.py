@@ -4,6 +4,8 @@ Each suite returns a machine-readable report: a list of named checks with a
 measured maximum error, its tolerance and a pass flag.  The CLI ``verify``
 subcommand prints these as JSON; the test suite asserts on them.  A suite's
 one setting is the oracle's dimension cap, DIM_CAP unless the caller gives one.
+Every oracle value goes through ``fockbench.converge``, one loop per state and
+array: a Weyl z grid, window lags, a field's screen points, six ring moments.
 """
 
 import cmath
@@ -11,7 +13,6 @@ import math
 from functools import partial
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from . import fockbench, interference, squid, twomode
 from .exceptions import DIM_CAP
@@ -25,8 +26,6 @@ from .states import (
     SqueezedState,
     ThermalState,
     TwoModeFactorizable,
-    TwoModeProductSuperposition,
-    TwoModeSeparableMixture,
     _scalar_or_array,
     emf_stats,
     flux_stats,
@@ -72,10 +71,7 @@ def _report(suite, checks):
 def intensity_operator(dim, q, omega, x, t):
     """Matrix of 1 + cos(x - e flux(t)) on the truncated basis."""
     d = fockbench.displacement_matrix(1j * q * cmath.exp(1j * omega * t), dim)
-    return (
-        np.eye(dim, dtype=complex)
-        + 0.5 * (cmath.exp(1j * x) * d.conj().T + cmath.exp(-1j * x) * d)
-    )
+    return np.eye(dim, dtype=complex) + 0.5 * (cmath.exp(1j * x) * d.conj().T + cmath.exp(-1j * x) * d)
 
 
 # time points of the window oracle's trapezoid over one drive period
@@ -100,13 +96,10 @@ def gamma_window_oracle(state, coupling, mode, tau, dim):
     q, w = coupling.q, mode.omega
     ts = np.arange(WINDOW_POINTS) / WINDOW_POINTS * (2.0 * math.pi / w)
     node_mean = np.exp(-1j * w * np.outer(np.arange(dim), ts)).mean(axis=1)
-    rho = fockbench.density_matrix(state, dim) * toeplitz(node_mean, node_mean.conj())
+    rho = fockbench.density_matrix(state, dim) * fockbench.hermitian_toeplitz(node_mean)
     op0 = intensity_operator(dim, q, w, 0.0, 0.0)
     lags = np.asarray(tau, dtype=float)
-    vals = [
-        fockbench.expectation(rho, op0 @ intensity_operator(dim, q, w, 0.0, t))
-        for t in lags.ravel()
-    ]
+    vals = [fockbench.expectation(rho, op0 @ intensity_operator(dim, q, w, 0.0, t)) for t in lags.ravel()]
     return _scalar_or_array(np.array(vals, dtype=complex).reshape(lags.shape))
 
 
@@ -222,14 +215,11 @@ def autocorr_suite(dim_cap: int = DIM_CAP) -> dict:
     }
     lags = np.array([0.0, 0.31 * period, 0.62 * period])
     for fam, state in small.items():
-        # the window oracle runs at one fixed dimension, which must fit the cap
-        dim = max(48, fockbench.default_dim(state))
-        if dim > dim_cap:
-            raise fockbench.TruncationError(
-                f"autocorr window oracle needs dim {dim}, above dim cap {dim_cap}"
-            )
         exact = interference.autocorrelation_quantum(state, coupling, mode, lags).values
-        window = gamma_window_oracle(state, coupling, mode, lags, dim)
+        window, _, _ = fockbench.converge(
+            partial(gamma_window_oracle, state, coupling, mode, lags),
+            fockbench.default_dim(state), dim_cap, f"{fam} window oracle",
+        )
         err = float(np.max(np.abs(exact - window)))
         checks.append(_check(f"quantum-gamma-vs-window-oracle-{fam}", err, 1e-6))
     return _report("autocorr", checks)
@@ -263,18 +253,14 @@ def twomode_suite(dim_cap: int = DIM_CAP) -> dict:
         "factorizable-thermal-coherent": fact,
     }
     pts = [(0.4, -1.1), (2.0, 2.9), (-0.7, 0.3)]
+
+    def screen_pairs(dim):  # (I_A, I_B) at every screen point
+        return [(intensity_operator(dim, q, twomode.FIG_OMEGA_1, xa, t),
+                 intensity_operator(dim, q, twomode.FIG_OMEGA_2, xb, t)) for xa, xb in pts]
     for name, state2 in fields.items():
-        errs = []
-        for xa, xb in pts:
-            closed = twomode.joint_intensity(state2, coupling, xa, xb, t)
-            oracle, _ = fockbench.converged_two_mode_expectation(
-                state2,
-                lambda dim: intensity_operator(dim, q, twomode.FIG_OMEGA_1, xa, t),
-                lambda dim: intensity_operator(dim, q, twomode.FIG_OMEGA_2, xb, t),
-                dim_cap,
-            )
-            errs.append(abs(closed - oracle))
-        checks.append(_check(f"joint-intensity-vs-oracle-{name}", np.max(errs), 1e-8))
+        closed = [twomode.joint_intensity(state2, coupling, xa, xb, t) for xa, xb in pts]
+        oracle, _ = fockbench.converged_two_mode_expectation(state2, screen_pairs, dim_cap)
+        checks.append(_check(f"joint-intensity-vs-oracle-{name}", np.max(np.abs(closed - oracle)), 1e-8))
 
     sep = twomode.number_pair_separable(0, 1)
     ent = twomode.number_pair_entangled(0, 1)
@@ -334,66 +320,26 @@ def squid_suite(dim_cap: int = DIM_CAP) -> dict:
     checks.append(_check("squeezed-vacuum-odd-steps", np.max(odd), 1e-10))
     checks.append(_check("squeezed-vacuum-even-step-present", 1e-4 - np.min(even), 0.0))
 
-    # number-pair moments against the two-mode oracle
+    # number-pair moments against the two-mode oracle; each ring ramps at
+    # its mode's frequency
     w1, w2 = 1.2e-4, 1.0e-4
-    wa, wb = w1, w2
     ts = (np.arange(16) + 0.5) / 16.0 * 2.0 * math.pi / abs(w1 - w2)
     errs = []
     for entangled in (False, True):
-        state2 = _number_pair_crossed(1, 3, entangled)
+        state2 = twomode.number_pair_crossed(1, 3, entangled)
         for t in ts[::4]:
-            mom = squid.two_squid_currents_number(
-                1, 3, entangled, coupling, wa, wb, w1, w2, float(t)
-            )
-            oracle = _squid_oracle_moments_generic(state2, coupling.qprime, wa, wb, w1, w2, float(t), dim_cap)
+            mom = squid.two_squid_currents_number(1, 3, entangled, coupling, w1, w2, w1, w2, float(t))
+            oracle = fockbench.two_squid_moments(state2, coupling.qprime, w1, w2, w1, w2, float(t), dim_cap)
             errs.append(np.max(np.abs(np.array(mom) - np.array(oracle))) / np.max(np.abs(oracle)))
     checks.append(_check("two-squid-number-moments-vs-oracle", np.max(errs), 1e-8))
 
     # factorizable baseline
     fact = TwoModeFactorizable(CoherentState(1.0), CoherentState(0.8 + 0.4j))
     t0 = 0.3 / w1
-    mom = _squid_oracle_moments_generic(fact, coupling.qprime, wa, wb, w1, w2, t0, dim_cap)
+    mom = fockbench.two_squid_moments(fact, coupling.qprime, w1, w2, w1, w2, t0, dim_cap)
     err = np.max([abs(squid.ratio_c(mom) - 1.0), abs(squid.ratio_c2(mom) - 1.0)])
     checks.append(_check("factorizable-current-ratios-unity", err, 1e-12))
     return _report("squid", checks)
-
-
-def _number_pair_crossed(n1, n2, entangled):
-    if entangled:
-        c = 0.5 if n1 == n2 else 1.0 / math.sqrt(2.0)
-        return TwoModeProductSuperposition(
-            ((c, NumberState(n1), NumberState(n2)), (c, NumberState(n2), NumberState(n1)))
-        )
-    return TwoModeSeparableMixture(
-        ((0.5, NumberState(n1), NumberState(n2)), (0.5, NumberState(n2), NumberState(n1)))
-    )
-
-
-def _squid_oracle_moments_generic(state2, qp, wa, wb, w1, w2, t, dim_cap=DIM_CAP) -> squid.TwoSquidMoments:
-    def sa(dim):
-        return fockbench.sin_phase_operator(dim, qp, w1, wa, t)
-
-    def sb(dim):
-        return fockbench.sin_phase_operator(dim, qp, w2, wb, t)
-
-    def sa2(dim):
-        s = sa(dim)
-        return s @ s
-
-    def sb2(dim):
-        s = sb(dim)
-        return s @ s
-
-    eye = lambda dim: np.eye(dim, dtype=complex)
-    ia, _ = fockbench.converged_two_mode_expectation(state2, sa, eye, dim_cap)
-    ib, _ = fockbench.converged_two_mode_expectation(state2, eye, sb, dim_cap)
-    ia2, _ = fockbench.converged_two_mode_expectation(state2, sa2, eye, dim_cap)
-    ib2, _ = fockbench.converged_two_mode_expectation(state2, eye, sb2, dim_cap)
-    iaib, _ = fockbench.converged_two_mode_expectation(state2, sa, sb, dim_cap)
-    ia2ib2, _ = fockbench.converged_two_mode_expectation(state2, sa2, sb2, dim_cap)
-    return squid.TwoSquidMoments(
-        ia.real, ib.real, ia2.real, ib2.real, iaib.real, ia2ib2.real
-    )
 
 
 SUITES = {

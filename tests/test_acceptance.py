@@ -239,10 +239,10 @@ def test_criterion_08_two_squid_closed_forms():
     ts = (np.arange(16) + 0.5) / 16.0 * 2.0 * math.pi / abs(W1 - W2)
     worst = 0.0
     for entangled in (False, True):
-        state2 = verify._number_pair_crossed(1, 3, entangled)
+        state2 = twomode.number_pair_crossed(1, 3, entangled)
         for t in ts:
             mom = squid.two_squid_currents_number(1, 3, entangled, coupling, W1, W2, W1, W2, float(t))
-            oracle = verify._squid_oracle_moments_generic(
+            oracle = fockbench.two_squid_moments(
                 state2, coupling.qprime, W1, W2, W1, W2, float(t)
             )
             scale = max(abs(v) for v in oracle)
@@ -288,7 +288,7 @@ def test_criterion_09_factorizability_baselines():
     sq_coupling = ChargeCoupling(QPRIME / 2.0)
     state2 = TwoModeFactorizable(CoherentState(1.0), CoherentState(0.7 + 0.5j))
     t = 0.3 / W1
-    mom = verify._squid_oracle_moments_generic(state2, sq_coupling.qprime, W1, W2, W1, W2, t)
+    mom = fockbench.two_squid_moments(state2, sq_coupling.qprime, W1, W2, W1, W2, t)
     worst_c = max(abs(squid.ratio_c(mom) - 1.0), abs(squid.ratio_c2(mom) - 1.0))
 
     dim = 16
@@ -296,8 +296,8 @@ def test_criterion_09_factorizability_baselines():
     expect[1, 1] = expect[3, 3] = 0.5
     worst_red = 0.0
     for state in (
-        verify._number_pair_crossed(1, 3, False),
-        verify._number_pair_crossed(1, 3, True),
+        twomode.number_pair_crossed(1, 3, False),
+        twomode.number_pair_crossed(1, 3, True),
     ):
         rho = fockbench.two_mode_density(state, dim, dim)
         for keep in ("A", "B"):

@@ -303,6 +303,20 @@ def test_an_underflowing_coherent_amplitude_exits_3(tmp_path, capsys):
     assert "error: CoherentState(amplitude=(40+0j)): its n = 0 amplitude is below" in capsys.readouterr().err
 
 
+# figs 10 and 11 plot phases of omega_1 + omega_2 and figs 14-18 phases of
+# omega_1 - omega_2, so each refuses the frequencies that make its one zero
+@pytest.mark.parametrize("fig", ["fig10", "fig11", "fig14", "fig15", "fig16", "fig17", "fig18"])
+def test_a_zero_abscissa_frequency_exits_2_naming_it(tmp_path, capsys, fig):
+    op, w2 = ("+", -1e-4) if fig in ("fig10", "fig11") else ("-", 1e-4)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": fig, "params": {"omega_1": 1e-4, "omega_2": w2}}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: omega_1 {op} omega_2 must be nonzero, got omega_1 = 0.0001, omega_2 = {w2!r}\n"
+    )
+    assert not (tmp_path / f"{fig}.csv").exists()
+
+
 # the figures whose rows are their phase or time grid; fig7 has a samples
 # default too, but its rows are its kmax harmonics
 ONE_SAMPLE_FIGS = [name for name in ALL_FIGS if "samples" in EXPERIMENTS[name].defaults and name != "fig7"]
@@ -478,8 +492,8 @@ def test_importing_the_cli_leaves_scipy_sparse_linalg_unloaded():
 
 
 # Only the oracle (fockbench, hence verify and the figs 14-18 cross-check)
-# needs scipy.sparse and scipy.linalg, and only Bessel J (specfun.jv) needs
-# scipy.special; every other start loads no scipy at all.
+# needs scipy.sparse, and only Bessel J (specfun.jv) needs scipy.special;
+# every other start loads no scipy at all.
 @pytest.mark.parametrize("code", [
     "import mesoweyl",
     "import mesoweyl.cli",
@@ -501,7 +515,16 @@ def test_importing_verify_loads_the_oracle_scipy_eagerly():
     # the benchmark worker imports verify before its clock starts, so the
     # oracle's import cost stays out of the timed pass
     loaded = _scipy_modules_after("import mesoweyl.verify")
-    assert {"scipy.special", "scipy.sparse", "scipy.linalg"} <= loaded
+    assert {"scipy.special", "scipy.sparse"} <= loaded
+
+
+def test_the_oracle_loads_no_scipy_linalg(tmp_path):
+    # the oracle indexes its Toeplitz matrices out of one vector
+    fig16 = f"import mesoweyl.cli; assert mesoweyl.cli.main(['run', 'fig16', '--out', {str(tmp_path)!r}]) == 0"
+    for code in ("import mesoweyl.verify", fig16):
+        loaded = _scipy_modules_after(code)
+        assert "scipy.sparse" in loaded
+        assert not [m for m in loaded if m.startswith("scipy.linalg")], code
 
 
 def test_cli_verify_suite_names_match_the_suites():

@@ -11,7 +11,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln, jv
 
-from mesoweyl import fockbench, verify
+from mesoweyl import fockbench, twomode, verify
 from mesoweyl.exceptions import TruncationError
 from mesoweyl.states import (
     CoherentState,
@@ -413,11 +413,64 @@ def test_two_mode_expectation_matches_kron_trace():
 def test_converged_two_mode_expectation_reports_dim():
     state = TwoModeFactorizable(CoherentState(1.0), CoherentState(0.5))
     val, info = fockbench.converged_two_mode_expectation(
-        state, lambda d: np.eye(d, dtype=complex), lambda d: np.eye(d, dtype=complex)
+        state, lambda d: [(np.eye(d, dtype=complex), np.eye(d, dtype=complex))]
     )
-    assert val.real == pytest.approx(1.0, abs=1e-10)
+    assert val[0].real == pytest.approx(1.0, abs=1e-10)
     assert info.dim >= 64
     assert info.trace_deficit <= 1e-10
+
+
+def test_a_list_of_pairs_converges_at_the_largest_dim_its_pairs_need():
+    # from the start 41, <n_A> = 1 converges at 82 and <n_B^2> = 90 only at 164
+    state = TwoModeFactorizable(CoherentState(1.0), CoherentState(3.0))
+
+    def pairs(d):
+        eye, n = np.eye(d, dtype=complex), np.diag(np.arange(d, dtype=complex))
+        return [(n, eye), (eye, n @ n)]
+    vals, info = fockbench.converged_two_mode_expectation(state, pairs)
+    alone = [fockbench.converged_two_mode_expectation(state, lambda d, k=k: [pairs(d)[k]])
+             for k in range(2)]
+    assert [i.dim for _, i in alone] == [82, 164]
+    assert info.dim >= max(i.dim for _, i in alone)
+    assert info.delta < fockbench.TOL
+    assert np.max(np.abs(vals - [v[0] for v, _ in alone])) <= 1e-10
+    assert vals.real == pytest.approx([1.0, 90.0], rel=1e-10)
+
+
+def _counted_converge(monkeypatch):
+    """Patch fockbench.converge to record the ``what`` of every loop."""
+    loops, converge = [], fockbench.converge
+
+    def counted(evaluate, dim, dim_cap, what, *args):
+        loops.append(what)
+        return converge(evaluate, dim, dim_cap, what, *args)
+    monkeypatch.setattr(fockbench, "converge", counted)
+    return loops
+
+
+@pytest.mark.parametrize("entangled", [False, True])
+def test_the_ring_oracle_converges_its_six_moments_in_one_loop(monkeypatch, entangled):
+    loops = _counted_converge(monkeypatch)
+    fockbench.two_squid_moments(
+        twomode.number_pair_crossed(1, 3, entangled), 0.5, 1.2e-4, 1.0e-4, 1.2e-4, 1.0e-4, 3.0e3
+    )
+    assert loops == ["two-mode expectation"]
+
+
+def test_the_twomode_suite_converges_each_field_in_one_loop(monkeypatch):
+    loops = _counted_converge(monkeypatch)
+    report = verify.run_suite("twomode")
+    fields = [c for c in report["checks"] if c["name"].startswith("joint-intensity-vs-oracle-")]
+    assert report["passed"] and len(fields) == 4
+    assert loops == ["two-mode expectation"] * 4
+
+
+def test_the_window_oracle_converges_once_per_state(monkeypatch):
+    loops = _counted_converge(monkeypatch)
+    report = verify.run_suite("autocorr")
+    windows = [c for c in report["checks"] if c["name"].startswith("quantum-gamma-vs-window-oracle-")]
+    assert all(c["passed"] for c in windows)
+    assert loops == [f"{c['name'].rsplit('oracle-', 1)[1]} window oracle" for c in windows]
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mesoweyl import experiments, fockbench, specfun, squid, twomode, verify
+from mesoweyl import experiments, fockbench, specfun, squid, twomode
 from mesoweyl.states import (
     ChargeCoupling,
     CoherentState,
@@ -204,10 +204,10 @@ def _cos_phase_operator(dim, qp, omega_mw, omega_ramp, t):
 def test_two_squid_number_moments_against_oracle():
     ts = (np.arange(16) + 0.5) / 16.0 * 2.0 * math.pi / abs(W1 - W2)
     for entangled in (False, True):
-        state2 = verify._number_pair_crossed(1, 3, entangled)
+        state2 = twomode.number_pair_crossed(1, 3, entangled)
         for t in ts:
             mom = squid.two_squid_currents_number(1, 3, entangled, COUPLING, W1, W2, W1, W2, float(t))
-            oracle = verify._squid_oracle_moments_generic(
+            oracle = fockbench.two_squid_moments(
                 state2, COUPLING.qprime, W1, W2, W1, W2, float(t)
             )
             scale = max(abs(v) for v in oracle)
@@ -286,7 +286,7 @@ def test_two_squid_coherent_against_oracle_and_degeneracy():
                 mom = squid.two_squid_currents_coherent(
                     a1, a2, entangled, COUPLING, W1, W2, W1, W2, float(t)
                 )
-                oracle = verify._squid_oracle_moments_generic(
+                oracle = fockbench.two_squid_moments(
                     state2, COUPLING.qprime, W1, W2, W1, W2, float(t)
                 )
                 for name in squid.TwoSquidMoments._fields:
@@ -368,7 +368,7 @@ def test_two_squid_coherent_matches_an_mpmath_reference():
 def test_ratio_factorizable_unity():
     state2 = TwoModeFactorizable(CoherentState(1.0), CoherentState(0.8 + 0.4j))
     t = 0.3 / W1
-    mom = verify._squid_oracle_moments_generic(state2, COUPLING.qprime, W1, W2, W1, W2, t)
+    mom = fockbench.two_squid_moments(state2, COUPLING.qprime, W1, W2, W1, W2, t)
     assert squid.ratio_c(mom) == pytest.approx(1.0, abs=1e-12)
     assert squid.ratio_c2(mom) == pytest.approx(1.0, abs=1e-12)
 
@@ -458,9 +458,9 @@ def test_ratio_c_ent_number_at_equal_occupations(n):
     mom = squid.two_squid_currents_number(n, n, True, COUPLING, W1, W2, W1, W2, ts)
     assert got == pytest.approx(squid.ratio_c(mom), rel=1e-12)
     assert got == pytest.approx(np.ones_like(ts), rel=1e-12)
-    state2 = verify._number_pair_crossed(n, n, True)
+    state2 = twomode.number_pair_crossed(n, n, True)
     for t, value in zip(ts, got):
-        oracle = verify._squid_oracle_moments_generic(
+        oracle = fockbench.two_squid_moments(
             state2, COUPLING.qprime, W1, W2, W1, W2, float(t)
         )
         assert squid.ratio_c(oracle) == pytest.approx(value, abs=1e-8)
