@@ -24,9 +24,11 @@ the same bits on every run.  The oracle Weyl function ``weyl_numeric`` takes a
 complex z or an array of them; for a pure state it gets every value from one
 set of Chebyshev moments per (state, dim), by the kernel polynomial method
 (Weisse, Wellein, Alvermann & Fehske, Rev. Mod. Phys. 78, 275, 2006): one
-block recurrence over the distinct arg z, which gives two moments per step,
-and one row of Bessel coefficients per distinct |z|, each evaluated up to
-its own order bound.
+block recurrence over the distinct arg z, which gives two moments per step
+and runs in real arithmetic (in the gauge diag((-i)^n) the generator is the
+real symmetric a + a^dag, and every moment is real), and one row of Bessel
+coefficients per distinct |z|, each evaluated up to
+``specfun.order_cutoff``.
 
 Two-mode matrices use mode-A-major ordering: index = i_A * dim_B + i_B.
 """
@@ -41,6 +43,7 @@ from scipy import sparse
 from scipy.special import gammaln, jv
 
 from .exceptions import DIM_CAP, TruncationError
+from .specfun import order_cutoff
 from .squid import TwoSquidMoments
 from .states import (
     ModeParams,
@@ -132,16 +135,15 @@ def _jacobi_anger(args: tuple) -> np.ndarray:
     J_k(s) T_k(x), |x| <= 1, eps_0 = 1, eps_k = 2: one row per s >= 0 of the
     tuple args.
 
-    Each |T_k(x)| <= 1, and |J_k(s)| <= (s/2)^k / k! falls faster than any
-    geometric series past k ~ s, so each row is evaluated up to its own order
-    bound and holds exact zeros above it; the table stops after the last
+    Each |T_k(x)| <= 1, and |J_k(s)| falls under ~1e-18 past
+    ``specfun.order_cutoff(s)``, so each row is evaluated up to its own
+    cutoff and holds exact zeros above it; the table stops after the last
     coefficient above 1e-18 in any row.
     """
     s = np.array(args, dtype=float)
-    bound = (1.5 * s + 13.0 * s ** (1.0 / 3.0)).astype(int) + 21  # (s/2)^k / k! < 1e-18 at the bound
-    ks = np.arange(bound.max(initial=21))
-    row, k = np.nonzero(ks < bound[:, None])
-    coeff = np.zeros((s.size, ks.size), dtype=complex)
+    cut = order_cutoff(s)
+    row, k = np.nonzero(np.arange(cut.max(initial=0) + 1) <= cut[:, None])
+    coeff = np.zeros((s.size, cut.max(initial=0) + 1), dtype=complex)
     coeff[row, k] = np.where(k, 2.0, 1.0) * 1j ** (k % 4) * jv(k, s[row])
     last = np.flatnonzero(np.any(np.abs(coeff) > 1e-18, axis=0)).max(initial=0)
     out = coeff[:, : last + 1]
@@ -331,11 +333,16 @@ def _pure_weyl(vec: np.ndarray, z: np.ndarray) -> np.ndarray:
     product of its radius' coefficients with its angle's moments
     mu_k(t) = <w_t|T_k(H/b)|w_t>, w_t = U^dag vec: one block recurrence over
     the distinct angles, as long as the largest radius needs, and one cached
-    table of Bessel values for the distinct radii.  T_k(H/b) is Hermitian and
-    T_m T_n = (T_{m+n} + T_{|m-n|}) / 2, so each step r_k = T_k(H/b) w_t
-    gives two moments, mu_{2k} = 2 <r_k|r_k> - mu_0 and mu_{2k+1} =
-    2 <r_{k+1}|r_k> - mu_1, and the recurrence takes half as many steps as
-    there are moments.
+    table of Bessel values for the distinct radii.
+
+    The recurrence is real: in the gauge P = diag((-i)^n), P^dag H P = a +
+    a^dag is real and symmetric, and P^dag w_t = e^{-in(t - pi/2)} vec, whose
+    real and imaginary parts are the block's columns.  A real symmetric T_k
+    gives <x + iy|T_k|x + iy> = <x|T_k|x> + <y|T_k|y>, so each moment is the
+    sum of two real dot products.  T_m T_n = (T_{m+n} + T_{|m-n|}) / 2, so
+    each step r_k = T_k w gives two moments, mu_{2k} = 2 <r_k|r_k> - mu_0 and
+    mu_{2k+1} = 2 <r_{k+1}|r_k> - mu_1, and the recurrence takes half as many
+    steps as there are moments.
     """
     dim = vec.shape[0]
     radii, at_r = np.unique(np.abs(z.ravel()), return_inverse=True)
@@ -343,19 +350,19 @@ def _pure_weyl(vec: np.ndarray, z: np.ndarray) -> np.ndarray:
     b = 2.0 * math.sqrt(dim)  # > 2 |a| >= |H|
     coeff = _jacobi_anger(tuple(radii * b))
     n = coeff.shape[1]
-    w = vec[:, None] * np.exp(-1j * np.outer(np.arange(dim), angles))
+    w = vec[:, None] * np.exp(-1j * np.outer(np.arange(dim), angles - math.pi / 2.0))
+    w = np.hstack((w.real, w.imag))
     a = ladder(dim)
-    step = (-2j / b) * (a.conj().T - a).tocsr()  # 2 H / b
-    mu = np.empty((angles.size, n + 1), dtype=complex)  # moments come in pairs
+    step = (2.0 / b) * (a + a.T).real  # 2 P^dag H P / b
+    mu = np.empty((w.shape[1], n + 1))  # moments come in pairs
     prev, cur = w, 0.5 * (step @ w)
-    w_bar, cur_bar = w.conj(), cur.conj()
-    mu[:, 0] = np.einsum("ij,ij->j", w_bar, w)
-    mu[:, 1] = np.einsum("ij,ij->j", w_bar, cur)
+    mu[:, 0] = np.einsum("ij,ij->j", w, w)
+    mu[:, 1] = np.einsum("ij,ij->j", w, cur)
     for k in range(1, (n + 1) // 2):
-        mu[:, 2 * k] = 2.0 * np.einsum("ij,ij->j", cur_bar, cur) - mu[:, 0]
+        mu[:, 2 * k] = 2.0 * np.einsum("ij,ij->j", cur, cur) - mu[:, 0]
         prev, cur = cur, step @ cur - prev
-        cur_bar = cur.conj()
-        mu[:, 2 * k + 1] = 2.0 * np.einsum("ij,ij->j", cur_bar, prev) - mu[:, 1]
+        mu[:, 2 * k + 1] = 2.0 * np.einsum("ij,ij->j", cur, prev) - mu[:, 1]
+    mu = mu[: angles.size] + mu[angles.size:]
     return np.einsum("ij,ij->i", coeff[at_r], mu[at_t, :n]).reshape(z.shape)
 
 
@@ -424,27 +431,37 @@ def partial_trace(rho: np.ndarray, dims, keep: str) -> np.ndarray:
     raise ValueError("keep must be 'A' or 'B'")
 
 
+def _product_traces(state2, pairs, dim_a: int, dim_b: int):
+    """(Tr[rho (op_a x op_b)] for each (op_a, op_b) of the list pairs, Tr rho)
+    from the product structure of the components, never forming the
+    tensor-product matrix: a mixture builds each component's two densities
+    once for every pair, a superposition its kets."""
+    kind, comps = _components(state2)
+    vals = np.zeros(len(pairs), dtype=complex)
+    norm = 0j
+    if kind == "mixed":
+        for p, sa, sb in comps:
+            rho_a, rho_b = density_matrix(sa, dim_a), density_matrix(sb, dim_b)
+            vals += [p * expectation(rho_a, op_a) * expectation(rho_b, op_b) for op_a, op_b in pairs]
+            norm += p * np.trace(rho_a) * np.trace(rho_b)
+        return vals, norm
+    kets = [(c, state_vector(ka, dim_a), state_vector(kb, dim_b)) for c, ka, kb in comps]
+    for ck, ua, ub in kets:
+        for cl, va, vb in kets:
+            c = ck * np.conj(cl)
+            vals += [c * np.vdot(va, op_a @ ua) * np.vdot(vb, op_b @ ub) for op_a, op_b in pairs]
+            norm += c * np.vdot(va, ua) * np.vdot(vb, ub)
+    return vals, norm
+
+
 def two_mode_expectation(state2, op_a: np.ndarray, op_b: np.ndarray) -> complex:
     """Tr[rho (op_a x op_b)] using the product structure of the components.
 
     Identical to the dense-kron trace, but never forms the tensor-product
     matrix, so it stays cheap at the converged dimensions.
     """
-    dim_a = op_a.shape[0]
-    dim_b = op_b.shape[0]
-    kind, comps = _components(state2)
-    total = 0j
-    if kind == "mixed":
-        for p, sa, sb in comps:
-            total += p * expectation(density_matrix(sa, dim_a), op_a) * expectation(
-                density_matrix(sb, dim_b), op_b
-            )
-        return total
-    vecs = [(c, state_vector(ka, dim_a), state_vector(kb, dim_b)) for c, ka, kb in comps]
-    for ck, ua, ub in vecs:
-        for cl, va, vb in vecs:
-            total += ck * np.conj(cl) * np.vdot(va, op_a @ ua) * np.vdot(vb, op_b @ ub)
-    return total
+    vals, _ = _product_traces(state2, [(op_a, op_b)], op_a.shape[0], op_b.shape[0])
+    return complex(vals[0])
 
 
 def converged_two_mode_expectation(state2, build, dim_cap: int = DIM_CAP):
@@ -452,13 +469,12 @@ def converged_two_mode_expectation(state2, build, dim_cap: int = DIM_CAP):
     list build(dim), converged as one array by doubling both mode dimensions.
     Returns (complex array, ConvergenceInfo) with the joint trace deficit.
     """
-    val, dim, delta = converge(
-        lambda dim: np.array([two_mode_expectation(state2, a, b) for a, b in build(dim)]),
+    (val, norm), dim, delta = converge(
+        lambda dim: _product_traces(state2, build(dim), dim, dim),
         _default_two_mode_dim(state2), dim_cap, "two-mode expectation",
+        lambda new, old: _max_change(new[0], old[0]),
     )
-    eye = np.eye(dim, dtype=complex)
-    deficit = 1.0 - float(two_mode_expectation(state2, eye, eye).real)
-    return val, ConvergenceInfo(dim=dim, delta=delta, trace_deficit=deficit)
+    return val, ConvergenceInfo(dim=dim, delta=delta, trace_deficit=1.0 - float(norm.real))
 
 
 def two_squid_moments(state2, qp, wa, wb, w1, w2, t, dim_cap: int = DIM_CAP) -> TwoSquidMoments:

@@ -79,22 +79,31 @@ class TwoSquidMoments(NamedTuple):
     ia2_ib2: float
 
 
+def _float_or_array(x):
+    """A float for a scalar or 0-d array, else the array itself."""
+    out = np.asarray(x)
+    return float(out) if out.ndim == 0 else out
+
+
 # ---------------------------------------------------------------------------
 # single ring, classical drive
 
-def classical_current(drive: SquidDrive, t: float) -> float:
-    """I / I_c = sin(phase0 + omega_a t + u_phase sin(omega1 t))."""
-    return math.sin(
-        drive.phase0 + drive.omega_a * t + drive.u_phase * math.sin(drive.omega1 * t)
-    )
+def classical_current(drive: SquidDrive, t):
+    """I / I_c = sin(phase0 + omega_a t + u_phase sin(omega1 t)) at a time t
+    (a float) or an array of times (an array of its shape)."""
+    return _float_or_array(np.sin(
+        drive.phase0 + drive.omega_a * t + drive.u_phase * np.sin(drive.omega1 * t)
+    ))
 
 
-def classical_current_expansion(drive: SquidDrive, t: float) -> float:
-    """Bessel-expanded current I / I_c = sum_n J_n(u) sin[(omega_a + n omega1)t + phase0]."""
+def classical_current_expansion(drive: SquidDrive, t):
+    """Bessel-expanded current I / I_c = sum_n J_n(u) sin[(omega_a + n omega1)t
+    + phase0] at a time t (a float) or an array of times (an array of its
+    shape), from one table of harmonics."""
     total = 0.0
     for n, jn in specfun.bessel_j_harmonics(drive.u_phase).items():
-        total += jn * math.sin((drive.omega_a + n * drive.omega1) * t + drive.phase0)
-    return total
+        total += jn * np.sin((drive.omega_a + n * drive.omega1) * t + drive.phase0)
+    return _float_or_array(total)
 
 
 def classical_shapiro(drive: SquidDrive, n_step: int) -> float:
@@ -245,8 +254,7 @@ _POLE_MARGIN = 1e-6
 
 def _nan_at(pole, value):
     """value with NaN where pole; a float when both are scalars."""
-    out = np.where(pole, np.nan, value)
-    return float(out) if out.ndim == 0 else out
+    return _float_or_array(np.where(pole, np.nan, value))
 
 
 def _ratio(num, den):

@@ -11,7 +11,7 @@ from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 from scipy.special import gammaln, jv
 
-from mesoweyl import fockbench, twomode, verify
+from mesoweyl import fockbench, specfun, twomode, verify
 from mesoweyl.exceptions import TruncationError
 from mesoweyl.states import (
     CoherentState,
@@ -217,22 +217,50 @@ def test_pure_weyl_equals_the_three_term_recurrence_on_the_array_states(state):
     _assert_pure_weyl_matches_the_three_term_recurrence(vec, _z_array())
 
 
-def test_jacobi_anger_rows_stop_at_their_own_order_bound():
+def _counted_jv(monkeypatch):
+    """Patch the oracle's jv to count the values it evaluates."""
+    count = [0]
+
+    def counted(k, s):
+        out = jv(k, s)
+        count[0] += out.size
+        return out
+    monkeypatch.setattr(fockbench, "jv", counted)
+    return count
+
+
+def test_jacobi_anger_rows_stop_at_their_own_order_bound(monkeypatch):
     args = (0.0, 0.3, 4.0, 37.5, 263.0)
+    count = _counted_jv(monkeypatch)
     fockbench._jacobi_anger.cache_clear()
     table = fockbench._jacobi_anger(args)
     assert fockbench._jacobi_anger(args) is table
     with pytest.raises(ValueError):
         table[0, 0] = 2.0
-    bounds = [int(1.5 * s + 13.0 * s ** (1.0 / 3.0)) + 21 for s in args]
+    # one jv value per row and order up to the row's cutoff, zeros past it
+    bounds = [int(specfun.order_cutoff(s)) + 1 for s in args]
+    assert count[0] == sum(bounds)
     assert bounds[-1] >= table.shape[1] > bounds[-2]
     for bound, row in zip(bounds, table):
         assert not row[bound:].any()
-    # every order up to the largest bound, past the table's end too
-    ks = np.arange(bounds[-1])
+    # every order up to a wider bound, (s/2)^k / k! < 1e-18 there, past the
+    # table's end too
+    ks = np.arange(int(1.5 * args[-1] + 13.0 * args[-1] ** (1.0 / 3.0)) + 21)
     full = np.where(ks, 2.0, 1.0) * 1j ** (ks % 4) * jv(ks, np.array(args)[:, None])
     full[:, : table.shape[1]] -= table
     assert np.max(np.abs(full)) <= 1e-18
+
+
+def test_the_verify_grid_evaluates_one_jv_per_row_and_order_of_each_table(monkeypatch):
+    # 6 tables (one per state and dim) of 11 radii each
+    count = _counted_jv(monkeypatch)
+    tables, cached = [], fockbench._jacobi_anger
+    monkeypatch.setattr(fockbench, "_jacobi_anger", lambda args: tables.append(args) or cached(args))
+    cached.cache_clear()
+    assert verify.run_suite("weyl-oracle")["passed"]
+    distinct = set(tables)
+    assert [len(args) for args in distinct] == [11] * 6
+    assert count[0] == sum(int(np.sum(specfun.order_cutoff(np.array(args)) + 1)) for args in distinct) == 7611
 
 
 def test_weyl_oracle_dims_on_the_verify_grid():
@@ -455,6 +483,21 @@ def test_the_ring_oracle_converges_its_six_moments_in_one_loop(monkeypatch, enta
         twomode.number_pair_crossed(1, 3, entangled), 0.5, 1.2e-4, 1.0e-4, 1.2e-4, 1.0e-4, 3.0e3
     )
     assert loops == ["two-mode expectation"]
+
+
+def test_the_ring_oracle_builds_one_density_per_component_per_dim(monkeypatch):
+    built, density = [], fockbench.density_matrix
+
+    def counted(state, dim):
+        built.append((state, dim))
+        return density(state, dim)
+    monkeypatch.setattr(fockbench, "density_matrix", counted)
+    state2 = twomode.number_pair_crossed(1, 3, False)
+    fockbench.two_squid_moments(state2, 0.5, 1.2e-4, 1.0e-4, 1.2e-4, 1.0e-4, 3.0e3)
+    dims = sorted({dim for _, dim in built})
+    comps = [s for _, sa, sb in state2.terms for s in (sa, sb)]
+    assert len(dims) >= 2
+    assert built == [(s, dim) for dim in dims for s in comps]
 
 
 def test_the_twomode_suite_converges_each_field_in_one_loop(monkeypatch):

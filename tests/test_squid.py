@@ -8,7 +8,7 @@ from scipy.optimize import brentq
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mesoweyl import experiments, fockbench, specfun, squid, twomode
+from mesoweyl import experiments, fockbench, specfun, squid, twomode, verify
 from mesoweyl.states import (
     ChargeCoupling,
     CoherentState,
@@ -33,6 +33,31 @@ def test_classical_expansion_matches_direct():
         assert squid.classical_current_expansion(d, t) == pytest.approx(
             squid.classical_current(d, t), abs=1e-10
         )
+
+
+@given(
+    u=st.floats(-40.0, 40.0),
+    phase0=st.floats(-math.pi, math.pi),
+    ratio=st.floats(-3.0, 3.0),
+    ts=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=8),
+)
+def test_classical_currents_of_a_time_array_equal_the_scalar_calls(u, phase0, ratio, ts):
+    d = squid.SquidDrive(phase0=phase0, omega_a=ratio, u_phase=u, omega1=1.0)
+    times = np.array(ts).reshape(-1, 1)
+    for current in (squid.classical_current, squid.classical_current_expansion):
+        got = current(d, times)
+        assert got.shape == times.shape
+        scalar = [current(d, t) for t in ts]
+        assert all(type(v) is float for v in scalar)
+        assert np.all(np.abs(got.ravel() - scalar) <= np.spacing(np.abs(scalar)))
+
+
+def test_the_classical_check_takes_one_table_of_harmonics(monkeypatch):
+    drive_u = 3.0  # the squid suite's classical drive; its quantum steps use u = 0
+    calls, harmonics = [], specfun.bessel_j_harmonics
+    monkeypatch.setattr(specfun, "bessel_j_harmonics", lambda x: calls.append(x) or harmonics(x))
+    assert verify.run_suite("squid")["passed"]
+    assert calls.count(drive_u) == 1 and set(calls) == {0.0, drive_u}
 
 
 @given(
