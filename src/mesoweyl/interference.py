@@ -6,8 +6,11 @@ quantized drive the fringe becomes 1 + |W(lam)| cos(x - arg W(lam)) with
 lam = i q e^{iwt}; intensity autocorrelations reduce, via the displacement
 composition law D(z1)D(z2) = e^{i Im(z1 z2*)} D(z1+z2), to Weyl-function
 evaluations whose infinite-time averages are taken exactly (harmonic
-bookkeeping), never by long numeric windows.  Every spectral density, the
-classical one included, is numpy's FFT of Gamma(tau) sampled over one period.
+bookkeeping), never by long numeric windows.  An average over the drive
+circle depends only on its radius, so one quantum Gamma(tau) takes one
+time-average call, over the distinct radii of all its lags.  Every spectral
+density, the classical one included, is numpy's FFT of Gamma(tau) sampled
+over one period.
 """
 
 import math
@@ -106,19 +109,25 @@ def autocorrelation_quantum(state, coupling: ChargeCoupling, mode: ModeParams, t
     composition law, and the t-average Wbar keeps only zero-frequency
     harmonics.  The drive circle -c e^{i theta} is c e^{i (theta + pi)}, so
     Wbar(-c) = Wbar(c): the sign quadrant (sa, sb) repeats (-sa, -sb), and
-    the six time averages are three, each one call over all lags with lag 0
-    appended for Gamma(0).
+    the six time averages are three, at q and at q (1 +- e^{i omega tau})
+    over all lags with lag 0 appended for Gamma(0).  Wbar depends on |c|
+    alone, so all three are one time-average call over the distinct moduli
+    of those arguments.
     """
     q, omega = coupling.q, mode.omega
-    singles = 2.0 * weyl_time_average(state, q).real
     taus = np.asarray(taus, dtype=float)
     lags = np.append(taus, 0.0)
     e = np.exp(1j * omega * lags)
     s = np.sin(omega * lags)
-    quad = 0j
-    for sb in (1.0, -1.0):
-        quad += np.exp(-1j * sb * q * q * s) * weyl_time_average(state, q * (1.0 + sb * e))
-    vals = 1.0 + singles + 0.5 * quad
+    # |q (1 +- e)| as formed, not 2 q |cos(omega tau / 2)| or |sin|: rounding
+    # leaves radii near 1e-16 q at omega tau = pi and 2 pi, where the squeezed
+    # average is the known tiny-argument NaN that the reference outputs pin
+    radii, where = np.unique(np.abs(np.concatenate(([q], q * (1.0 + e), q * (1.0 - e)))),
+                             return_inverse=True)
+    avg = weyl_time_average(state, radii)[where]
+    plus, minus = np.split(avg[1:], 2)
+    quad = np.exp(-1j * q * q * s) * plus + np.exp(1j * q * q * s) * minus
+    vals = 1.0 + 2.0 * avg[0].real + 0.5 * quad
     return CorrelationSeries(taus=taus, values=vals[:-1], gamma0=vals[-1].real)
 
 

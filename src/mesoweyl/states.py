@@ -219,10 +219,12 @@ def weyl_time_average(state, c, k: int = 0):
     e^{-i k theta} W(i c e^{i theta}), for an integer k.
 
     k = 0 is the exact infinite-time average; the a_k over all k rebuild W on
-    the drive circle, W(i c e^{i theta}) = sum_k a_k e^{i k theta}, and as
-    -c e^{i theta} = c e^{i (theta + pi)}, a_k(-c) = (-1)^k a_k(c).  A complex
-    c gives a complex, an array of them a complex array of its shape: one
-    call covers a whole lag grid of the autocorrelation.
+    the drive circle, W(i c e^{i theta}) = sum_k a_k e^{i k theta}.  A
+    rotation of c shifts the circle, c e^{i theta} = |c| e^{i (theta + arg c)},
+    so a_k(c) = e^{i k arg c} a_k(|c|): the average a_0 depends on |c| alone,
+    and a_k(-c) = (-1)^k a_k(c).  A complex c gives a complex, an array of
+    them a complex array of its shape: one call covers a whole lag grid of
+    the autocorrelation.
     """
     c = np.asarray(c, dtype=complex)
     # as in weyl: |c| ** 2 overflows past 1e154, where every coefficient has
@@ -453,30 +455,39 @@ def matched_states(nbar: float = MEAN_PHOTONS, r: float = SQUEEZING_R) -> dict:
 # ---------------------------------------------------------------------------
 # flux and electromotive-force statistics
 
-def flux_stats(state, mode: ModeParams, t: float):
-    """(mean, standard deviation) of the loop flux operator at time t."""
+def flux_stats(state, mode: ModeParams, t):
+    """(mean, standard deviation) of the loop flux operator at time t: two
+    floats for a float t, two arrays of its shape for an array of times."""
+    t = np.asarray(t, dtype=float)
     xi, w = mode.xi, mode.omega
     if isinstance(state, NumberState):
-        return 0.0, xi * math.sqrt(state.n + 0.5)
-    if isinstance(state, CoherentState):
+        mean, sd = 0.0, xi * math.sqrt(state.n + 0.5)
+    elif isinstance(state, CoherentState):
         a = complex(state.amplitude)
-        mean = math.sqrt(2.0) * xi * abs(a) * math.cos(w * t - cmath.phase(a))
-        return mean, xi / math.sqrt(2.0)
-    if isinstance(state, ThermalState):
-        return 0.0, xi * math.sqrt(0.5 / math.tanh(state.beta_omega / 2.0))
-    if isinstance(state, SqueezedState):
+        mean = math.sqrt(2.0) * xi * abs(a) * np.cos(w * t - cmath.phase(a))
+        sd = xi / math.sqrt(2.0)
+    elif isinstance(state, ThermalState):
+        mean, sd = 0.0, xi * math.sqrt(0.5 / math.tanh(state.beta_omega / 2.0))
+    elif isinstance(state, SqueezedState):
         am = mean_annihilation(state)
-        mean = math.sqrt(2.0) * xi * (cmath.exp(-1j * w * t) * am).real
-        var = 0.5 * xi * xi * (math.cosh(state.r) - math.sinh(state.r) * math.cos(2 * w * t + state.varphi))
-        return mean, math.sqrt(var)
-    raise TypeError(f"unsupported state {state!r}")
+        # Re(e^{-iwt} <a>) in real arithmetic: numpy's complex product rounds
+        # differently over an array than on one element
+        mean = math.sqrt(2.0) * xi * (np.cos(w * t) * am.real + np.sin(w * t) * am.imag)
+        var = 0.5 * xi * xi * (math.cosh(state.r) - math.sinh(state.r) * np.cos(2 * w * t + state.varphi))
+        sd = np.sqrt(var)
+    else:
+        raise TypeError(f"unsupported state {state!r}")
+    if t.ndim == 0:
+        return float(mean), float(sd)
+    return np.full(t.shape, mean), np.full(t.shape, sd)
 
 
-def emf_stats(state, mode: ModeParams, t: float):
-    """(mean, standard deviation) of the electromotive force at time t.
+def emf_stats(state, mode: ModeParams, t):
+    """(mean, standard deviation) of the electromotive force at time t, a
+    float or an array of times as for flux_stats.
 
     The EMF is the flux quadrature a quarter period ahead, scaled by omega:
     emf(t) = omega flux(t + pi/(2 omega)).
     """
-    mean, sd = flux_stats(state, mode, t + math.pi / (2.0 * mode.omega))
+    mean, sd = flux_stats(state, mode, np.asarray(t, dtype=float) + math.pi / (2.0 * mode.omega))
     return mode.omega * mean, mode.omega * sd

@@ -277,17 +277,23 @@ def test_quantum_gamma_equals_the_four_quadrant_expansion(family, data, q, taus)
     assert np.max(np.abs(series.values[live] - ref[live]), initial=0.0) <= 1e-14 * ref0
 
 
-def test_quantum_gamma_takes_three_time_averages(monkeypatch):
+def test_quantum_gamma_takes_one_time_average_over_distinct_radii(monkeypatch):
     calls = []
 
     def counted(state, c, k=0):
-        calls.append(np.shape(c))
+        calls.append(np.array(c))
         return weyl_time_average(state, c, k)
 
     monkeypatch.setattr(interference, "weyl_time_average", counted)
     taus = np.arange(8) / 8.0 * PERIOD
     interference.autocorrelation_quantum(_MATCHED["squeezed"], COUPLING, MODE, taus)
-    assert calls == [(), (9,), (9,)]
+    assert len(calls) == 1
+    (radii,) = calls
+    assert radii.dtype == float and radii.ndim == 1
+    assert radii[0] >= 0.0 and np.all(np.diff(radii) > 0.0)
+    # q and q (1 +- e^{i omega tau}) over the 8 lags and lag 0, which
+    # repeats tau = 0: at most 2 * 8 + 1 distinct radii of 19 arguments
+    assert len(radii) <= 17
 
 
 def test_normalized_gamma_rejects_degenerate():

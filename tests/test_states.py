@@ -245,6 +245,23 @@ def test_flux_and_emf_stats_match_matrix_oracle(state):
             assert closed[1] == pytest.approx(math.sqrt(var), abs=1e-8)
 
 
+@pytest.mark.parametrize("state", SMALL_STATES)
+@pytest.mark.parametrize("stats", [flux_stats, emf_stats])
+def test_flux_and_emf_stats_take_arrays(state, stats):
+    # an array of times gives two arrays of its shape, each element within
+    # 1 ulp of the float call at that time
+    mode = ModeParams(0.7, xi=1.3)
+    t = np.linspace(-3.0, 40.0, 96).reshape(8, 12)
+    mean, sd = stats(state, mode, t)
+    assert mean.shape == sd.shape == t.shape
+    singles = np.array([stats(state, mode, ti) for ti in t.ravel().tolist()])
+    for one in singles.ravel().tolist():
+        assert isinstance(one, float)
+    np.testing.assert_array_max_ulp(mean.ravel(), singles[:, 0], maxulp=1)
+    np.testing.assert_array_max_ulp(sd.ravel(), singles[:, 1], maxulp=1)
+    assert [a.shape for a in stats(state, mode, t[:0])] == [(0, 12), (0, 12)]
+
+
 _EMF_AMPS = st.builds(cmath.rect, st.floats(0.0, 2.0), st.floats(-math.pi, math.pi))
 
 
@@ -424,6 +441,21 @@ def test_weyl_time_average_takes_arrays(family, data, cs, k):
     # -c e^{i theta} is c e^{i (theta + pi)}, so a_k(-c) = (-1)^k a_k(c); worst
     # seen 6.7e-16 in 1,000 examples per family
     assert np.max(np.abs(weyl_time_average(state, -c, k) - (-1) ** k * avg)) <= 1e-14
+
+
+@pytest.mark.parametrize("family", sorted(DRIVE_STATES))
+@given(data=st.data(), rho=st.floats(-8.0, 1.0).map(lambda e: 10.0 ** e), phase=_PHASES)
+def test_weyl_time_average_rotates_with_arg_c(family, data, rho, phase):
+    # a rotation c -> c e^{i delta} shifts the drive circle by delta, so
+    # a_k(c) = e^{i k arg c} a_k(|c|): the time average (k = 0) depends on
+    # |c| alone, which lets the autocorrelation take it over radii.  Worst
+    # seen 2.1e-15 in 1,000 examples per family, for number states, where
+    # |rect(rho, phase)| misses rho by an ulp
+    state = data.draw(DRIVE_STATES[family])
+    c = cmath.rect(rho, phase)
+    for k in range(-3, 4):
+        rotated = cmath.exp(1j * k * phase) * weyl_time_average(state, rho, k)
+        assert abs(weyl_time_average(state, c, k) - rotated) <= 1e-14
 
 
 _ZS = st.lists(st.builds(cmath.rect, _grid(0.01, 6.0), _PHASES), min_size=1, max_size=8)
