@@ -179,10 +179,9 @@ def _fig7(params, dim_cap):
 
 # ---------------------------------------------------------------------------
 
-def _ratio_surface_rows(params, entangled, t):
+def _ratio_surface_rows(params, q, entangled, t):
     """The table of rows (x_a, x_b, R) over the square screen grid, x_a
     outermost, the R surface and its number of poles."""
-    q = params["q"]
     n1, n2 = params["n1"], params["n2"]
     n = params["grid_points"]
     xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, n)
@@ -208,9 +207,9 @@ def _poles_as_nan(vals):
 
 
 def _fig9(params, dim_cap):
-    q = params["q"]
+    q = ChargeCoupling(params["q"]).q
     lower, upper = twomode.sep_bounds(q, params["n1"], params["n2"])
-    rows, vals, n_sing = _ratio_surface_rows(params, entangled=False, t=0.0)
+    rows, vals, n_sing = _ratio_surface_rows(params, q, entangled=False, t=0.0)
     manifest = {
         "anchors": {
             "corner_min_reported": lower,
@@ -225,9 +224,10 @@ def _fig9(params, dim_cap):
 
 
 def _fig10(params, dim_cap):
+    q = ChargeCoupling(params["q"]).q
     t = math.pi / _beat(params, 1)
-    lower, upper = twomode.sep_bounds(params["q"], params["n1"], params["n2"])
-    rows, vals, n_sing = _ratio_surface_rows(params, entangled=True, t=t)
+    lower, upper = twomode.sep_bounds(q, params["n1"], params["n2"])
+    rows, vals, n_sing = _ratio_surface_rows(params, q, entangled=True, t=t)
     manifest = {
         "anchors": {
             "sep_bounds": [lower, upper],
@@ -240,7 +240,7 @@ def _fig10(params, dim_cap):
 
 
 def _fig11(params, dim_cap):
-    q = params["q"]
+    q = ChargeCoupling(params["q"]).q
     n1, n2 = params["n1"], params["n2"]
     xa, xb = params["x_a"], params["x_b"]
     w1, w2 = params["omega_1"], params["omega_2"]

@@ -48,12 +48,10 @@ from .squid import TwoSquidMoments
 from .states import (
     ModeParams,
     ThermalState,
-    TwoModeFactorizable,
-    TwoModeProductSuperposition,
-    TwoModeSeparableMixture,
     _scalar_or_array,
     checked_amplitudes,
     mean_photons,
+    two_mode_components,
 )
 
 __all__ = [
@@ -389,24 +387,9 @@ def weyl_numeric(state, z, dim_cap: int = DIM_CAP):
 # ---------------------------------------------------------------------------
 # two-mode machinery
 
-def _components(state2):
-    """Decompose a two-mode descriptor into weighted product components.
-
-    Returns ('mixed', [(p, rho_a, rho_b)]) for mixtures and
-    ('pure', [(c, ket_a, ket_b)]) for product superpositions.
-    """
-    if isinstance(state2, TwoModeFactorizable):
-        return "mixed", [(1.0, state2.state_a, state2.state_b)]
-    if isinstance(state2, TwoModeSeparableMixture):
-        return "mixed", list(state2.terms)
-    if isinstance(state2, TwoModeProductSuperposition):
-        return "pure", list(state2.terms)
-    raise TypeError(f"unsupported two-mode state {state2!r}")
-
-
 def two_mode_density(state2, dim_a: int, dim_b: int) -> np.ndarray:
     """Two-mode density matrix, mode-A-major tensor ordering."""
-    kind, comps = _components(state2)
+    kind, comps = two_mode_components(state2)
     if kind == "mixed":
         out = np.zeros((dim_a * dim_b, dim_a * dim_b), dtype=complex)
         for p, sa, sb in comps:
@@ -436,7 +419,7 @@ def _product_traces(state2, pairs, dim_a: int, dim_b: int):
     from the product structure of the components, never forming the
     tensor-product matrix: a mixture builds each component's two densities
     once for every pair, a superposition its kets."""
-    kind, comps = _components(state2)
+    kind, comps = two_mode_components(state2)
     vals = np.zeros(len(pairs), dtype=complex)
     norm = 0j
     if kind == "mixed":
@@ -492,5 +475,6 @@ def two_squid_moments(state2, qp, wa, wb, w1, w2, t, dim_cap: int = DIM_CAP) -> 
 
 
 def _default_two_mode_dim(state2) -> int:
-    return max((default_dim(s) for _, sa, sb in _components(state2)[1] for s in (sa, sb)), default=32)
+    _, comps = two_mode_components(state2)
+    return max((default_dim(s) for _, sa, sb in comps for s in (sa, sb)), default=32)
 

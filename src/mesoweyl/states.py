@@ -39,6 +39,7 @@ __all__ = [
     "TwoModeFactorizable",
     "TwoModeSeparableMixture",
     "TwoModeProductSuperposition",
+    "two_mode_components",
     "weyl",
     "weyl_time_average",
     "fock_amplitudes",
@@ -148,6 +149,19 @@ class TwoModeProductSuperposition:
     terms: tuple  # of (coeff, ket_a, ket_b)
 
 
+def two_mode_components(state2):
+    """('mixed', [(p, rho_a, rho_b)]) for a factorizable state (one term of
+    weight 1) or a mixture, ('pure', [(c, ket_a, ket_b)]) for a product
+    superposition."""
+    if isinstance(state2, TwoModeFactorizable):
+        return "mixed", [(1.0, state2.state_a, state2.state_b)]
+    if isinstance(state2, TwoModeSeparableMixture):
+        return "mixed", list(state2.terms)
+    if isinstance(state2, TwoModeProductSuperposition):
+        return "pure", list(state2.terms)
+    raise TypeError(f"unsupported two-mode state {state2!r}")
+
+
 # ---------------------------------------------------------------------------
 # Weyl functions
 
@@ -188,8 +202,10 @@ def weyl(state, z):
 
 
 def _scalar_or_array(w):
-    """A complex for a 0-d array, else the array itself."""
-    return complex(w) if w.ndim == 0 else w
+    """The Python scalar of a scalar or 0-d array (a float stays a float, a
+    complex a complex), else the array itself."""
+    w = np.asarray(w)
+    return w.item() if w.ndim == 0 else w
 
 
 def _squeezed_drive(state, c):
@@ -287,17 +303,19 @@ def weyl_time_average(state, c, k: int = 0):
 # ---------------------------------------------------------------------------
 # displacement matrix elements (closed forms; the matrix oracle has its own)
 
-def number_displacement_element(m: int, z, n: int) -> complex:
-    """<m| D(z) |n> = sqrt(n!/m!) z^{m-n} e^{-|z|^2/2} L_n^{m-n}(|z|^2)."""
-    z = complex(z)
+def number_displacement_element(m: int, z, n: int):
+    """<m| D(z) |n> = sqrt(n!/m!) z^{m-n} e^{-|z|^2/2} L_n^{m-n}(|z|^2) at a
+    complex z (a complex) or an array of them (an array of its shape)."""
     if m < n:
         # fixed by D(z)^dag = D(-z)
-        return number_displacement_element(n, -z, m).conjugate()
-    if abs(z) > 1e154:  # as in weyl: the element -> 0 as |z| -> inf
-        return 0j
-    x = abs(z) ** 2
-    pref = math.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1)) - x / 2.0)
-    return pref * z ** (m - n) * specfun.laguerre(n, m - n, x)
+        return _scalar_or_array(np.conj(number_displacement_element(n, -np.asarray(z, dtype=complex), m)))
+    z = np.asarray(z, dtype=complex)
+    far = np.abs(z) > 1e154  # as in weyl: the element -> 0 as |z| -> inf
+    z = np.where(far, 0j, z)
+    x = np.abs(z) ** 2
+    lag = np.array([specfun.laguerre(n, m - n, r) for r in x.ravel().tolist()]).reshape(x.shape)
+    pref = np.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1)) - x / 2.0)
+    return _scalar_or_array(np.where(far, 0j, pref * z ** (m - n) * lag))
 
 
 def coherent_overlap(a, b):
@@ -477,9 +495,7 @@ def flux_stats(state, mode: ModeParams, t):
         sd = np.sqrt(var)
     else:
         raise TypeError(f"unsupported state {state!r}")
-    if t.ndim == 0:
-        return float(mean), float(sd)
-    return np.full(t.shape, mean), np.full(t.shape, sd)
+    return _scalar_or_array(np.full(t.shape, mean)), _scalar_or_array(np.full(t.shape, sd))
 
 
 def emf_stats(state, mode: ModeParams, t):

@@ -14,7 +14,6 @@ closed form; the coherent pair is the swapped-amplitude family
 N(|a1 a2> + |a2 a1>).
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -25,11 +24,12 @@ from .states import (
     CoherentState,
     ChargeCoupling,
     NumberState,
-    TwoModeFactorizable,
     TwoModeProductSuperposition,
     TwoModeSeparableMixture,
+    _scalar_or_array,
     coherent_displacement_element,
     number_displacement_element,
+    two_mode_components,
     weyl,
 )
 
@@ -106,7 +106,7 @@ def coherent_pair_entangled(a1, a2) -> TwoModeProductSuperposition:
 # ---------------------------------------------------------------------------
 # two-mode Weyl function
 
-def _ket_displacement_element(bra, z, ket) -> complex:
+def _ket_displacement_element(bra, z, ket):
     if isinstance(bra, NumberState) and isinstance(ket, NumberState):
         return number_displacement_element(bra.n, z, ket.n)
     if isinstance(bra, CoherentState) and isinstance(ket, CoherentState):
@@ -117,26 +117,22 @@ def _ket_displacement_element(bra, z, ket) -> complex:
 def two_mode_weyl(state2, z1, z2):
     """W2(z1, z2) = Tr[rho D(z1) x D(z2)] in closed form.
 
-    z1 and z2 broadcast against each other for factorizable states, for
-    mixtures and for superpositions of coherent kets; number kets take
-    complex numbers only (``number_displacement_element`` is scalar).
+    z1 and z2 are complex numbers or arrays of them, broadcast against each
+    other, for every built-in two-mode state.
     """
-    if isinstance(state2, TwoModeFactorizable):
-        return weyl(state2.state_a, z1) * weyl(state2.state_b, z2)
-    if isinstance(state2, TwoModeSeparableMixture):
-        return sum(p * weyl(sa, z1) * weyl(sb, z2) for p, sa, sb in state2.terms)
-    if isinstance(state2, TwoModeProductSuperposition):
-        total = 0j
-        for ck, ua, ub in state2.terms:
-            for cl, va, vb in state2.terms:
-                total += (
-                    ck
-                    * complex(cl).conjugate()
-                    * _ket_displacement_element(va, z1, ua)
-                    * _ket_displacement_element(vb, z2, ub)
-                )
-        return total
-    raise TypeError(f"unsupported two-mode state {state2!r}")
+    kind, comps = two_mode_components(state2)
+    if kind == "mixed":
+        return sum(p * weyl(sa, z1) * weyl(sb, z2) for p, sa, sb in comps)
+    total = 0j
+    for ck, ua, ub in comps:
+        for cl, va, vb in comps:
+            total += (
+                ck
+                * complex(cl).conjugate()
+                * _ket_displacement_element(va, z1, ua)
+                * _ket_displacement_element(vb, z2, ub)
+            )
+    return _scalar_or_array(total)
 
 
 def displacement_expectation(state2, terms_a: dict, terms_b: dict, z_a, z_b):
@@ -158,21 +154,22 @@ def displacement_expectation(state2, terms_a: dict, terms_b: dict, z_a, z_b):
 
 
 # ---------------------------------------------------------------------------
-# intensities, ratio and bounds
+# intensities, ratio and bounds; the intensities and the ratio take x, x_a,
+# x_b and t as floats (giving a float) or as arrays that broadcast
 
-def _lams(coupling: ChargeCoupling, t: float):
-    la = 1j * coupling.q * cmath.exp(1j * FIG_OMEGA_1 * t)
-    lb = 1j * coupling.q * cmath.exp(1j * FIG_OMEGA_2 * t)
-    return la, lb
+def _lams(coupling: ChargeCoupling, t):
+    t = np.asarray(t, dtype=float)
+    return (1j * coupling.q * np.exp(1j * FIG_OMEGA_1 * t),
+            1j * coupling.q * np.exp(1j * FIG_OMEGA_2 * t))
 
 
-def _fringe_terms(x: float) -> dict:
+def _fringe_terms(x) -> dict:
     """1 + cos(x - e flux) = 1 + (e^{-ix} D(lam) + e^{ix} D(-lam))/2 as {j: c_j}."""
-    half = 0.5 * cmath.exp(-1j * x)
-    return {0: 1.0, 1: half, -1: half.conjugate()}
+    half = 0.5 * np.exp(-1j * np.asarray(x, dtype=float))
+    return {0: 1.0, 1: half, -1: np.conj(half)}
 
 
-def marginal_intensity(state2, which: str, coupling: ChargeCoupling, x: float, t: float) -> float:
+def marginal_intensity(state2, which: str, coupling: ChargeCoupling, x, t):
     """Single-screen fringe of the chosen device (reduced state of its mode)."""
     la, lb = _lams(coupling, t)
     if which == "A":
@@ -181,26 +178,33 @@ def marginal_intensity(state2, which: str, coupling: ChargeCoupling, x: float, t
         terms_a, terms_b = {0: 1.0}, _fringe_terms(x)
     else:
         raise ValueError("which must be 'A' or 'B'")
-    return float(displacement_expectation(state2, terms_a, terms_b, la, lb))
+    return _scalar_or_array(displacement_expectation(state2, terms_a, terms_b, la, lb))
 
 
-def joint_intensity(state2, coupling: ChargeCoupling, x_a: float, x_b: float, t: float) -> float:
+def joint_intensity(state2, coupling: ChargeCoupling, x_a, x_b, t):
     """Tr{rho [1 + cos(x_a - e flux_A)][1 + cos(x_b - e flux_B)]}: each
     fringe is three displacement terms, so ``displacement_expectation``
     makes four two-mode Weyl evaluations."""
     la, lb = _lams(coupling, t)
-    return float(displacement_expectation(state2, _fringe_terms(x_a), _fringe_terms(x_b), la, lb))
+    return _scalar_or_array(displacement_expectation(state2, _fringe_terms(x_a), _fringe_terms(x_b), la, lb))
 
 
 _SINGULAR_EPS = 1e-12
 
 
-def ratio_R(state2, coupling: ChargeCoupling, x_a: float, x_b: float, t: float) -> float:
-    """R = I(x_a, x_b) / [I_A(x_a) I_B(x_b)]; unity iff the devices are independent."""
+def ratio_R(state2, coupling: ChargeCoupling, x_a, x_b, t):
+    """R = I(x_a, x_b) / [I_A(x_a) I_B(x_b)]; unity iff the devices are
+    independent.  Raises SingularPointError naming the first point where a
+    marginal vanishes."""
     ia = marginal_intensity(state2, "A", coupling, x_a, t)
     ib = marginal_intensity(state2, "B", coupling, x_b, t)
-    if abs(ia) < _SINGULAR_EPS or abs(ib) < _SINGULAR_EPS:
-        raise SingularPointError(f"marginal intensity vanishes at ({x_a}, {x_b})")
+    small = (np.abs(ia) < _SINGULAR_EPS) | (np.abs(ib) < _SINGULAR_EPS)
+    if np.any(small):
+        xa, xb, tt, small = np.broadcast_arrays(x_a, x_b, t, small)
+        first = np.argmax(small)
+        raise SingularPointError(
+            f"marginal intensity vanishes at (x_a, x_b, t) = ({xa.flat[first]}, {xb.flat[first]}, {tt.flat[first]})"
+        )
     return joint_intensity(state2, coupling, x_a, x_b, t) / (ia * ib)
 
 

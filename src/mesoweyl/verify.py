@@ -134,7 +134,7 @@ def _content_change(new, old) -> float:
 
 def flux_stats_suite(dim_cap: int = DIM_CAP) -> dict:
     mode = ModeParams(omega=1.0e-4, xi=1.0)
-    times = [k * 2.0 * math.pi / (8.0 * mode.omega) for k in range(8)]
+    times = np.arange(8) * 2.0 * math.pi / (8.0 * mode.omega)
     checks = []
     for fam, state in matched_states().items():
         # the state itself is converged (thermal weights or the pure vector),
@@ -155,21 +155,18 @@ def flux_stats_suite(dim_cap: int = DIM_CAP) -> dict:
                 m = float(np.vdot(psi, w1).real)
                 v = float(np.vdot(w1, w1).real) - m * m
             return m, math.sqrt(v)
-        err_f, err_e = [], []
-        for t in times:
-            mf, sf = flux_stats(state, mode, t)
-            me, se = emf_stats(state, mode, t)
-            omf, osf = mean_var(fockbench.flux_matrix(mode, t, dim))
-            ome, ose = mean_var(fockbench.emf_matrix(mode, t, dim))
-            err_f += [abs(mf - omf), abs(sf - osf)]
-            # emf carries the omega scale; compare relative to it
-            err_e += [abs(me - ome) / mode.omega, abs(se - ose) / mode.omega]
+        # (mean, sd) rows over the times, closed form against oracle
+        flux = np.array([mean_var(fockbench.flux_matrix(mode, t, dim)) for t in times.tolist()]).T
+        emf = np.array([mean_var(fockbench.emf_matrix(mode, t, dim)) for t in times.tolist()]).T
+        err_f = np.abs(np.array(flux_stats(state, mode, times)) - flux)
+        # emf carries the omega scale; compare relative to it
+        err_e = np.abs(np.array(emf_stats(state, mode, times)) - emf) / mode.omega
         checks.append(_check(f"flux-stats-vs-oracle-{fam}", np.max(err_f), 1e-8))
         checks.append(_check(f"emf-stats-vs-oracle-{fam}", np.max(err_e), 1e-8))
     # uncertainty product for the squeezed family
     sq = matched_states()["squeezed"]
-    slack = np.min([flux_stats(sq, mode, t)[1] * emf_stats(sq, mode, t)[1] - mode.omega * mode.xi ** 2 / 2.0
-                    for t in times], initial=0.0)
+    slack = np.min(flux_stats(sq, mode, times)[1] * emf_stats(sq, mode, times)[1]
+                   - mode.omega * mode.xi ** 2 / 2.0, initial=0.0)
     checks.append(_check("squeezed-uncertainty-product", -slack, 1e-10))
     return _report("flux-stats", checks)
 
@@ -243,7 +240,7 @@ def twomode_suite(dim_cap: int = DIM_CAP) -> dict:
     xs = np.linspace(-2 * math.pi, 2 * math.pi, 9)
 
     fact = TwoModeFactorizable(ThermalState(1.0), CoherentState(1.3 + 0.2j))
-    err = np.max([abs(twomode.ratio_R(fact, coupling, xa, xb, t) - 1.0) for xa in xs for xb in xs])
+    err = np.max(np.abs(twomode.ratio_R(fact, coupling, xs[:, None], xs[None, :], t) - 1.0))
     checks.append(_check("factorizable-ratio-unity", err, 1e-12))
 
     fields = {
@@ -253,32 +250,25 @@ def twomode_suite(dim_cap: int = DIM_CAP) -> dict:
         "factorizable-thermal-coherent": fact,
     }
     pts = [(0.4, -1.1), (2.0, 2.9), (-0.7, 0.3)]
+    pts_a, pts_b = np.array(pts).T
 
     def screen_pairs(dim):  # (I_A, I_B) at every screen point
         return [(intensity_operator(dim, q, twomode.FIG_OMEGA_1, xa, t),
                  intensity_operator(dim, q, twomode.FIG_OMEGA_2, xb, t)) for xa, xb in pts]
     for name, state2 in fields.items():
-        closed = [twomode.joint_intensity(state2, coupling, xa, xb, t) for xa, xb in pts]
+        closed = twomode.joint_intensity(state2, coupling, pts_a, pts_b, t)
         oracle, _ = fockbench.converged_two_mode_expectation(state2, screen_pairs, dim_cap)
         checks.append(_check(f"joint-intensity-vs-oracle-{name}", np.max(np.abs(closed - oracle)), 1e-8))
 
     sep = twomode.number_pair_separable(0, 1)
     ent = twomode.number_pair_entangled(0, 1)
-    err = np.max([
-        abs(
-            twomode.marginal_intensity(sep, w, coupling, x, t)
-            - twomode.marginal_intensity(ent, w, coupling, x, t)
-        )
-        for w in ("A", "B")
-        for x in xs
-    ])
+    err = np.max([np.abs(twomode.marginal_intensity(sep, w, coupling, xs, t)
+                         - twomode.marginal_intensity(ent, w, coupling, xs, t)) for w in ("A", "B")])
     checks.append(_check("sep-ent-marginals-identical", err, 1e-12))
 
-    lower, upper = twomode.sep_bounds(q)
-    corner_err = np.max([
-        abs(twomode.ratio_R(sep, coupling, 0.0, 0.0, t) - lower),
-        abs(twomode.ratio_R(sep, coupling, math.pi, math.pi, t) - upper),
-    ])
+    corners = np.array([0.0, math.pi])
+    corner_err = np.max(np.abs(twomode.ratio_R(sep, coupling, corners, corners, t)
+                               - twomode.sep_bounds(q)))
     checks.append(_check("corner-values-vs-bounds", corner_err, 1e-10))
     return _report("twomode", checks)
 
@@ -326,10 +316,11 @@ def squid_suite(dim_cap: int = DIM_CAP) -> dict:
     errs = []
     for entangled in (False, True):
         state2 = twomode.number_pair_crossed(1, 3, entangled)
-        for t in ts[::4]:
-            mom = squid.two_squid_currents_number(1, 3, entangled, coupling, w1, w2, w1, w2, float(t))
-            oracle = fockbench.two_squid_moments(state2, coupling.qprime, w1, w2, w1, w2, float(t), dim_cap)
-            errs.append(np.max(np.abs(np.array(mom) - np.array(oracle))) / np.max(np.abs(oracle)))
+        # one row of the six moments per time
+        moms = np.array(squid.two_squid_currents_number(1, 3, entangled, coupling, w1, w2, w1, w2, ts[::4])).T
+        for mom, t in zip(moms, ts[::4].tolist()):
+            oracle = np.array(fockbench.two_squid_moments(state2, coupling.qprime, w1, w2, w1, w2, t, dim_cap))
+            errs.append(np.max(np.abs(mom - oracle)) / np.max(np.abs(oracle)))
     checks.append(_check("two-squid-number-moments-vs-oracle", np.max(errs), 1e-8))
 
     # factorizable baseline

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import mesoweyl
 from mesoweyl import cli, experiments, fockbench, squid, twomode, verify
 from mesoweyl.experiments import EXPERIMENTS
+from mesoweyl.states import TwoModeProductSuperposition
 
 ALL_FIGS = ["fig1", "fig4", "fig5", "fig6", "fig7", "fig9", "fig10", "fig11",
             "fig14", "fig15", "fig16", "fig17", "fig18"]
@@ -317,6 +318,17 @@ def test_a_zero_abscissa_frequency_exits_2_naming_it(tmp_path, capsys, fig):
     assert not (tmp_path / f"{fig}.csv").exists()
 
 
+# figs 9-11 read q through ChargeCoupling, as figs 4-7 and 14-18 do
+@pytest.mark.parametrize("fig", ["fig9", "fig10", "fig11"])
+@pytest.mark.parametrize("q", [0.0, -0.2])
+def test_a_nonpositive_coupling_exits_2_naming_it(tmp_path, capsys, fig, q):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": fig, "params": {"q": q}}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: coupling q must be positive\n"
+    assert not (tmp_path / f"{fig}.csv").exists()
+
+
 # the figures whose rows are their phase or time grid; fig7 has a samples
 # default too, but its rows are its kmax harmonics
 ONE_SAMPLE_FIGS = [name for name in ALL_FIGS if "samples" in EXPERIMENTS[name].defaults and name != "fig7"]
@@ -347,8 +359,9 @@ def test_all_singular_exits_4(tmp_path):
     path.write_text(json.dumps(config))
     rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 4
-    # uncoupled device (q = 0) watched at its fringe zero: R is 0/0 at every phase
-    config = {"experiment": "fig11", "params": {"q": 0.0, "x_a": math.pi}}
+    # a device so weakly coupled that alpha rounds to 1 (q = 1e-10; q = 0
+    # exits 2), watched at its fringe zero: R is 0/0 at every phase
+    config = {"experiment": "fig11", "params": {"q": 1e-10, "x_a": math.pi}}
     path.write_text(json.dumps(config))
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 4
     # at q = 1e-10 alpha rounds to 1 but sep_bounds still accepts q: at this
@@ -415,8 +428,12 @@ def test_verify_cli_reports(capsys, suite):
     ("weyl-oracle", fockbench, "weyl_numeric", lambda state, z, *rest: np.asarray(z) == 0.5),
     ("flux-stats", verify, "flux_stats", lambda state, mode, t: t > 0.0),
     ("twomode", twomode, "joint_intensity", lambda state2, coupling, xa, xb, t: xa == 2.0),
+    # the entangled number pair's marginals, which only the
+    # sep-ent-marginals-identical check reads
+    ("twomode", twomode, "marginal_intensity",
+     lambda state2, which, coupling, x, t: isinstance(state2, TwoModeProductSuperposition) & (x > 0.0)),
     ("squid", squid, "quantum_shapiro", lambda state, drive, n, coupling: n == 3),
-], ids=["closed-form", "oracle", "flux-stats", "twomode", "squid"])
+], ids=["closed-form", "oracle", "flux-stats", "twomode", "twomode-marginal", "squid"])
 def test_verify_fails_a_nan_error(monkeypatch, suite, module, name, hit):
     real = getattr(module, name)
 

@@ -81,6 +81,28 @@ def test_weyl_vanishes_where_abs_z_squared_overflows(state):
     assert number_displacement_element(1, 1e300j, 3) == 0
 
 
+_DISK = st.builds(cmath.rect, st.floats(0.0, 5.0), st.floats(-math.pi, math.pi))
+# past |z| = 1e154, where |z|^2 overflows and the element is its limit 0
+_FAR = st.builds(cmath.rect, st.floats(1e155, 1e300), st.floats(-math.pi, math.pi))
+
+
+@pytest.mark.parametrize("order", ["m < n", "m = n", "m > n"])
+@given(low=st.integers(0, 8), gap=st.integers(1, 5), zs=st.lists(_DISK, min_size=1, max_size=8),
+       far=st.lists(_FAR, max_size=2))
+def test_number_displacement_element_of_an_array_equals_the_scalar_calls(order, low, gap, zs, far):
+    m, n = {"m < n": (low, low + gap), "m = n": (low, low), "m > n": (low + gap, low)}[order]
+    z = np.array(zs + far).reshape(-1, 1)
+    got = number_displacement_element(m, z, n)
+    assert got.shape == z.shape
+    scalar = [number_displacement_element(m, v, n) for v in zs + far]
+    assert all(type(v) is complex for v in scalar)
+    assert np.all(got[len(zs):] == 0) and scalar[len(zs):] == [0] * len(far)
+    # |z|^2 of a 0-d array and of an array may round apart (an np.float64
+    # power against a squared array); 2.2e-16 was the worst over 3,000
+    # examples per order, and every element is at most 1 in modulus
+    assert np.max(np.abs(got.ravel() - scalar)) <= 1e-15
+
+
 @pytest.mark.parametrize("state", SMALL_STATES + [NumberState(17)])
 def test_weyl_time_average_vanishes_where_abs_c_squared_overflows(state):
     far = [1e160, 1e200j * cmath.exp(0.4j), complex(1e308, -1e308), 1e300]

@@ -1,4 +1,6 @@
+import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -324,6 +326,14 @@ def test_ratio_raises_on_vanishing_marginal(monkeypatch):
     field = twomode.number_pair_separable(0, 1)
     with pytest.raises(SingularPointError):
         twomode.ratio_R(field, COUPLING, 0.0, 0.0, T0)
+    # I = 1 + alpha cos x with alpha = 0.955 is below 1 where cos x < 0 at
+    # every t, so of this grid, x_a outermost and t innermost, (2.5, 0.0, T0)
+    # is the first such point
+    monkeypatch.setattr(twomode, "_SINGULAR_EPS", 1.0)
+    first = re.escape(f"vanishes at (x_a, x_b, t) = (2.5, 0.0, {T0})")
+    with pytest.raises(SingularPointError, match=first + "$"):
+        twomode.ratio_R(field, COUPLING, np.array([0.0, 0.3, 2.5])[:, None, None],
+                        np.array([0.0, 0.1])[:, None], np.array([T0, 2.0 * T0]))
 
 
 def test_two_mode_weyl_unsupported_component():
@@ -332,3 +342,83 @@ def test_two_mode_weyl_unsupported_component():
     bad = TwoModeProductSuperposition(((1.0, SqueezedState(0j, 1.0), NumberState(0)),))
     with pytest.raises(TypeError):
         twomode.two_mode_weyl(bad, 0.1j, 0.2j)
+
+
+_PAIRS = {
+    "number-separable": lambda n1, n2, a1, a2: twomode.number_pair_separable(n1, n2),
+    "number-entangled": lambda n1, n2, a1, a2: twomode.number_pair_entangled(n1, n2),
+    "number-crossed-separable": lambda n1, n2, a1, a2: twomode.number_pair_crossed(n1, n2, False),
+    "number-crossed-entangled": lambda n1, n2, a1, a2: twomode.number_pair_crossed(n1, n2, True),
+    "coherent-separable": lambda n1, n2, a1, a2: twomode.coherent_pair_separable(a1, a2),
+    "coherent-entangled": lambda n1, n2, a1, a2: twomode.coherent_pair_entangled(a1, a2),
+}
+_Z = st.lists(st.builds(cmath.rect, st.floats(0.0, 3.0), st.floats(-math.pi, math.pi)),
+              min_size=1, max_size=4)
+
+
+@pytest.mark.parametrize("pair", sorted(_PAIRS))
+@given(n1=st.integers(0, 4), n2=st.integers(0, 4), a1=_AMPLITUDE, a2=_AMPLITUDE, z1=_Z, z2=_Z)
+def test_two_mode_weyl_of_arrays_equals_the_scalar_calls(pair, n1, n2, a1, a2, z1, z2):
+    state2 = _PAIRS[pair](n1, n2, a1, a2)
+    got = twomode.two_mode_weyl(state2, np.array(z1)[:, None], np.array(z2)[None, :])
+    assert got.shape == (len(z1), len(z2))
+    scalar = [[twomode.two_mode_weyl(state2, u, v) for v in z2] for u in z1]
+    assert all(type(w) is complex for row in scalar for w in row)
+    # |W2| <= 1; 9.0e-16 (the entangled coherent pair) was the worst over
+    # 1,000 examples per pair
+    assert np.max(np.abs(got - np.array(scalar))) <= 2e-15
+
+
+_FIELDS = {
+    "number-separable": lambda n1, n2, a1, a2: twomode.number_pair_separable(n1, n2),
+    "number-entangled": lambda n1, n2, a1, a2: twomode.number_pair_entangled(n1, n2),
+    "coherent-entangled": lambda n1, n2, a1, a2: twomode.coherent_pair_entangled(a1, a2),
+    "factorizable": lambda n1, n2, a1, a2: TwoModeFactorizable(NumberState(n1), CoherentState(a2)),
+}
+
+
+@pytest.mark.parametrize("field", sorted(_FIELDS))
+@given(
+    n1=st.integers(0, 4),
+    n2=st.integers(0, 4),
+    a1=_AMPLITUDE,
+    a2=_AMPLITUDE,
+    q=st.floats(0.05, 2.0),
+    x_a=_SCREEN,
+    x_b=_SCREEN,
+    t=st.lists(st.floats(0.0, 2.0 * math.pi / (W1 - W2)), min_size=1, max_size=2),
+)
+def test_intensities_and_ratio_of_arrays_equal_the_scalar_calls(field, n1, n2, a1, a2, q, x_a, x_b, t):
+    state2, coupling = _FIELDS[field](n1, n2, a1, a2), ChargeCoupling(q)
+    xa, xb, tt = np.array(x_a)[:, None, None], np.array(x_b)[None, :, None], np.array(t)
+    shape = (len(x_a), len(x_b), len(t))
+    ia = twomode.marginal_intensity(state2, "A", coupling, xa, tt)
+    ib = twomode.marginal_intensity(state2, "B", coupling, xb, tt)
+    joint = twomode.joint_intensity(state2, coupling, xa, xb, tt)
+    ratio = twomode.ratio_R(state2, coupling, xa, xb, tt)
+    assert ia.shape == (len(x_a), 1, len(t)) and ib.shape == (1, len(x_b), len(t))
+    assert joint.shape == ratio.shape == shape
+    for i, j, k in np.ndindex(shape):
+        a, b, tk = x_a[i], x_b[j], t[k]
+        one_a = twomode.marginal_intensity(state2, "A", coupling, a, tk)
+        one_b = twomode.marginal_intensity(state2, "B", coupling, b, tk)
+        one = [one_a, one_b, twomode.joint_intensity(state2, coupling, a, b, tk),
+               twomode.ratio_R(state2, coupling, a, b, tk)]
+        assert all(type(v) is float for v in one)
+        # intensities lie in [0, 4], and R = I / (I_A I_B) scales their
+        # rounding by 1 / (I_A I_B).  Over 1,000 examples per field the worst
+        # was 1.0e-15 for a marginal, 1.8e-15 for the joint intensity and
+        # 1.3e-15 for the ratio times I_A I_B
+        assert abs(ia[i, 0, k] - one_a) <= 4e-15
+        assert abs(ib[0, j, k] - one_b) <= 4e-15
+        assert abs(joint[i, j, k] - one[2]) <= 4e-15
+        assert abs(ratio[i, j, k] - one[3]) * one_a * one_b <= 4e-15
+
+
+def test_one_twomode_suite_run_makes_at_most_38_two_mode_weyl_calls(monkeypatch):
+    # the closed forms take each check's points as one array call: 32 here,
+    # 582 when ratio_R and the intensities took one point at a time
+    calls, real = [], twomode.two_mode_weyl
+    monkeypatch.setattr(twomode, "two_mode_weyl", lambda *args: calls.append(1) or real(*args))
+    assert verify.run_suite("twomode")["passed"]
+    assert len(calls) <= 38
