@@ -11,8 +11,9 @@ static offset; ``quantum_current`` and the two-ring moments take none.
 
 dc currents are exact zero-frequency coefficients: a Shapiro step sums the
 classical drive's Bessel harmonics J_j(u) against the Weyl function's
-harmonics on the drive circle, ``states.weyl_time_average(state, q', k)``;
-finite-window numeric averages exist only as test oracles.
+harmonics on the drive circle, ``states.weyl_time_average(state, q', k)``,
+all of a state's steps and harmonics from one call; finite-window numeric
+averages exist only as test oracles.
 
 Two distant rings couple to the swapped two-mode families
 (|n1 n2>, |n2 n1>) and (|a1 a2>, |a2 a1>).  Every coherent-pair moment
@@ -35,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import specfun
-from .states import ChargeCoupling, _scalar_or_array, weyl, weyl_time_average
+from .states import ChargeCoupling, _integer_orders, _scalar_or_array, weyl, weyl_time_average
 from .twomode import coherent_pair_entangled, coherent_pair_separable, displacement_expectation
 
 __all__ = [
@@ -120,7 +121,7 @@ def quantum_current(state, coupling: ChargeCoupling, omega_a: float, omega1: flo
     return _scalar_or_array(np.sin(omega_a * t) * np.real(w) + np.cos(omega_a * t) * np.imag(w))
 
 
-def quantum_shapiro(state, drive: SquidDrive, n_step: int, coupling: ChargeCoupling) -> float:
+def quantum_shapiro(state, drive: SquidDrive, n_step, coupling: ChargeCoupling):
     """dc current on step n for a classical sinusoid plus a quantum mode.
 
     The ramp e^{i n w1 t}, the sinusoid sum_j J_j(u) e^{i j w1 t} and the
@@ -130,10 +131,21 @@ def quantum_shapiro(state, drive: SquidDrive, n_step: int, coupling: ChargeCoupl
     state (amplitude u/(2 q') at arg A = pi/2) has a_k = e^{-q'^2/2} J_k(u),
     so it reproduces every classical step scaled by e^{-q'^2/2}; squeezed
     vacuum leaves even steps only.
+
+    n_step is an int, which gives a float, or an integer array of steps,
+    which gives a float array of its shape; a step that is not an integer
+    raises ValueError.  All (step, j) pairs share one time-average call.
     """
-    avg = sum(jj * weyl_time_average(state, coupling.qprime, -n_step - j)
-              for j, jj in specfun.bessel_j_harmonics(drive.u_phase).items())
-    return (cmath.exp(1j * drive.phase0) * avg).imag
+    n = _integer_orders(n_step, "Shapiro step n_step")
+    harmonics = specfun.bessel_j_harmonics(drive.u_phase)
+    avgs = weyl_time_average(state, coupling.qprime, -n[..., None] - np.array(list(harmonics)))
+    # summed in j order, one column at a time, as a sum of scalar steps runs
+    total = 0.0
+    for col, jj in enumerate(harmonics.values()):
+        total = total + jj * avgs[..., col]
+    # the imaginary part in real arithmetic, as in quantum_current
+    turn = cmath.exp(1j * drive.phase0)
+    return _scalar_or_array(turn.real * np.imag(total) + turn.imag * np.real(total))
 
 
 # ---------------------------------------------------------------------------

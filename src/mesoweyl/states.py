@@ -17,7 +17,8 @@ Under the circular drive z = i c e^{i theta} the Weyl function is a harmonic
 series in theta; ``weyl_time_average(state, c, k)`` is its k-th coefficient
 (by the Jacobi-Anger and modified-Bessel generating functions, DLMF 10.12 and
 10.35), and k = 0 is the exact infinite-time average.  The interference
-autocorrelations read k = 0, the SQUID Shapiro steps every k they need.
+autocorrelations read k = 0, the SQUID Shapiro steps every k they need, all
+from one call: c and k are both array-first.
 """
 
 import cmath
@@ -230,7 +231,25 @@ def _squeezed_drive(state, c):
     return pref, v, chi, w
 
 
-def weyl_time_average(state, c, k: int = 0):
+def _integer_orders(k, name: str = "harmonic k") -> np.ndarray:
+    """k, an integer or an array of them, as an int64 array of its shape.
+
+    An integral float passes; anything else that is not an integer raises a
+    ValueError that names k.
+    """
+    kk = np.asarray(k)
+    with np.errstate(invalid="ignore"):
+        ki = kk.astype(np.int64) if kk.dtype.kind in "biuf" else None
+    if ki is None or not np.array_equal(ki, kk):
+        raise ValueError(f"{name} must be an integer, not {k!r}")
+    return ki
+
+
+# a_k carries i^k, exactly, for a coherent state
+_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
+
+
+def weyl_time_average(state, c, k=0):
     """Harmonic k of the driven Weyl function: the average over theta of
     e^{-i k theta} W(i c e^{i theta}), for an integer k.
 
@@ -238,10 +257,13 @@ def weyl_time_average(state, c, k: int = 0):
     the drive circle, W(i c e^{i theta}) = sum_k a_k e^{i k theta}.  A
     rotation of c shifts the circle, c e^{i theta} = |c| e^{i (theta + arg c)},
     so a_k(c) = e^{i k arg c} a_k(|c|): the average a_0 depends on |c| alone,
-    and a_k(-c) = (-1)^k a_k(c).  A complex c gives a complex, an array of
-    them a complex array of its shape: one call covers a whole lag grid of
-    the autocorrelation.
+    and a_k(-c) = (-1)^k a_k(c).  c and k are each a scalar or an array, and
+    broadcast: a complex c and an int k give a complex, anything else a
+    complex array of the broadcast shape.  One call covers a whole lag grid
+    of the autocorrelation, or every harmonic a Shapiro step reads, from one
+    Bessel table per state.  A k that is not an integer raises ValueError.
     """
+    k = _integer_orders(k)
     c = np.asarray(c, dtype=complex)
     # as in weyl: |c| ** 2 overflows past 1e154, where every coefficient has
     # its limit 0, so those entries are computed at c = 0 and zeroed at the end
@@ -251,13 +273,13 @@ def weyl_time_average(state, c, k: int = 0):
     x = rho * rho
     if isinstance(state, (NumberState, ThermalState)):
         # W is constant on the drive circle: it is a_0, and every other a_k is 0
-        avg = weyl(state, rho) if k == 0 else np.zeros(rho.shape)
+        avg = np.where(k == 0, weyl(state, rho), 0.0)
     elif isinstance(state, CoherentState):
         # Jacobi-Anger: W = e^{-|c|^2/2} exp(2 i |c| |A| cos(theta + delta))
         a = complex(state.amplitude)
         avg = np.exp(-x / 2.0) * specfun.jv(k, 2.0 * rho * abs(a))
-        if k:
-            avg = avg * (1j ** k * np.exp(1j * k * (np.angle(c) - cmath.phase(a))))
+        if k.any():
+            avg = avg * (_QUARTER_TURNS[k % 4] * np.exp(1j * k * (np.angle(c) - cmath.phase(a))))
     elif isinstance(state, SqueezedState):
         pref, v, chi, w = _squeezed_drive(state, c)
         # where pref underflows every coefficient is 0, as |W| <= 1: such
@@ -271,27 +293,33 @@ def weyl_time_average(state, c, k: int = 0):
         # e^{i m phi}, phi = chi - 2 psi.  The +-m terms pair into the even
         # and odd halves of J_{k-2m} and J_{k+2m}, which at k = 0 are J_{2m}
         # and 0.  J_n is below 1e-18 past the order cutoff of |w|, as is
-        # e^{-v} I_m(v) past v's
+        # e^{-v} I_m(v) past v's; every harmonic shares the table of the
+        # largest |k|
         mmax = min(specfun.order_cutoff(v.max(initial=0.0)),
-                   (specfun.order_cutoff(absw.max(initial=0.0)) + abs(k)) // 2)
+                   (specfun.order_cutoff(absw.max(initial=0.0)) + int(np.abs(k).max(initial=0))) // 2)
         ims = specfun.bessel_ive_all(v, mmax + 1)
-        # one J row per |order|, J_{-n} = (-1)^n J_n
-        orders = np.unique(np.abs(k + 2 * np.arange(-mmax, mmax + 1)))
-        rows = specfun.jv(orders.reshape((-1,) + (1,) * absw.ndim), absw)
-        table = dict(zip(orders.tolist(), rows))
-
-        def bessel_j(n):
-            return -table[-n] if n < 0 and n & 1 else table[abs(n)]
+        # one J row per |order| that a harmonic reaches, then J_{k+2m} of
+        # every harmonic as row mmax + m of one table of the broadcast shape,
+        # signed by J_{-n} = (-1)^n J_n
+        ndim = max(k.ndim, c.ndim)
+        signed = k + 2 * np.arange(-mmax, mmax + 1).reshape((-1,) + (1,) * k.ndim)
+        orders, where = np.unique(np.abs(signed), return_inverse=True)
+        where = where.reshape(signed.shape[:1] + (1,) * (ndim - k.ndim) + k.shape)
+        rows = specfun.jv(orders.reshape((-1,) + (1,) * ndim), absw)
+        # (one harmonic's rows are a plain gather, several need the broadcast one)
+        jk = rows[where.ravel()] if k.size == 1 else np.take_along_axis(rows, where, axis=0)
+        np.negative(jk, out=jk, where=((signed < 0) & (signed % 2 == 1)).reshape(where.shape))
 
         phi = chi - 2.0 * np.angle(w)
-        even, odd = ims[0] * bessel_j(k), 0.0
+        turning = k.any()  # k = 0 alone has no odd half and no phase
+        even, odd = ims[0] * jk[mmax], 0.0
         for m in range(1, mmax + 1):
-            lo, hi = bessel_j(k - 2 * m), bessel_j(k + 2 * m)
+            lo, hi = jk[mmax - m], jk[mmax + m]
             sign = -2.0 if m & 1 else 2.0
             even += sign * ims[m] * (0.5 * (lo + hi)) * np.cos(m * phi)
-            if k:
+            if turning:
                 odd += sign * ims[m] * (0.5 * (lo - hi)) * np.sin(m * phi)
-        if k == 0:
+        if not turning:
             avg = pref * even
         else:
             avg = pref * (even + 1j * odd) * np.exp(1j * k * np.angle(w))

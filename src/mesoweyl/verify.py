@@ -190,16 +190,15 @@ def autocorr_suite(dim_cap: int = DIM_CAP) -> dict:
         _check("classical-im-gamma", float(np.max(np.abs(gcl.values.imag))) / gcl.gamma0, 1e-12)
     )
 
+    series = {}
     for fam, state in states.items():
-        series = interference.autocorrelation_quantum(state, coupling, mode, taus)
+        series[fam] = interference.autocorrelation_quantum(state, coupling, mode, taus)
         err = _gamma_property_error(
             lambda lags, s=state: interference.autocorrelation_quantum(s, coupling, mode, lags).values,
-            series, taus,
+            series[fam], taus,
         )
         checks.append(_check(f"quantum-gamma-properties-{fam}", err, 1e-10))
-    num = interference.normalized_gamma(
-        interference.autocorrelation_quantum(states["number"], coupling, mode, taus)
-    )
+    num = interference.normalized_gamma(series["number"])
     im_max = float(np.max(np.abs(num.values.imag)))
     checks.append(_check("number-17-im-gamma-present", 1e-4 - im_max, 0.0))
 
@@ -227,8 +226,8 @@ def _gamma_property_error(lags_fn, series, taus) -> float:
     err = max(0.0, -g0)
     vals = series.values
     err = max(err, float(np.max(np.abs(vals) - g0)) / max(g0, 1e-300))
-    a = lags_fn(taus[:16])
-    b = lags_fn(-taus[:16])
+    # Gamma(-tau) = Gamma(tau)*, from one call over the lags of both signs
+    a, b = np.split(lags_fn(np.concatenate((taus[:16], -taus[:16]))), 2)
     return max(err, *(np.abs(b - np.conj(a)) / max(g0, 1e-300)))
 
 
@@ -290,22 +289,20 @@ def squid_suite(dim_cap: int = DIM_CAP) -> dict:
     amp = u / (2.0 * coupling.qprime)
     coh = CoherentState(amp * cmath.exp(1j * math.pi / 2.0))
     scale = math.exp(-coupling.qprime ** 2 / 2.0)
-    err = np.max([
-        abs(
-            squid.quantum_shapiro(coh, base, n, coupling)
-            - scale * squid.classical_shapiro(ref, n)
-        )
-        for n in range(-3, 4)
-    ])
+    steps = np.arange(-3, 4)
+    classical = np.array([squid.classical_shapiro(ref, n) for n in steps.tolist()])
+    err = np.max(np.abs(squid.quantum_shapiro(coh, base, steps, coupling) - scale * classical))
     checks.append(_check("coherent-step-rescaling", err, 1e-10))
 
-    # squeezed vacuum: odd steps vanish, an even step survives for every r
+    # squeezed vacuum: odd steps vanish, an even step survives for every r;
+    # each state's six steps are one call
     odd, even = [], []
     stepdrive = squid.SquidDrive(phase0=math.pi / 2.0, u_phase=0.0, omega1=1.0e-4)
     for r in (0.5, 2.0, SQUEEZING_R):
         sq = SqueezedState(0j, r)
-        odd += [abs(squid.quantum_shapiro(sq, stepdrive, n, coupling)) for n in (1, 3, 5, -1)]
-        even.append(np.max([abs(squid.quantum_shapiro(sq, stepdrive, n, coupling)) for n in (2, 4)]))
+        current = np.abs(squid.quantum_shapiro(sq, stepdrive, np.array([1, 3, 5, -1, 2, 4]), coupling))
+        odd.append(current[:4])
+        even.append(np.max(current[4:]))
     checks.append(_check("squeezed-vacuum-odd-steps", np.max(odd), 1e-10))
     checks.append(_check("squeezed-vacuum-even-step-present", 1e-4 - np.min(even), 0.0))
 

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mesoweyl
-from mesoweyl import cli, experiments, fockbench, squid, twomode, verify
+from mesoweyl import cli, experiments, fockbench, specfun, squid, twomode, verify
 from mesoweyl.experiments import EXPERIMENTS
 from mesoweyl.states import TwoModeProductSuperposition
 
@@ -433,7 +433,9 @@ def test_verify_cli_reports(capsys, suite):
     ("twomode", twomode, "marginal_intensity",
      lambda state2, which, coupling, x, t: isinstance(state2, TwoModeProductSuperposition) & (x > 0.0)),
     ("squid", squid, "quantum_shapiro", lambda state, drive, n, coupling: n == 3),
-], ids=["closed-form", "oracle", "flux-stats", "twomode", "twomode-marginal", "squid"])
+    # one harmonic of the one time-average call a state's steps make
+    ("squid", squid, "weyl_time_average", lambda state, c, k: np.asarray(k) == 2),
+], ids=["closed-form", "oracle", "flux-stats", "twomode", "twomode-marginal", "squid", "squid-harmonic"])
 def test_verify_fails_a_nan_error(monkeypatch, suite, module, name, hit):
     real = getattr(module, name)
 
@@ -443,6 +445,17 @@ def test_verify_fails_a_nan_error(monkeypatch, suite, module, name, hit):
     report = verify.run_suite(suite)
     assert report["passed"] is False
     assert any(math.isnan(c["max_error"]) and not c["passed"] for c in report["checks"])
+
+
+def test_one_pass_of_the_verify_workload_suites_makes_at_most_5_bessel_i_tables(monkeypatch):
+    # one per squeezed state's Shapiro steps (3) and two for the squeezed
+    # autocorrelation, its series and its +-lag property: 21 when every
+    # harmonic and each lag sign made its own
+    calls, real = [], specfun.bessel_ive_all
+    monkeypatch.setattr(specfun, "bessel_ive_all", lambda *args: calls.append(1) or real(*args))
+    for suite in ("weyl-oracle", "autocorr", "twomode", "squid"):
+        assert verify.run_suite(suite)["passed"]
+    assert len(calls) <= 5
 
 
 # the squeezed r = 4.2 Weyl oracle converges at dim 1920 (60 doubled five

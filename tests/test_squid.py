@@ -16,6 +16,7 @@ from mesoweyl.states import (
     SqueezedState,
     ThermalState,
     TwoModeFactorizable,
+    matched_states,
 )
 
 COUPLING = ChargeCoupling(0.25)  # qprime = 0.5, the reproduction default
@@ -208,6 +209,45 @@ def test_quantum_shapiro_squeezed_vacuum_parity(r):
     for n in (1, 3, 5, -1, -3):
         assert abs(squid.quantum_shapiro(st, d, n, COUPLING)) <= 1e-10
     assert max(abs(squid.quantum_shapiro(st, d, n, COUPLING)) for n in (2, 4)) >= 1e-4
+
+
+@pytest.mark.parametrize("state, u", [
+    (CoherentState(1.3 * cmath.exp(0.4j)), 1.7),
+    (matched_states()["squeezed"], 3.0),
+], ids=["coherent", "squeezed-4.2"])
+def test_quantum_shapiro_over_an_array_of_steps_equals_the_int_calls(state, u):
+    # one time-average call over every (step, j) pair; both were bit-equal
+    # to the int calls on x86-64
+    d = squid.SquidDrive(phase0=0.7, u_phase=u, omega1=1e-4)
+    steps = np.array([-4, -1, 0, 0, 2, 3, 7])
+    one = [squid.quantum_shapiro(state, d, n, COUPLING) for n in steps.tolist()]
+    assert all(type(v) is float for v in one)
+    got = squid.quantum_shapiro(state, d, steps, COUPLING)
+    assert got.shape == steps.shape and got.dtype == float
+    assert np.max(np.abs(got - one)) <= 1e-15
+    column = squid.quantum_shapiro(state, d, steps[:, None], COUPLING)
+    assert np.array_equal(column[:, 0], got)
+    assert squid.quantum_shapiro(state, d, steps[:0], COUPLING).shape == (0,)
+
+
+@pytest.mark.parametrize("state", [NumberState(2), CoherentState(0.5j), SqueezedState(0j, 1.0),
+                                   ThermalState(0.7)], ids=lambda s: type(s).__name__)
+def test_quantum_shapiro_refuses_a_non_integral_step(state):
+    # a TypeError from the harmonic sum, before the step was checked
+    d = squid.SquidDrive(phase0=0.7, u_phase=1.0, omega1=1e-4)
+    for n in (1.5, np.array([2, 0.5])):
+        with pytest.raises(ValueError, match="Shapiro step n_step must be an integer"):
+            squid.quantum_shapiro(state, d, n, COUPLING)
+
+
+def test_a_squeezed_step_under_a_classical_drive_makes_one_bessel_i_table(monkeypatch):
+    # every harmonic of the step shares one Miller pass: 45 when each of the
+    # drive's Bessel harmonics at u = 3 made its own
+    calls, real = [], specfun.bessel_ive_all
+    monkeypatch.setattr(specfun, "bessel_ive_all", lambda *args: calls.append(1) or real(*args))
+    d = squid.SquidDrive(phase0=0.7, u_phase=3.0, omega1=1e-4)
+    squid.quantum_shapiro(matched_states()["squeezed"], d, 2, COUPLING)
+    assert len(calls) == 1
 
 
 def test_quantum_shapiro_squeezed_matches_matrix_average():

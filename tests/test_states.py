@@ -400,9 +400,10 @@ def _drive_reach(state, c):
 
 
 def _drive_coeffs(state, c):
-    """{k: a_k} over |k| <= _drive_reach(state, c) + 1."""
+    """{k: a_k} over |k| <= _drive_reach(state, c) + 1, from one call."""
     reach = _drive_reach(state, c) + 1
-    return {k: weyl_time_average(state, c, k) for k in range(-reach, reach + 1)}
+    ks = np.arange(-reach, reach + 1)
+    return dict(zip(ks.tolist(), weyl_time_average(state, c, ks).tolist()))
 
 
 def _check_drive_coeffs(state, c):
@@ -463,6 +464,46 @@ def test_weyl_time_average_takes_arrays(family, data, cs, k):
     # -c e^{i theta} is c e^{i (theta + pi)}, so a_k(-c) = (-1)^k a_k(c); worst
     # seen 6.7e-16 in 1,000 examples per family
     assert np.max(np.abs(weyl_time_average(state, -c, k) - (-1) ** k * avg)) <= 1e-14
+
+
+_KS = st.lists(st.integers(-12, 12), max_size=8)
+
+
+@pytest.mark.parametrize("family", sorted(DRIVE_STATES))
+@given(data=st.data(), cs=st.lists(_DRIVES, min_size=1, max_size=4), ks=_KS)
+def test_weyl_time_average_over_an_array_of_k_equals_the_int_calls(family, data, cs, ks):
+    # a squeezed state's harmonics share the Bessel tables of the largest
+    # |k|, so a smaller |k| sums a few more terms below 1e-18 than its own
+    # call.  Worst seen 7.9e-17 for squeezed states in 1,000 examples per
+    # family; the other families were bit-equal
+    state = data.draw(DRIVE_STATES[family])
+    ks = ks + ks[:1]  # a repeated order
+    c, k = np.array(cs), np.array(ks, dtype=int)
+    one = np.array([weyl_time_average(state, cs[0], ki) for ki in ks], dtype=complex)
+    got = weyl_time_average(state, cs[0], k)
+    assert got.shape == k.shape and got.dtype == complex
+    assert np.max(np.abs(got - one), initial=0.0) <= 1e-15
+    # a 0-d k with a complex c gives a complex
+    for ki in ks[:2]:
+        single = weyl_time_average(state, cs[0], np.array(ki))
+        assert isinstance(single, complex)
+        assert abs(single - weyl_time_average(state, cs[0], ki)) <= 1e-15
+    # ks down a column broadcast against the drives along a row
+    grid = weyl_time_average(state, c, k[:, None])
+    assert grid.shape == (len(ks), len(cs))
+    for row, ki in zip(grid, ks):
+        assert np.max(np.abs(row - weyl_time_average(state, c, ki))) <= 1e-15
+
+
+@pytest.mark.parametrize("state", SMALL_STATES, ids=lambda s: type(s).__name__)
+def test_weyl_time_average_refuses_a_non_integral_harmonic(state):
+    # J_1.5 for coherent states, 0 for number and thermal ones and a
+    # TypeError for squeezed ones, before k was checked
+    for k in (1.5, np.array([1, 2.5]), math.nan, "1"):
+        with pytest.raises(ValueError, match="harmonic k must be an integer"):
+            weyl_time_average(state, 0.4, k)
+    # an integral float is the integer it equals
+    assert weyl_time_average(state, 0.4, 2.0) == weyl_time_average(state, 0.4, 2)
 
 
 @pytest.mark.parametrize("family", sorted(DRIVE_STATES))
