@@ -18,12 +18,16 @@ averages exist only as test oracles.
 Two distant rings couple to the swapped two-mode families
 (|n1 n2>, |n2 n1>) and (|a1 a2>, |a2 a1>).  Every coherent-pair moment
 writes sin(phi + X) and sin^2(phi + X) as sums of D(j sigma), j in
-{0, +-1, +-2}, and takes ``twomode.displacement_expectation``, the route of
-``twomode.joint_intensity`` too.  The number pair keeps its Laguerre closed
-forms for cost alone: that route with ``twomode.number_pair_crossed`` agrees
-with them to 2.0e-15, but at 17 times took 1.4 ms per separable and 2.8 ms
-per entangled call against 0.08 and 0.07 ms (warm, 2-vCPU x86-64), about
-8 ms more on a figs 14-18 pass of about 45 ms.
+{0, +-1, +-2}, and the six are one ``twomode.displacement_expectation``
+call, the route of ``twomode.ratio_R`` too: one table of single-mode values
+per mode, 8 Weyl values for the mixture and 24 coherent elements for the
+superposition.  The number pair keeps its Laguerre closed forms for cost
+alone: that route with ``twomode.number_pair_crossed`` agrees with them to
+2.5e-15, but ``number_displacement_element`` takes one Laguerre value per
+element, and the radius |j sigma| = j q' repeats at every time.  At 17
+times one separable call took 0.27-0.49 ms and one entangled call 1.6-2.8
+ms, at 257 times 0.37-0.66 and 14-27 ms, against 0.04-0.23 ms for the
+closed forms (warm, best of 20, four sessions on a shared 2-vCPU x86-64 VM).
 The two-ring moments and ratios take t as a float or an array of times, so
 a whole phase grid is one call, and a ratio's pole reads NaN.
 """
@@ -227,6 +231,23 @@ def _sin_power_terms(phase, power: int) -> dict:
     return {0: 0.5, 2: -0.25 * e2, -2: -0.25 * np.conj(e2)}
 
 
+def _displacement_moments(state2, coupling: ChargeCoupling, omega_a: float, omega_b: float,
+                          omega1: float, omega2: float, t) -> TwoSquidMoments:
+    """The six moments of any two-mode state with closed-form elements, from
+    one ``twomode.displacement_expectation`` call over one element table per
+    mode at orders 0, 1 and 2."""
+    sigma_a = 1j * coupling.qprime * np.exp(1j * omega1 * t)
+    sigma_b = 1j * coupling.qprime * np.exp(1j * omega2 * t)
+    one = {0: 1.0}
+    sin_a, sin2_a = _sin_power_terms(omega_a * t, 1), _sin_power_terms(omega_a * t, 2)
+    sin_b, sin2_b = _sin_power_terms(omega_b * t, 1), _sin_power_terms(omega_b * t, 2)
+    return TwoSquidMoments(*displacement_expectation(
+        state2,
+        [(sin_a, one), (one, sin_b), (sin2_a, one), (one, sin2_b), (sin_a, sin_b), (sin2_a, sin2_b)],
+        sigma_a, sigma_b,
+    ))
+
+
 def two_squid_currents_coherent(a1, a2, entangled: bool, coupling: ChargeCoupling,
                                 omega_a: float, omega_b: float, omega1: float, omega2: float,
                                 t) -> TwoSquidMoments:
@@ -234,23 +255,12 @@ def two_squid_currents_coherent(a1, a2, entangled: bool, coupling: ChargeCouplin
 
     Each ring expands sin(omega t + X) = (e^{i omega t} D(sigma) -
     e^{-i omega t} D(-sigma))/2i and sin^2 = (2 - e^{2i omega t} D(2 sigma) -
-    e^{-2i omega t} D(-2 sigma))/4, sigma = i q' e^{i w t}, and each moment is
-    one ``twomode.displacement_expectation`` of the pair.  t is a float or an
-    array of times, and each moment has its shape: the six moments make 10
-    broadcast ``two_mode_weyl`` calls.
+    e^{-2i omega t} D(-2 sigma))/4, sigma = i q' e^{i w t}, and the six
+    moments are one ``twomode.displacement_expectation`` call of the pair.
+    t is a float or an array of times, and each moment has its shape.
     """
     pair = coherent_pair_entangled if entangled else coherent_pair_separable
-    state2 = pair(a1, a2)
-    sigma_a = 1j * coupling.qprime * np.exp(1j * omega1 * t)
-    sigma_b = 1j * coupling.qprime * np.exp(1j * omega2 * t)
-    one = {0: 1.0}
-    sin_a, sin2_a = _sin_power_terms(omega_a * t, 1), _sin_power_terms(omega_a * t, 2)
-    sin_b, sin2_b = _sin_power_terms(omega_b * t, 1), _sin_power_terms(omega_b * t, 2)
-    return TwoSquidMoments(*(
-        displacement_expectation(state2, terms_a, terms_b, sigma_a, sigma_b)
-        for terms_a, terms_b in ((sin_a, one), (one, sin_b), (sin2_a, one), (one, sin2_b),
-                                 (sin_a, sin_b), (sin2_a, sin2_b))
-    ))
+    return _displacement_moments(pair(a1, a2), coupling, omega_a, omega_b, omega1, omega2, t)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ frequencies FIG_OMEGA_1 and FIG_OMEGA_2.  Joint fringes follow from the
 two-mode Weyl function W2(z1, z2) = Tr[rho D(z1) x D(z2)], evaluated in
 closed form for mixtures and product superpositions of number / coherent
 kets; the pair builders return those states themselves, and the intensities
-and ratio take them.  ``displacement_expectation`` is the one route from an
-observable of each device, written as a sum of displacements, to its
-two-mode expectation; the fringes here and the two-ring moments of ``squid``
-both take it.  The built-in number pair uses the equal-occupation
-convention N(|n1 n1> + |n2 n2>) whose ratio surface has the alpha/gamma
-closed form; the coherent pair is the swapped-amplitude family
-N(|a1 a2> + |a2 a1>).
+and ratio take them.  ``displacement_expectation`` is the one route from
+observables of the two devices, each written as a sum of displacements, to
+their two-mode expectations, all from one table of single-mode values per
+mode; the fringes here and the two-ring moments of ``squid`` both take it,
+and ``two_mode_weyl`` is its reference in the tests.  The built-in number
+pair uses the equal-occupation convention N(|n1 n1> + |n2 n2>) whose ratio
+surface has the alpha/gamma closed form; the coherent pair is the
+swapped-amplitude family N(|a1 a2> + |a2 a1>).
 """
 
 import math
@@ -135,22 +136,56 @@ def two_mode_weyl(state2, z1, z2):
     return _scalar_or_array(total)
 
 
-def displacement_expectation(state2, terms_a: dict, terms_b: dict, z_a, z_b):
-    """Re Tr[rho f_A g_B] for f_A = sum_j a_j D(j z_a) on mode A and
-    g_B = sum_k b_k D(k z_b) on mode B, given as {j: a_j} and {k: b_k}.
+def _element_table(kind: str, states: list, orders: set, z) -> list:
+    """One mode's single-mode values, one row {j: value} per slot, at order
+    0 and at +-j for every j in orders.
 
-    Both must be Hermitian: orders symmetric about 0 and a_{-j} = a_j^*.
-    Since W2(-z1, -z2) = W2(z1, z2)^*, the (j, k) and (-j, -k) terms are
-    complex conjugates, so each such pair is one ``two_mode_weyl`` call at
-    the larger (j, k), counted twice by real part; (0, 0) is Tr rho = 1.
-    Coefficients and z broadcast as ``two_mode_weyl`` does.
+    For a mixture a slot is a component and its value at order j is
+    W(j z), with W(0) = 1 and W(-z) = W(z)^*.  For a superposition a slot is
+    a pair (l, k) of components, in the order l + n k, and its value is
+    <v_l|D(j z)|u_k>, with <v|D(-z)|u> = <u|D(z)|v>^*.
     """
-    total = np.real(terms_a.get(0, 0.0) * terms_b.get(0, 0.0))
-    for j, a in terms_a.items():
-        for k, b in terms_b.items():
-            if (j, k) > (0, 0):
-                total = total + 2.0 * np.real(a * b * two_mode_weyl(state2, j * z_a, k * z_b))
-    return total
+    if kind == "mixed":
+        rows = [{0: 1.0, **{j: weyl(s, j * z) for j in orders}} for s in states]
+        return [{**row, **{-j: np.conj(row[j]) for j in orders}} for row in rows]
+    n = len(states)
+    up = {(l, k): {j: _ket_displacement_element(states[l], j * z, states[k]) for j in (0, *orders)}
+          for k in range(n) for l in range(n)}
+    return [{**up[l, k], **{-j: np.conj(up[k, l][j]) for j in orders}}
+            for k in range(n) for l in range(n)]
+
+
+def displacement_expectation(state2, observables, z_a, z_b) -> list:
+    """Re Tr[rho f_A g_B] for each (terms_a, terms_b) of observables, where
+    f_A = sum_j a_j D(j z_a) on mode A and g_B = sum_k b_k D(k z_b) on mode
+    B are given as {j: a_j} and {k: b_k}.
+
+    Each mode's single-mode values are taken once for all observables (see
+    ``_element_table``), so f_A and g_B are sums over one table per mode.
+    A mixture gives sum_i p_i F_A[i] G_B[i], a superposition sum c_k c_l^*
+    F_A[l, k] G_B[l, k]; every (j, k) is summed, so the terms need not be
+    Hermitian.  Each value broadcasts its observable's coefficients against
+    the table values it reads.
+    """
+    kind, comps = two_mode_components(state2)
+    if kind == "mixed":
+        weights = [p for p, _, _ in comps]
+    else:
+        weights = [ck * complex(cl).conjugate() for ck, _, _ in comps for cl, _, _ in comps]
+    table_a, table_b = [
+        _element_table(kind, [comp[1 + side] for comp in comps],
+                       {abs(j) for obs in observables for j in obs[side]} - {0}, z)
+        for side, z in ((0, z_a), (1, z_b))
+    ]
+    values = []
+    for terms_a, terms_b in observables:
+        total = 0.0
+        for w, row_a, row_b in zip(weights, table_a, table_b):
+            f_a = sum(a * row_a[j] for j, a in terms_a.items())
+            g_b = sum(b * row_b[k] for k, b in terms_b.items())
+            total = total + w * f_a * g_b
+        values.append(np.real(total))
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -169,24 +204,27 @@ def _fringe_terms(x) -> dict:
     return {0: 1.0, 1: half, -1: np.conj(half)}
 
 
+# the identity on the other mode
+_ONE = {0: 1.0}
+
+
 def marginal_intensity(state2, which: str, coupling: ChargeCoupling, x, t):
     """Single-screen fringe of the chosen device (reduced state of its mode)."""
-    la, lb = _lams(coupling, t)
     if which == "A":
-        terms_a, terms_b = _fringe_terms(x), {0: 1.0}
+        observable = (_fringe_terms(x), _ONE)
     elif which == "B":
-        terms_a, terms_b = {0: 1.0}, _fringe_terms(x)
+        observable = (_ONE, _fringe_terms(x))
     else:
         raise ValueError("which must be 'A' or 'B'")
-    return _scalar_or_array(displacement_expectation(state2, terms_a, terms_b, la, lb))
+    return _scalar_or_array(displacement_expectation(state2, [observable], *_lams(coupling, t))[0])
 
 
 def joint_intensity(state2, coupling: ChargeCoupling, x_a, x_b, t):
     """Tr{rho [1 + cos(x_a - e flux_A)][1 + cos(x_b - e flux_B)]}: each
-    fringe is three displacement terms, so ``displacement_expectation``
-    makes four two-mode Weyl evaluations."""
-    la, lb = _lams(coupling, t)
-    return _scalar_or_array(displacement_expectation(state2, _fringe_terms(x_a), _fringe_terms(x_b), la, lb))
+    fringe is three displacement terms, summed over one element table per
+    mode."""
+    observable = (_fringe_terms(x_a), _fringe_terms(x_b))
+    return _scalar_or_array(displacement_expectation(state2, [observable], *_lams(coupling, t))[0])
 
 
 _SINGULAR_EPS = 1e-12
@@ -194,10 +232,12 @@ _SINGULAR_EPS = 1e-12
 
 def ratio_R(state2, coupling: ChargeCoupling, x_a, x_b, t):
     """R = I(x_a, x_b) / [I_A(x_a) I_B(x_b)]; unity iff the devices are
-    independent.  Raises SingularPointError naming the first point where a
-    marginal vanishes."""
-    ia = marginal_intensity(state2, "A", coupling, x_a, t)
-    ib = marginal_intensity(state2, "B", coupling, x_b, t)
+    independent.  The two marginals and the joint fringe share one element
+    table per mode.  Raises SingularPointError naming the first point where
+    a marginal vanishes."""
+    fringe_a, fringe_b = _fringe_terms(x_a), _fringe_terms(x_b)
+    ia, ib, joint = displacement_expectation(
+        state2, [(fringe_a, _ONE), (_ONE, fringe_b), (fringe_a, fringe_b)], *_lams(coupling, t))
     small = (np.abs(ia) < _SINGULAR_EPS) | (np.abs(ib) < _SINGULAR_EPS)
     if np.any(small):
         xa, xb, tt, small = np.broadcast_arrays(x_a, x_b, t, small)
@@ -205,7 +245,7 @@ def ratio_R(state2, coupling: ChargeCoupling, x_a, x_b, t):
         raise SingularPointError(
             f"marginal intensity vanishes at (x_a, x_b, t) = ({xa.flat[first]}, {xb.flat[first]}, {tt.flat[first]})"
         )
-    return joint_intensity(state2, coupling, x_a, x_b, t) / (ia * ib)
+    return _scalar_or_array(joint / (ia * ib))
 
 
 def number_pair_alpha_gamma(q: float, n1: int = 0, n2: int = 1):

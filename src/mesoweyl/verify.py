@@ -180,26 +180,22 @@ def autocorr_suite(dim_cap: int = DIM_CAP) -> dict:
     states = matched_states()
     e_phi1 = math.sqrt(2.0 * MEAN_PHOTONS)
 
-    gcl = interference.autocorrelation_classical(e_phi1, mode.omega, taus)
-    prop_err = _gamma_property_error(
-        lambda lags: interference.autocorrelation_classical(e_phi1, mode.omega, lags).values,
-        gcl, taus,
-    )
-    checks.append(_check("classical-gamma-properties", prop_err, 1e-10))
+    # each series is one call over the lags and the negatives of the first
+    # 16, which the Gamma(-tau) = Gamma(tau)* property reads
+    n = len(taus)
+    lags = np.concatenate((taus, -taus[:16]))
+    gcl = interference.autocorrelation_classical(e_phi1, mode.omega, lags)
+    checks.append(_check("classical-gamma-properties", _gamma_property_error(gcl, n), 1e-10))
     checks.append(
-        _check("classical-im-gamma", float(np.max(np.abs(gcl.values.imag))) / gcl.gamma0, 1e-12)
+        _check("classical-im-gamma", float(np.max(np.abs(gcl.values[:n].imag))) / gcl.gamma0, 1e-12)
     )
 
     series = {}
     for fam, state in states.items():
-        series[fam] = interference.autocorrelation_quantum(state, coupling, mode, taus)
-        err = _gamma_property_error(
-            lambda lags, s=state: interference.autocorrelation_quantum(s, coupling, mode, lags).values,
-            series[fam], taus,
-        )
-        checks.append(_check(f"quantum-gamma-properties-{fam}", err, 1e-10))
+        series[fam] = interference.autocorrelation_quantum(state, coupling, mode, lags)
+        checks.append(_check(f"quantum-gamma-properties-{fam}", _gamma_property_error(series[fam], n), 1e-10))
     num = interference.normalized_gamma(series["number"])
-    im_max = float(np.max(np.abs(num.values.imag)))
+    im_max = float(np.max(np.abs(num.values[:n].imag)))
     checks.append(_check("number-17-im-gamma-present", 1e-4 - im_max, 0.0))
 
     # displacement-algebra path against the finite-window matrix oracle
@@ -221,14 +217,15 @@ def autocorr_suite(dim_cap: int = DIM_CAP) -> dict:
     return _report("autocorr", checks)
 
 
-def _gamma_property_error(lags_fn, series, taus) -> float:
+def _gamma_property_error(series, n: int) -> float:
+    """Property error of a series over the lags (taus, -taus[:16]) with
+    n = len(taus): Gamma(0) >= 0 and |Gamma| <= Gamma(0) on the first n
+    lags, Gamma(-tau) = Gamma(tau)* on the rest."""
     g0 = series.gamma0
     err = max(0.0, -g0)
-    vals = series.values
+    vals, neg = series.values[:n], series.values[n:]
     err = max(err, float(np.max(np.abs(vals) - g0)) / max(g0, 1e-300))
-    # Gamma(-tau) = Gamma(tau)*, from one call over the lags of both signs
-    a, b = np.split(lags_fn(np.concatenate((taus[:16], -taus[:16]))), 2)
-    return max(err, *(np.abs(b - np.conj(a)) / max(g0, 1e-300)))
+    return max(err, *(np.abs(neg - np.conj(vals[:len(neg)])) / max(g0, 1e-300)))
 
 
 def twomode_suite(dim_cap: int = DIM_CAP) -> dict:
@@ -319,6 +316,16 @@ def squid_suite(dim_cap: int = DIM_CAP) -> dict:
             oracle = np.array(fockbench.two_squid_moments(state2, coupling.qprime, w1, w2, w1, w2, t, dim_cap))
             errs.append(np.max(np.abs(mom - oracle)) / np.max(np.abs(oracle)))
     checks.append(_check("two-squid-number-moments-vs-oracle", np.max(errs), 1e-8))
+
+    # coherent-pair moments against the same oracle at one time; 1.0e-15
+    # was the worst relative error over the 16 times of ts
+    a1, a2, errs = 1.0, math.sqrt(3.0), []
+    for entangled in (False, True):
+        pair = twomode.coherent_pair_entangled if entangled else twomode.coherent_pair_separable
+        mom = np.array(squid.two_squid_currents_coherent(a1, a2, entangled, coupling, w1, w2, w1, w2, ts[4]))
+        oracle = np.array(fockbench.two_squid_moments(pair(a1, a2), coupling.qprime, w1, w2, w1, w2, ts[4], dim_cap))
+        errs.append(np.max(np.abs(mom - oracle)) / np.max(np.abs(oracle)))
+    checks.append(_check("two-squid-coherent-moments-vs-oracle", np.max(errs), 1e-14))
 
     # factorizable baseline
     fact = TwoModeFactorizable(CoherentState(1.0), CoherentState(0.8 + 0.4j))

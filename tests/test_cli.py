@@ -435,7 +435,10 @@ def test_verify_cli_reports(capsys, suite):
     ("squid", squid, "quantum_shapiro", lambda state, drive, n, coupling: n == 3),
     # one harmonic of the one time-average call a state's steps make
     ("squid", squid, "weyl_time_average", lambda state, c, k: np.asarray(k) == 2),
-], ids=["closed-form", "oracle", "flux-stats", "twomode", "twomode-marginal", "squid", "squid-harmonic"])
+    # the entangled coherent pair's moments, after the separable pair's
+    ("squid", squid, "two_squid_currents_coherent", lambda a1, a2, entangled, *rest: entangled),
+], ids=["closed-form", "oracle", "flux-stats", "twomode", "twomode-marginal", "squid", "squid-harmonic",
+        "squid-coherent"])
 def test_verify_fails_a_nan_error(monkeypatch, suite, module, name, hit):
     real = getattr(module, name)
 
@@ -447,15 +450,16 @@ def test_verify_fails_a_nan_error(monkeypatch, suite, module, name, hit):
     assert any(math.isnan(c["max_error"]) and not c["passed"] for c in report["checks"])
 
 
-def test_one_pass_of_the_verify_workload_suites_makes_at_most_5_bessel_i_tables(monkeypatch):
-    # one per squeezed state's Shapiro steps (3) and two for the squeezed
-    # autocorrelation, its series and its +-lag property: 21 when every
-    # harmonic and each lag sign made its own
+def test_one_pass_of_the_verify_workload_suites_makes_at_most_4_bessel_i_tables(monkeypatch):
+    # one per squeezed state's Shapiro steps (3) and one for the squeezed
+    # autocorrelation, whose series holds the -lags its property reads: 5
+    # when the property took a second call, 21 when every harmonic and each
+    # lag sign made its own
     calls, real = [], specfun.bessel_ive_all
     monkeypatch.setattr(specfun, "bessel_ive_all", lambda *args: calls.append(1) or real(*args))
     for suite in ("weyl-oracle", "autocorr", "twomode", "squid"):
         assert verify.run_suite(suite)["passed"]
-    assert len(calls) <= 5
+    assert len(calls) <= 4
 
 
 # the squeezed r = 4.2 Weyl oracle converges at dim 1920 (60 doubled five

@@ -448,6 +448,44 @@ def test_two_squid_coherent_matches_an_mpmath_reference():
             assert np.max(np.abs(np.array(got)[:, i] - ref)) <= 5e-14
 
 
+@pytest.mark.parametrize("entangled", [False, True])
+@given(
+    n1=st.integers(0, 4),
+    n2=st.integers(0, 4),
+    qprime=st.floats(0.1, 1.5),
+    t=st.lists(st.floats(0.0, 2.0 * math.pi / (W1 - W2)), min_size=1, max_size=4),
+)
+def test_number_pair_closed_forms_equal_the_displacement_route(entangled, n1, n2, qprime, t):
+    # the route the coherent pair takes, on the same swapped number pair;
+    # unlike the shipped (1, 3) at q' = 0.5, most draws have every Laguerre
+    # factor nonzero.  2.5e-15 (entangled, (1, 4) at q' = 1.31) was the
+    # worst over 4,000 random examples
+    coupling, t = ChargeCoupling(qprime / 2.0), np.array(t)
+    closed = squid.two_squid_currents_number(n1, n2, entangled, coupling, W1, W2, W1, W2, t)
+    route = squid._displacement_moments(twomode.number_pair_crossed(n1, n2, entangled), coupling,
+                                        W1, W2, W1, W2, t)
+    assert np.max(np.abs(np.array(closed) - np.array(route))) <= 1e-14
+
+
+def test_a_two_ring_pass_builds_one_element_table_per_mode_and_pair(monkeypatch):
+    # figs 14-18 at 17 phase points make 9 coherent-pair moment calls, 5
+    # separable and 4 entangled: 8 Weyl values per separable call (2
+    # components x orders 1, 2 x 2 modes) and 24 elements per entangled one
+    # (4 component pairs x orders 0, 1, 2 x 2 modes).  320, 200 and 90 when
+    # every (j, k) term was its own two_mode_weyl call
+    counts = {"coherent_displacement_element": 0, "weyl": 0, "two_mode_weyl": 0}
+    for name in counts:
+        def counted(*args, name=name, real=getattr(twomode, name)):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(twomode, name, counted)
+    for fig in ("fig14", "fig15", "fig16", "fig17", "fig18"):
+        experiments.run_experiment(fig, {"samples": 17})
+    assert counts["coherent_displacement_element"] <= 96
+    assert counts["weyl"] <= 40
+    assert counts["two_mode_weyl"] == 0
+
+
 def test_ratio_factorizable_unity():
     state2 = TwoModeFactorizable(CoherentState(1.0), CoherentState(0.8 + 0.4j))
     t = 0.3 / W1

@@ -106,12 +106,15 @@ _AMPLITUDE = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infini
 
 
 @st.composite
-def _hermitian_terms(draw, phase):
-    """{j: c_j} with c_{-j} = c_j^*: random coefficients at orders up to
-    +-2, or squid's sin / sin^2 expansion at the time array's ring phase."""
-    kind = draw(st.sampled_from(["random", "sin", "sin2"]))
-    if kind != "random":
+def _displacement_terms(draw, phase):
+    """{j: c_j} at orders up to +-2: squid's sin / sin^2 expansion at the
+    time array's ring phase, random Hermitian coefficients (c_{-j} = c_j^*)
+    or random coefficients at any orders."""
+    kind = draw(st.sampled_from(["hermitian", "any", "sin", "sin2"]))
+    if kind in ("sin", "sin2"):
         return squid._sin_power_terms(phase, 1 if kind == "sin" else 2)
+    if kind == "any":
+        return {j: draw(_AMPLITUDE) for j in draw(st.sets(st.integers(-2, 2), min_size=1))}
     terms = {}
     if draw(st.booleans()):
         terms[0] = draw(st.floats(-2.0, 2.0))
@@ -121,34 +124,46 @@ def _hermitian_terms(draw, phase):
     return terms
 
 
+_EXPECTATION_STATES = {
+    "coherent-separable": lambda n1, n2, a1, a2, b: twomode.coherent_pair_separable(a1, a2),
+    "coherent-entangled": lambda n1, n2, a1, a2, b: twomode.coherent_pair_entangled(a1, a2),
+    "factorizable": lambda n1, n2, a1, a2, b: TwoModeFactorizable(ThermalState(b), CoherentState(a2)),
+    "number-crossed-separable": lambda n1, n2, a1, a2, b: twomode.number_pair_crossed(n1, n2, False),
+    "number-crossed-entangled": lambda n1, n2, a1, a2, b: twomode.number_pair_crossed(n1, n2, True),
+    "number-entangled": lambda n1, n2, a1, a2, b: twomode.number_pair_entangled(n1, n2),
+}
+
+
 @given(
-    pair=st.sampled_from(["separable", "entangled", "factorizable"]),
+    pair=st.sampled_from(sorted(_EXPECTATION_STATES)),
+    n1=st.integers(0, 4),
+    n2=st.integers(0, 4),
     a1=_AMPLITUDE,
     a2=_AMPLITUDE,
     beta_omega=st.floats(0.1, 5.0),
     q=st.floats(0.05, 2.0),
     t=st.lists(st.floats(0.0, 2.0 * math.pi / (W1 - W2)), min_size=1, max_size=5),
+    n_obs=st.integers(1, 4),
     data=st.data(),
 )
-def test_displacement_expectation_is_the_full_double_sum(pair, a1, a2, beta_omega, q, t, data):
-    state2 = {
-        "separable": lambda: twomode.coherent_pair_separable(a1, a2),
-        "entangled": lambda: twomode.coherent_pair_entangled(a1, a2),
-        "factorizable": lambda: TwoModeFactorizable(ThermalState(beta_omega), CoherentState(a2)),
-    }[pair]()
+def test_displacement_expectation_is_the_full_double_sum(pair, n1, n2, a1, a2, beta_omega, q, t, n_obs, data):
+    state2 = _EXPECTATION_STATES[pair](n1, n2, a1, a2, beta_omega)
     t = np.array(t)
     z_a = 1j * q * np.exp(1j * W1 * t)
     z_b = 1j * q * np.exp(1j * W2 * t)
-    terms_a = data.draw(_hermitian_terms(W1 * t))
-    terms_b = data.draw(_hermitian_terms(W2 * t))
-    # every (j, k), (0, 0) included, as its own two-mode Weyl value
-    full = sum(a * b * twomode.two_mode_weyl(state2, j * z_a, k * z_b)
-               for j, a in terms_a.items() for k, b in terms_b.items())
-    got = twomode.displacement_expectation(state2, terms_a, terms_b, z_a, z_b)
-    scale = sum(np.max(np.abs(a)) for a in terms_a.values()) * sum(
-        np.max(np.abs(b)) for b in terms_b.values())
-    # 2.2e-16 * max(1, scale) was the worst over 300 random draws
-    assert np.max(np.abs(got - np.real(full))) <= 1e-14 * max(1.0, scale)
+    observables = [(data.draw(_displacement_terms(W1 * t)), data.draw(_displacement_terms(W2 * t)))
+                   for _ in range(n_obs)]
+    got = twomode.displacement_expectation(state2, observables, z_a, z_b)
+    assert len(got) == n_obs
+    for value, (terms_a, terms_b) in zip(got, observables):
+        # every (j, k), (0, 0) included, as its own two-mode Weyl value
+        full = sum(a * b * twomode.two_mode_weyl(state2, j * z_a, k * z_b)
+                   for j, a in terms_a.items() for k, b in terms_b.items())
+        scale = sum(np.max(np.abs(a)) for a in terms_a.values()) * sum(
+            np.max(np.abs(b)) for b in terms_b.values())
+        # 4.0e-16 * max(1, scale) (the entangled coherent pair) was the
+        # worst over 3,000 random draws
+        assert np.max(np.abs(value - np.real(full))) <= 1e-14 * max(1.0, scale)
 
 
 _SCREEN = st.lists(st.floats(-2.0 * math.pi, 2.0 * math.pi), min_size=1, max_size=3)
