@@ -299,15 +299,12 @@ def _beat_times(params):
     return phases, phases / _beat(params, -1)
 
 
-def _pair_moments(params, t, pair):
+def _pair_moments(params, t, moments, x1, x2, fields):
     """[separable, entangled] two-ring current moments over the times t of
-    the params' "number" or "coherent" pair."""
-    coupling, wa, wb, w1, w2, n1, n2, a1, a2 = _squid_params(params)
-    if pair == "number":
-        moments, x1, x2 = squid.two_squid_currents_number, n1, n2
-    else:
-        moments, x1, x2 = squid.two_squid_currents_coherent, a1, a2
-    return [moments(x1, x2, e, coupling, wa, wb, w1, w2, t) for e in (False, True)]
+    the pair (x1, x2) through ``moments`` (``squid.two_squid_currents_number``
+    or ``_coherent``), only the named fields filled."""
+    coupling, wa, wb, w1, w2, *_ = _squid_params(params)
+    return [moments(x1, x2, e, coupling, wa, wb, w1, w2, t, fields) for e in (False, True)]
 
 
 def _two_ring_figure(params, dim_cap, phases, series, singular=None):
@@ -326,19 +323,24 @@ def _two_ring_figure(params, dim_cap, phases, series, singular=None):
                             n_singular=int(np.count_nonzero(pole.all(axis=1))))
 
 
+# the moments that squid.ratio_c and ratio_c2 read
+_RATIO_C_MOMENTS = ("ia", "ib", "ia_ib")
+_RATIO_C2_MOMENTS = ("ia2", "ib2", "ia2_ib2")
+
+
 def _fig14(params, dim_cap):
     coupling, wa, wb, w1, w2, n1, n2, a1, a2 = _squid_params(params)
     phases, t = _beat_times(params)
-    mom = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t)
+    mom = squid.two_squid_currents_coherent(a1, a2, False, coupling, wa, wb, w1, w2, t, _RATIO_C_MOMENTS)
     series = {"rc_sep_num": squid.ratio_c_sep_number(n1, n2, coupling),
               "rc_sep_coh": squid.ratio_c(mom)}
     return _two_ring_figure(params, dim_cap, phases, series, np.any)
 
 
 def _fig15(params, dim_cap):
-    coupling, wa, wb, w1, w2, n1, n2, _, _ = _squid_params(params)
+    coupling, wa, wb, w1, w2, n1, n2, a1, a2 = _squid_params(params)
     phases, t = _beat_times(params)
-    sep, ent = _pair_moments(params, t, "coherent")
+    sep, ent = _pair_moments(params, t, squid.two_squid_currents_coherent, a1, a2, _RATIO_C_MOMENTS)
     series = {
         "d_rc_num": squid.ratio_c_sep_number(n1, n2, coupling)
         - squid.ratio_c_ent_number(n1, n2, coupling, t, w1, w2, wa, wb),
@@ -348,25 +350,28 @@ def _fig15(params, dim_cap):
 
 
 def _fig16(params, dim_cap):
+    *_, a1, a2 = _squid_params(params)
     phases, t = _beat_times(params)
-    sep, ent = _pair_moments(params, t, "coherent")
+    sep, ent = _pair_moments(params, t, squid.two_squid_currents_coherent, a1, a2, ("ia", "ia2"))
     series = {"d_ia_coh": sep.ia - ent.ia, "d_ia2_coh": sep.ia2 - ent.ia2}
     return _two_ring_figure(params, dim_cap, phases, series)
 
 
 def _fig17(params, dim_cap):
+    *_, n1, n2, a1, a2 = _squid_params(params)
     phases, t = _beat_times(params)
-    num_sep, num_ent = _pair_moments(params, t, "number")
-    coh_sep, coh_ent = _pair_moments(params, t, "coherent")
+    num_sep, num_ent = _pair_moments(params, t, squid.two_squid_currents_number, n1, n2, ("ia_ib",))
+    coh_sep, coh_ent = _pair_moments(params, t, squid.two_squid_currents_coherent, a1, a2, ("ia_ib",))
     series = {"d_iaib_num": num_sep.ia_ib - num_ent.ia_ib,
               "d_iaib_coh": coh_sep.ia_ib - coh_ent.ia_ib}
     return _two_ring_figure(params, dim_cap, phases, series)
 
 
 def _fig18(params, dim_cap):
+    *_, n1, n2, a1, a2 = _squid_params(params)
     phases, t = _beat_times(params)
-    num_sep, num_ent = _pair_moments(params, t, "number")
-    coh_sep, coh_ent = _pair_moments(params, t, "coherent")
+    num_sep, num_ent = _pair_moments(params, t, squid.two_squid_currents_number, n1, n2, _RATIO_C2_MOMENTS)
+    coh_sep, coh_ent = _pair_moments(params, t, squid.two_squid_currents_coherent, a1, a2, _RATIO_C2_MOMENTS)
     series = {"d_rc2_num": squid.ratio_c2(num_sep) - squid.ratio_c2(num_ent),
               "d_rc2_coh": squid.ratio_c2(coh_sep) - squid.ratio_c2(coh_ent)}
     return _two_ring_figure(params, dim_cap, phases, series, np.all)

@@ -16,20 +16,15 @@ all of a state's steps and harmonics from one call; finite-window numeric
 averages exist only as test oracles.
 
 Two distant rings couple to the swapped two-mode families
-(|n1 n2>, |n2 n1>) and (|a1 a2>, |a2 a1>).  Every coherent-pair moment
-writes sin(phi + X) and sin^2(phi + X) as sums of D(j sigma), j in
-{0, +-1, +-2}, and the six are one ``twomode.displacement_expectation``
-call, the route of ``twomode.ratio_R`` too: one table of single-mode values
-per mode, 8 Weyl values for the mixture and 24 coherent elements for the
-superposition.  The number pair keeps its Laguerre closed forms for cost
-alone: that route with ``twomode.number_pair_crossed`` agrees with them to
-2.5e-15, but ``number_displacement_element`` takes one Laguerre value per
-element, and the radius |j sigma| = j q' repeats at every time.  At 17
-times one separable call took 0.27-0.49 ms and one entangled call 1.6-2.8
-ms, at 257 times 0.37-0.66 and 14-27 ms, against 0.04-0.23 ms for the
-closed forms (warm, best of 20, four sessions on a shared 2-vCPU x86-64 VM).
-The two-ring moments and ratios take t as a float or an array of times, so
-a whole phase grid is one call, and a ratio's pole reads NaN.
+(|n1 n2>, |n2 n1>) and (|a1 a2>, |a2 a1>).  ``two_ring_moments`` writes
+sin(phi + X) and sin^2(phi + X) as sums of D(j sigma), j in
+{0, +-1, +-2}, and takes the moments a caller asks for, of either pair or
+any other two-mode state with closed-form elements, from one
+``twomode.displacement_expectation`` call, the route of ``twomode.ratio_R``
+too: one table of single-mode values per mode, holding only the orders
+those moments use.  The two-ring moments and ratios take t as a float or
+an array of times, so a whole phase grid is one call, and a ratio's pole
+reads NaN.
 """
 
 import cmath
@@ -41,7 +36,12 @@ import numpy as np
 
 from . import specfun
 from .states import ChargeCoupling, _integer_orders, _scalar_or_array, weyl, weyl_time_average
-from .twomode import coherent_pair_entangled, coherent_pair_separable, displacement_expectation
+from .twomode import (
+    coherent_pair_entangled,
+    coherent_pair_separable,
+    displacement_expectation,
+    number_pair_crossed,
+)
 
 __all__ = [
     "SquidDrive",
@@ -51,6 +51,7 @@ __all__ = [
     "classical_shapiro",
     "quantum_current",
     "quantum_shapiro",
+    "two_ring_moments",
     "two_squid_currents_number",
     "two_squid_currents_coherent",
     "cross_term_frequencies",
@@ -77,12 +78,15 @@ class SquidDrive:
 
 
 class TwoSquidMoments(NamedTuple):
-    ia: float
-    ib: float
-    ia2: float
-    ib2: float
-    ia_ib: float
-    ia2_ib2: float
+    """<I_A>, <I_B>, <I_A^2>, <I_B^2>, <I_A I_B> and <I_A^2 I_B^2>; a moment
+    the caller did not ask for is None."""
+
+    ia: float = None
+    ib: float = None
+    ia2: float = None
+    ib2: float = None
+    ia_ib: float = None
+    ia2_ib2: float = None
 
 
 # ---------------------------------------------------------------------------
@@ -153,56 +157,7 @@ def quantum_shapiro(state, drive: SquidDrive, n_step, coupling: ChargeCoupling):
 
 
 # ---------------------------------------------------------------------------
-# two distant rings, number pair (closed forms)
-
-def two_squid_currents_number(n1: int, n2: int, entangled: bool, coupling: ChargeCoupling,
-                              omega_a: float, omega_b: float, omega1: float, omega2: float,
-                              t) -> TwoSquidMoments:
-    """Current moments of two rings driven by the swapped number pair.
-
-    Separable moments depend only on the occupations; entanglement adds a
-    cross term oscillating at Omega = (n1 - n2)(omega1 - omega2).  t is a
-    float or an array of times, and each moment has its shape; the Laguerre
-    values do not depend on t and are computed once per call.
-    """
-    qp2 = coupling.qprime ** 2
-    l1 = specfun.laguerre(n1, 0, qp2)
-    l2 = specfun.laguerre(n2, 0, qp2)
-    l1_4 = specfun.laguerre(n1, 0, 4.0 * qp2)
-    l2_4 = specfun.laguerre(n2, 0, 4.0 * qp2)
-    c0 = 0.5 * math.exp(-qp2 / 2.0) * (l1 + l2)
-    c1 = 0.5 * math.exp(-2.0 * qp2) * (l1_4 + l2_4)
-    c2 = math.exp(-qp2) * l1 * l2
-    d2 = math.exp(-4.0 * qp2) * l1_4 * l2_4
-
-    ia = c0 * np.sin(omega_a * t)
-    ib = c0 * np.sin(omega_b * t)
-    ia2 = 0.5 * (1.0 - c1 * np.cos(2.0 * omega_a * t))
-    ib2 = 0.5 * (1.0 - c1 * np.cos(2.0 * omega_b * t))
-    ia_ib = c2 * np.sin(omega_a * t) * np.sin(omega_b * t)
-    ia2_ib2 = 0.25 * (
-        1.0
-        - c1 * np.cos(2.0 * omega_a * t)
-        - c1 * np.cos(2.0 * omega_b * t)
-        + d2 * np.cos(2.0 * omega_a * t) * np.cos(2.0 * omega_b * t)
-    )
-
-    if entangled and n1 != n2:
-        d = n1 - n2
-        omega_big = d * (omega1 - omega2)
-        c3 = 0.5 * math.exp(-qp2) * specfun.laguerre(n1, n2 - n1, qp2) * specfun.laguerre(n2, n1 - n2, qp2)
-        parity = -1.0 if d & 1 else 1.0
-        i_cross = -c3 * (
-            np.cos((omega_a + omega_b) * t) - parity * np.cos((omega_a - omega_b) * t)
-        ) * np.cos(omega_big * t)
-        ia_ib += i_cross
-        g3 = 0.5 * math.exp(-4.0 * qp2) * specfun.laguerre(n1, n2 - n1, 4.0 * qp2) * specfun.laguerre(n2, n1 - n2, 4.0 * qp2)
-        ia2_ib2 += 0.25 * g3 * (
-            np.cos(2.0 * (omega_a + omega_b) * t) + parity * np.cos(2.0 * (omega_a - omega_b) * t)
-        ) * np.cos(omega_big * t)
-
-    return TwoSquidMoments(ia, ib, ia2, ib2, ia_ib, ia2_ib2)
-
+# two distant rings
 
 def cross_term_frequencies(n1: int, n2: int, omega_a: float, omega_b: float,
                            omega1: float, omega2: float):
@@ -218,9 +173,6 @@ def cross_term_frequencies(n1: int, n2: int, omega_a: float, omega_b: float,
     return sorted(freqs)
 
 
-# ---------------------------------------------------------------------------
-# two distant rings, coherent pair
-
 def _sin_power_terms(phase, power: int) -> dict:
     """sin(phase + X) (power 1) or sin^2(phase + X) (power 2) as {j: c_j},
     meaning sum_j c_j D(j sigma), where D(sigma) = e^{iX} and D(sigma)^2 = D(2 sigma)."""
@@ -231,36 +183,47 @@ def _sin_power_terms(phase, power: int) -> dict:
     return {0: 0.5, 2: -0.25 * e2, -2: -0.25 * np.conj(e2)}
 
 
-def _displacement_moments(state2, coupling: ChargeCoupling, omega_a: float, omega_b: float,
-                          omega1: float, omega2: float, t) -> TwoSquidMoments:
-    """The six moments of any two-mode state with closed-form elements, from
-    one ``twomode.displacement_expectation`` call over one element table per
-    mode at orders 0, 1 and 2."""
+def two_ring_moments(state2, coupling: ChargeCoupling, omega_a: float, omega_b: float,
+                     omega1: float, omega2: float, t, fields=TwoSquidMoments._fields) -> TwoSquidMoments:
+    """Current moments of two rings driven by any two-mode state with
+    closed-form elements (a mixture or product superposition of number or
+    coherent kets).
+
+    Each ring expands sin(omega t + X) = (e^{i omega t} D(sigma) -
+    e^{-i omega t} D(-sigma))/2i and sin^2 = (2 - e^{2i omega t} D(2 sigma) -
+    e^{-2i omega t} D(-2 sigma))/4, sigma = i q' e^{i w t}, and the moments
+    named in ``fields`` are one ``twomode.displacement_expectation`` call,
+    whose element tables hold only the orders those moments use; the other
+    fields are None.  t is a float or an array of times, and each moment has
+    its shape.
+    """
     sigma_a = 1j * coupling.qprime * np.exp(1j * omega1 * t)
     sigma_b = 1j * coupling.qprime * np.exp(1j * omega2 * t)
     one = {0: 1.0}
     sin_a, sin2_a = _sin_power_terms(omega_a * t, 1), _sin_power_terms(omega_a * t, 2)
     sin_b, sin2_b = _sin_power_terms(omega_b * t, 1), _sin_power_terms(omega_b * t, 2)
-    return TwoSquidMoments(*displacement_expectation(
-        state2,
-        [(sin_a, one), (one, sin_b), (sin2_a, one), (one, sin2_b), (sin_a, sin_b), (sin2_a, sin2_b)],
-        sigma_a, sigma_b,
-    ))
+    terms = {"ia": (sin_a, one), "ib": (one, sin_b), "ia2": (sin2_a, one), "ib2": (one, sin2_b),
+             "ia_ib": (sin_a, sin_b), "ia2_ib2": (sin2_a, sin2_b)}
+    values = displacement_expectation(state2, [terms[f] for f in fields], sigma_a, sigma_b)
+    return TwoSquidMoments(**dict(zip(fields, values)))
+
+
+def two_squid_currents_number(n1: int, n2: int, entangled: bool, coupling: ChargeCoupling,
+                              omega_a: float, omega_b: float, omega1: float, omega2: float,
+                              t, fields=TwoSquidMoments._fields) -> TwoSquidMoments:
+    """``two_ring_moments`` of the swapped number pair
+    (``twomode.number_pair_crossed``).  Separable moments depend only on the
+    occupations; entanglement adds a cross term oscillating at
+    Omega = (n1 - n2)(omega1 - omega2)."""
+    return two_ring_moments(number_pair_crossed(n1, n2, entangled), coupling, omega_a, omega_b, omega1, omega2, t, fields)
 
 
 def two_squid_currents_coherent(a1, a2, entangled: bool, coupling: ChargeCoupling,
                                 omega_a: float, omega_b: float, omega1: float, omega2: float,
-                                t) -> TwoSquidMoments:
-    """Current moments for the swapped coherent pair.
-
-    Each ring expands sin(omega t + X) = (e^{i omega t} D(sigma) -
-    e^{-i omega t} D(-sigma))/2i and sin^2 = (2 - e^{2i omega t} D(2 sigma) -
-    e^{-2i omega t} D(-2 sigma))/4, sigma = i q' e^{i w t}, and the six
-    moments are one ``twomode.displacement_expectation`` call of the pair.
-    t is a float or an array of times, and each moment has its shape.
-    """
+                                t, fields=TwoSquidMoments._fields) -> TwoSquidMoments:
+    """``two_ring_moments`` of the swapped coherent pair."""
     pair = coherent_pair_entangled if entangled else coherent_pair_separable
-    return _displacement_moments(pair(a1, a2), coupling, omega_a, omega_b, omega1, omega2, t)
+    return two_ring_moments(pair(a1, a2), coupling, omega_a, omega_b, omega1, omega2, t, fields)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +268,7 @@ def ratio_c_sep_number(n1: int, n2: int, coupling: ChargeCoupling) -> float:
 
 
 def ratio_c_ent_number(n1: int, n2: int, coupling: ChargeCoupling, t,
-                       omega1: float, omega2: float,
-                       omega_a: float = None, omega_b: float = None):
+                       omega1: float, omega2: float, omega_a: float, omega_b: float):
     """Entangled ratio; equal occupations give the separable value, even
     occupation differences oscillate around it at Omega, odd differences
     carry tan-poles at the ramp zeros (points where a ramp sine is under
@@ -318,14 +280,12 @@ def ratio_c_ent_number(n1: int, n2: int, coupling: ChargeCoupling, t,
     lc1 = specfun.laguerre(n1, n2 - n1, qp2)
     lc2 = specfun.laguerre(n2, n1 - n2, qp2)
     base = ratio_c_sep_number(n1, n2, coupling)
-    # |n n> has no cross term, as in two_squid_currents_number
+    # |n n> has no cross term
     amp = _ratio(4.0 * lc1 * lc2, (l1 + l2) ** 2) if n1 != n2 else 0.0
     d = n1 - n2
     osc = np.cos(d * (omega1 - omega2) * t)
     if d % 2 == 0:
         return base + amp * osc
-    if omega_a is None or omega_b is None:
-        raise ValueError("odd occupation difference needs omega_a and omega_b")
     sa, sb = np.sin(omega_a * t), np.sin(omega_b * t)
     pole = (np.abs(sa) < _POLE_MARGIN) | (np.abs(sb) < _POLE_MARGIN)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -333,7 +333,9 @@ def weyl_time_average(state, c, k=0):
 
 def number_displacement_element(m: int, z, n: int):
     """<m| D(z) |n> = sqrt(n!/m!) z^{m-n} e^{-|z|^2/2} L_n^{m-n}(|z|^2) at a
-    complex z (a complex) or an array of them (an array of its shape)."""
+    complex z (a complex) or an array of them (an array of its shape), with
+    one Laguerre value per distinct |z|^2 (on a drive circle |z| repeats at
+    every time)."""
     if m < n:
         # fixed by D(z)^dag = D(-z)
         return _scalar_or_array(np.conj(number_displacement_element(n, -np.asarray(z, dtype=complex), m)))
@@ -341,7 +343,8 @@ def number_displacement_element(m: int, z, n: int):
     far = np.abs(z) > 1e154  # as in weyl: the element -> 0 as |z| -> inf
     z = np.where(far, 0j, z)
     x = np.abs(z) ** 2
-    lag = np.array([specfun.laguerre(n, m - n, r) for r in x.ravel().tolist()]).reshape(x.shape)
+    radii, where = np.unique(x, return_inverse=True)
+    lag = np.array([specfun.laguerre(n, m - n, r) for r in radii.tolist()])[where].reshape(x.shape)
     pref = np.exp(0.5 * (math.lgamma(n + 1) - math.lgamma(m + 1)) - x / 2.0)
     return _scalar_or_array(np.where(far, 0j, pref * z ** (m - n) * lag))
 

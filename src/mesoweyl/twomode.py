@@ -8,8 +8,9 @@ kets; the pair builders return those states themselves, and the intensities
 and ratio take them.  ``displacement_expectation`` is the one route from
 observables of the two devices, each written as a sum of displacements, to
 their two-mode expectations, all from one table of single-mode values per
-mode; the fringes here and the two-ring moments of ``squid`` both take it,
-and ``two_mode_weyl`` is its reference in the tests.  The built-in number
+mode; the fringes here and the two-ring moments of ``squid`` (the number
+pair ``number_pair_crossed`` and the coherent pair alike) all take it, and
+``two_mode_weyl`` is its reference in the tests.  The built-in number
 pair uses the equal-occupation convention N(|n1 n1> + |n2 n2>) whose ratio
 surface has the alpha/gamma closed form; the coherent pair is the
 swapped-amplitude family N(|a1 a2> + |a2 a1>).
@@ -143,13 +144,15 @@ def _element_table(kind: str, states: list, orders: set, z) -> list:
     For a mixture a slot is a component and its value at order j is
     W(j z), with W(0) = 1 and W(-z) = W(z)^*.  For a superposition a slot is
     a pair (l, k) of components, in the order l + n k, and its value is
-    <v_l|D(j z)|u_k>, with <v|D(-z)|u> = <u|D(z)|v>^*.
+    <v_l|D(j z)|u_k>, with <v|D(-z)|u> = <u|D(z)|v>^*; at order 0 that is
+    the overlap <v_l|u_k>, one scalar for every z.
     """
     if kind == "mixed":
         rows = [{0: 1.0, **{j: weyl(s, j * z) for j in orders}} for s in states]
         return [{**row, **{-j: np.conj(row[j]) for j in orders}} for row in rows]
     n = len(states)
-    up = {(l, k): {j: _ket_displacement_element(states[l], j * z, states[k]) for j in (0, *orders)}
+    up = {(l, k): {0: _ket_displacement_element(states[l], 0j, states[k]),
+                   **{j: _ket_displacement_element(states[l], j * z, states[k]) for j in orders}}
           for k in range(n) for l in range(n)}
     return [{**up[l, k], **{-j: np.conj(up[k, l][j]) for j in orders}}
             for k in range(n) for l in range(n)]

@@ -307,15 +307,22 @@ def squid_suite(dim_cap: int = DIM_CAP) -> dict:
     # its mode's frequency
     w1, w2 = 1.2e-4, 1.0e-4
     ts = (np.arange(16) + 0.5) / 16.0 * 2.0 * math.pi / abs(w1 - w2)
-    errs = []
+    errs, ratio_errs = [], []
     for entangled in (False, True):
         state2 = twomode.number_pair_crossed(1, 3, entangled)
+        moments = squid.two_squid_currents_number(1, 3, entangled, coupling, w1, w2, w1, w2, ts[::4])
+        # the closed-form ratio of the same pair (an even occupation difference)
+        closed = (squid.ratio_c_ent_number(1, 3, coupling, ts[::4], w1, w2, w1, w2) if entangled
+                  else squid.ratio_c_sep_number(1, 3, coupling))
+        ratio_errs.append(np.max(np.abs(squid.ratio_c(moments) - closed)))
         # one row of the six moments per time
-        moms = np.array(squid.two_squid_currents_number(1, 3, entangled, coupling, w1, w2, w1, w2, ts[::4])).T
-        for mom, t in zip(moms, ts[::4].tolist()):
+        for mom, t in zip(np.array(moments).T, ts[::4].tolist()):
             oracle = np.array(fockbench.two_squid_moments(state2, coupling.qprime, w1, w2, w1, w2, t, dim_cap))
             errs.append(np.max(np.abs(mom - oracle)) / np.max(np.abs(oracle)))
     checks.append(_check("two-squid-number-moments-vs-oracle", np.max(errs), 1e-8))
+    # the closed-form ratios against ratio_c of those moments: 3.3e-16 here,
+    # 6.7e-16 when the moments had Laguerre closed forms too
+    checks.append(_check("number-ratios-vs-moments", np.max(ratio_errs), 1e-14))
 
     # coherent-pair moments against the same oracle at one time; 1.0e-15
     # was the worst relative error over the 16 times of ts

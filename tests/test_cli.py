@@ -437,8 +437,10 @@ def test_verify_cli_reports(capsys, suite):
     ("squid", squid, "weyl_time_average", lambda state, c, k: np.asarray(k) == 2),
     # the entangled coherent pair's moments, after the separable pair's
     ("squid", squid, "two_squid_currents_coherent", lambda a1, a2, entangled, *rest: entangled),
+    # the entangled number ratio's last two times
+    ("squid", squid, "ratio_c_ent_number", lambda n1, n2, coupling, t, *rest: t > 1e5),
 ], ids=["closed-form", "oracle", "flux-stats", "twomode", "twomode-marginal", "squid", "squid-harmonic",
-        "squid-coherent"])
+        "squid-coherent", "squid-number-ratio"])
 def test_verify_fails_a_nan_error(monkeypatch, suite, module, name, hit):
     real = getattr(module, name)
 

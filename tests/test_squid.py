@@ -448,6 +448,48 @@ def test_two_squid_coherent_matches_an_mpmath_reference():
             assert np.max(np.abs(np.array(got)[:, i] - ref)) <= 5e-14
 
 
+def _number_pair_closed_forms(n1, n2, entangled, coupling, omega_a, omega_b, omega1, omega2, t):
+    """The swapped number pair's six moments in Laguerre closed form: the
+    separable moments depend only on the occupations, and entanglement adds
+    a cross term oscillating at Omega = (n1 - n2)(omega1 - omega2)."""
+    qp2 = coupling.qprime ** 2
+    l1 = specfun.laguerre(n1, 0, qp2)
+    l2 = specfun.laguerre(n2, 0, qp2)
+    l1_4 = specfun.laguerre(n1, 0, 4.0 * qp2)
+    l2_4 = specfun.laguerre(n2, 0, 4.0 * qp2)
+    c0 = 0.5 * math.exp(-qp2 / 2.0) * (l1 + l2)
+    c1 = 0.5 * math.exp(-2.0 * qp2) * (l1_4 + l2_4)
+    c2 = math.exp(-qp2) * l1 * l2
+    d2 = math.exp(-4.0 * qp2) * l1_4 * l2_4
+
+    ia = c0 * np.sin(omega_a * t)
+    ib = c0 * np.sin(omega_b * t)
+    ia2 = 0.5 * (1.0 - c1 * np.cos(2.0 * omega_a * t))
+    ib2 = 0.5 * (1.0 - c1 * np.cos(2.0 * omega_b * t))
+    ia_ib = c2 * np.sin(omega_a * t) * np.sin(omega_b * t)
+    ia2_ib2 = 0.25 * (
+        1.0
+        - c1 * np.cos(2.0 * omega_a * t)
+        - c1 * np.cos(2.0 * omega_b * t)
+        + d2 * np.cos(2.0 * omega_a * t) * np.cos(2.0 * omega_b * t)
+    )
+
+    if entangled and n1 != n2:
+        d = n1 - n2
+        omega_big = d * (omega1 - omega2)
+        c3 = 0.5 * math.exp(-qp2) * specfun.laguerre(n1, n2 - n1, qp2) * specfun.laguerre(n2, n1 - n2, qp2)
+        parity = -1.0 if d & 1 else 1.0
+        ia_ib = ia_ib - c3 * (
+            np.cos((omega_a + omega_b) * t) - parity * np.cos((omega_a - omega_b) * t)
+        ) * np.cos(omega_big * t)
+        g3 = 0.5 * math.exp(-4.0 * qp2) * specfun.laguerre(n1, n2 - n1, 4.0 * qp2) * specfun.laguerre(n2, n1 - n2, 4.0 * qp2)
+        ia2_ib2 = ia2_ib2 + 0.25 * g3 * (
+            np.cos(2.0 * (omega_a + omega_b) * t) + parity * np.cos(2.0 * (omega_a - omega_b) * t)
+        ) * np.cos(omega_big * t)
+
+    return squid.TwoSquidMoments(ia, ib, ia2, ib2, ia_ib, ia2_ib2)
+
+
 @pytest.mark.parametrize("entangled", [False, True])
 @given(
     n1=st.integers(0, 4),
@@ -456,24 +498,29 @@ def test_two_squid_coherent_matches_an_mpmath_reference():
     t=st.lists(st.floats(0.0, 2.0 * math.pi / (W1 - W2)), min_size=1, max_size=4),
 )
 def test_number_pair_closed_forms_equal_the_displacement_route(entangled, n1, n2, qprime, t):
-    # the route the coherent pair takes, on the same swapped number pair;
-    # unlike the shipped (1, 3) at q' = 0.5, most draws have every Laguerre
-    # factor nonzero.  2.5e-15 (entangled, (1, 4) at q' = 1.31) was the
-    # worst over 4,000 random examples
+    # the production route, shared with the coherent pair, against the
+    # Laguerre closed forms; unlike the shipped (1, 3) at q' = 0.5, most
+    # draws have every Laguerre factor nonzero.  2.5e-15 (entangled, (1, 4)
+    # at q' = 1.31) was the worst over 4,000 random examples
     coupling, t = ChargeCoupling(qprime / 2.0), np.array(t)
-    closed = squid.two_squid_currents_number(n1, n2, entangled, coupling, W1, W2, W1, W2, t)
-    route = squid._displacement_moments(twomode.number_pair_crossed(n1, n2, entangled), coupling,
-                                        W1, W2, W1, W2, t)
+    closed = _number_pair_closed_forms(n1, n2, entangled, coupling, W1, W2, W1, W2, t)
+    route = squid.two_squid_currents_number(n1, n2, entangled, coupling, W1, W2, W1, W2, t)
     assert np.max(np.abs(np.array(closed) - np.array(route))) <= 1e-14
 
 
 def test_a_two_ring_pass_builds_one_element_table_per_mode_and_pair(monkeypatch):
-    # figs 14-18 at 17 phase points make 9 coherent-pair moment calls, 5
-    # separable and 4 entangled: 8 Weyl values per separable call (2
-    # components x orders 1, 2 x 2 modes) and 24 elements per entangled one
-    # (4 component pairs x orders 0, 1, 2 x 2 modes).  320, 200 and 90 when
-    # every (j, k) term was its own two_mode_weyl call
-    counts = {"coherent_displacement_element": 0, "weyl": 0, "two_mode_weyl": 0}
+    # figs 14-18 at 17 phase points make 9 coherent-pair and 4 number-pair
+    # moment calls, each table holding only the orders its figure reads:
+    # order 1 for fig14/15/17, 2 for fig18, 1 and 2 on mode A for fig16.  Each
+    # of the 7 separable calls takes 4 Weyl values (28), and each of the 4
+    # entangled coherent and 2 entangled number calls 16 elements (4 pairs of
+    # components x 4 values: a scalar order-0 overlap per mode and one order
+    # per mode, or two on mode A), so 64 coherent and 32 number elements.
+    # 96 coherent elements and 40 Weyl values when every table held orders 0,
+    # 1 and 2 and the number pair had closed forms; 320, 200 and 90 when every
+    # (j, k) term was its own two_mode_weyl call
+    counts = {"coherent_displacement_element": 0, "number_displacement_element": 0, "weyl": 0,
+              "two_mode_weyl": 0}
     for name in counts:
         def counted(*args, name=name, real=getattr(twomode, name)):
             counts[name] += 1
@@ -481,8 +528,9 @@ def test_a_two_ring_pass_builds_one_element_table_per_mode_and_pair(monkeypatch)
         monkeypatch.setattr(twomode, name, counted)
     for fig in ("fig14", "fig15", "fig16", "fig17", "fig18"):
         experiments.run_experiment(fig, {"samples": 17})
-    assert counts["coherent_displacement_element"] <= 96
-    assert counts["weyl"] <= 40
+    assert counts["coherent_displacement_element"] <= 64
+    assert counts["number_displacement_element"] <= 32
+    assert counts["weyl"] <= 28
     assert counts["two_mode_weyl"] == 0
 
 
@@ -494,17 +542,17 @@ def test_ratio_factorizable_unity():
     assert squid.ratio_c2(mom) == pytest.approx(1.0, abs=1e-12)
 
 
-# Array times give each moment element by element.  The number pair's
-# moments are the same floats as one call per time; the coherent pair's may
-# differ by a few ulp (4.4e-16 measured over these times), because numpy's
+# Array times give each moment element by element.  Both pairs' moments may
+# differ from one call per time by a few ulp (4.4e-16 measured over these
+# times for the coherent pair, 2.2e-16 for the number pair), because numpy's
 # vectorized exp and sin round differently from its one-element loops.
 ARRAY_T = np.linspace(-3.0e5, 3.0e5, 61)
 
 
 @pytest.mark.parametrize("entangled", [False, True])
 @pytest.mark.parametrize("pair", [
-    (squid.two_squid_currents_number, 1, 3, 0.0),
-    (squid.two_squid_currents_number, 1, 2, 0.0),
+    (squid.two_squid_currents_number, 1, 3, 1e-15),
+    (squid.two_squid_currents_number, 1, 2, 1e-15),
     (squid.two_squid_currents_coherent, 1.0, math.sqrt(3.0), 1e-15),
     (squid.two_squid_currents_coherent, 0.7 + 0.2j, -0.4j, 1e-15),
 ])
@@ -515,6 +563,22 @@ def test_two_squid_moments_take_time_arrays(pair, entangled):
     for k, field in enumerate(got):
         assert field.shape == ARRAY_T.shape
         assert np.max(np.abs(field - [m[k] for m in one])) <= bound
+
+
+@pytest.mark.parametrize("entangled", [False, True])
+@pytest.mark.parametrize("fields", [("ia", "ib", "ia_ib"), ("ia", "ia2"), ("ia_ib",), ("ia2", "ib2", "ia2_ib2")])
+def test_two_ring_moments_fill_only_the_fields_asked_for(fields, entangled):
+    # the figures' requests: each asked-for moment is the same float as in
+    # the full call, and the rest are None
+    for moments, x1, x2 in ((squid.two_squid_currents_number, 1, 3),
+                            (squid.two_squid_currents_coherent, 1.0, math.sqrt(3.0))):
+        full = moments(x1, x2, entangled, COUPLING, W1, W2, W1, W2, ARRAY_T)
+        part = moments(x1, x2, entangled, COUPLING, W1, W2, W1, W2, ARRAY_T, fields)
+        for name in squid.TwoSquidMoments._fields:
+            if name in fields:
+                assert np.array_equal(getattr(part, name), getattr(full, name))
+            else:
+                assert getattr(part, name) is None
 
 
 @pytest.mark.parametrize("n1, n2", [(1, 3), (1, 2), (0, 5)])
@@ -541,10 +605,10 @@ def test_ratio_c_ent_number_even_difference():
     t = 2.31e4
     mom = squid.two_squid_currents_number(1, 3, True, COUPLING, W1, W2, W1, W2, t)
     got = squid.ratio_c(mom)
-    ref = squid.ratio_c_ent_number(1, 3, COUPLING, t, W1, W2)
+    ref = squid.ratio_c_ent_number(1, 3, COUPLING, t, W1, W2, W1, W2)
     assert got == pytest.approx(ref, rel=1e-12)
     # no detuning: constant in time but different from the separable value
-    vals = [squid.ratio_c_ent_number(1, 3, COUPLING, t, W1, W1) for t in (0.0, 1e3, 5e4)]
+    vals = [squid.ratio_c_ent_number(1, 3, COUPLING, t, W1, W1, W1, W2) for t in (0.0, 1e3, 5e4)]
     assert max(vals) - min(vals) <= 1e-14
     assert abs(vals[0] - squid.ratio_c_sep_number(1, 3, COUPLING)) > 1e-3
 
@@ -553,22 +617,20 @@ def test_ratio_c_ent_number_time_average_is_separable():
     omega_big = abs((1 - 3) * (W1 - W2))
     n = 16
     vals = [
-        squid.ratio_c_ent_number(1, 3, COUPLING, k * 2.0 * math.pi / omega_big / n, W1, W2)
+        squid.ratio_c_ent_number(1, 3, COUPLING, k * 2.0 * math.pi / omega_big / n, W1, W2, W1, W2)
         for k in range(n)
     ]
     assert np.mean(vals) == pytest.approx(squid.ratio_c_sep_number(1, 3, COUPLING), abs=1e-10)
 
 
 def test_ratio_c_ent_number_odd_difference_and_poles():
-    got = squid.ratio_c_ent_number(1, 2, COUPLING, 1.9e4, W1, W2, omega_a=W1, omega_b=W2)
+    got = squid.ratio_c_ent_number(1, 2, COUPLING, 1.9e4, W1, W2, W1, W2)
     mom = squid.two_squid_currents_number(1, 2, True, COUPLING, W1, W2, W1, W2, 1.9e4)
     assert got == pytest.approx(squid.ratio_c(mom), rel=1e-12)
     # the tan-pole at the ramp zero t = 0 reads NaN, alone or inside an array
-    assert math.isnan(squid.ratio_c_ent_number(1, 2, COUPLING, 0.0, W1, W2, omega_a=W1, omega_b=W2))
-    vals = squid.ratio_c_ent_number(1, 2, COUPLING, np.array([0.0, 1.9e4]), W1, W2, omega_a=W1, omega_b=W2)
+    assert math.isnan(squid.ratio_c_ent_number(1, 2, COUPLING, 0.0, W1, W2, W1, W2))
+    vals = squid.ratio_c_ent_number(1, 2, COUPLING, np.array([0.0, 1.9e4]), W1, W2, W1, W2)
     assert math.isnan(vals[0]) and vals[1] == got
-    with pytest.raises(ValueError):
-        squid.ratio_c_ent_number(1, 2, COUPLING, 1.0, W1, W2)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
@@ -599,7 +661,7 @@ def test_ratio_c_singular_guard():
     qp = brentq(lambda x: sp.eval_laguerre(1, x * x) + sp.eval_laguerre(3, x * x), 0.5, 1.5)
     at_pole = ChargeCoupling(qp / 2.0)
     assert math.isnan(squid.ratio_c_sep_number(1, 3, at_pole))
-    assert np.isnan(squid.ratio_c_ent_number(1, 3, at_pole, np.array([0.0, 1e4]), W1, W2)).all()
+    assert np.isnan(squid.ratio_c_ent_number(1, 3, at_pole, np.array([0.0, 1e4]), W1, W2, W1, W2)).all()
 
 
 def test_second_moments_bounded_by_critical_current():

@@ -430,10 +430,21 @@ def test_intensities_and_ratio_of_arrays_equal_the_scalar_calls(field, n1, n2, a
         assert abs(ratio[i, j, k] - one[3]) * one_a * one_b <= 4e-15
 
 
-def test_one_twomode_suite_run_makes_at_most_38_two_mode_weyl_calls(monkeypatch):
-    # the closed forms take each check's points as one array call: 32 here,
-    # 582 when ratio_R and the intensities took one point at a time
-    calls, real = [], twomode.two_mode_weyl
-    monkeypatch.setattr(twomode, "two_mode_weyl", lambda *args: calls.append(1) or real(*args))
+def test_one_twomode_suite_run_makes_at_most_18_weyl_40_number_and_16_coherent_elements(monkeypatch):
+    # every fringe and ratio reaches its single-mode values through
+    # displacement_expectation's element tables, one call per check's points:
+    # 18 Weyl values, 40 number and 16 coherent elements, no two_mode_weyl
+    # (582 two_mode_weyl calls when ratio_R and the intensities took one
+    # point at a time)
+    counts = {"weyl": 0, "number_displacement_element": 0, "coherent_displacement_element": 0,
+              "two_mode_weyl": 0}
+    for name in counts:
+        def counted(*args, name=name, real=getattr(twomode, name)):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(twomode, name, counted)
     assert verify.run_suite("twomode")["passed"]
-    assert len(calls) <= 38
+    assert counts["weyl"] <= 18
+    assert counts["number_displacement_element"] <= 40
+    assert counts["coherent_displacement_element"] <= 16
+    assert counts["two_mode_weyl"] == 0
