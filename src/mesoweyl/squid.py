@@ -227,8 +227,9 @@ def two_squid_currents_coherent(a1, a2, entangled: bool, coupling: ChargeCouplin
 
 
 # ---------------------------------------------------------------------------
-# correlation ratios; a pole (a vanishing denominator) gives NaN, as in
-# twomode.ratio_*_closed, so a whole time axis is one call
+# correlation ratios; a pole (a vanishing denominator) gives NaN, so a whole
+# time axis is one call (twomode.ratio_*_closed give IEEE inf or NaN there,
+# which experiments._poles_as_nan turns into NaN)
 
 _RATIO_EPS = 1e-12
 # a ramp sine below this marks a tan-pole of the odd-difference entangled ratio

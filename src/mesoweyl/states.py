@@ -11,7 +11,11 @@ Conventions used throughout the package:
   normative convention a = (flux + i emf/omega) / (sqrt2 xi).
 
 Thermal states are parameterized by the product beta*omega, which is the only
-combination their observables depend on.
+combination their observables depend on.  A coherent state is the two-photon
+coherent state |A; r varphi> at r = 0 (``CoherentState`` subclasses
+``SqueezedState``), so every single-mode closed form takes it as that squeezed
+state; only ``photon_counting`` keeps the Poisson law for it, which stays
+finite where its Fock amplitudes underflow.
 
 Under the circular drive z = i c e^{i theta} the Weyl function is a harmonic
 series in theta; ``weyl_time_average(state, c, k)`` is its k-th coefficient
@@ -23,7 +27,7 @@ from one call: c and k are both array-first.
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,11 +71,6 @@ class NumberState:
 
 
 @dataclass(frozen=True)
-class CoherentState:
-    amplitude: complex
-
-
-@dataclass(frozen=True)
 class SqueezedState:
     amplitude: complex
     r: float
@@ -80,6 +79,16 @@ class SqueezedState:
     def __post_init__(self):
         if self.r < 0:
             raise ValueError("squeezing parameter r must be >= 0")
+
+
+@dataclass(frozen=True)
+class CoherentState(SqueezedState):
+    """|A> = D(A)|0>, the squeezed state at r = 0, which every single-mode
+    closed form takes it as.  Only the amplitude is given: r and varphi are
+    fixed at 0 and left out of the repr."""
+
+    r: float = field(default=0.0, init=False, repr=False)
+    varphi: float = field(default=0.0, init=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -178,22 +187,17 @@ def weyl(state, z):
     # entries are computed at z = 0 and zeroed at the end
     far = np.abs(z) > 1e154
     z = np.where(far, 0j, z)
-    rho = np.abs(z)
-    x = rho ** 2
+    x = np.abs(z) ** 2
     if isinstance(state, NumberState):
         w = specfun.scaled_laguerre(state.n, x)
-    elif isinstance(state, CoherentState):
-        a = complex(state.amplitude)
-        w = np.exp(-x / 2.0 + z * a.conjugate() - np.conj(z) * a)
     elif isinstance(state, SqueezedState):
-        a = complex(state.amplitude)
-        th = np.angle(z)
-        yy = 0.5 * x * (math.cosh(state.r) + math.sinh(state.r) * np.cos(2 * th + state.varphi))
-        xx = 2.0 * abs(a) * rho * (
-            math.cosh(state.r / 2.0) * np.sin(th - cmath.phase(a))
-            - math.sinh(state.r / 2.0) * np.sin(th + cmath.phase(a) + state.varphi)
-        )
-        w = np.exp(-yy + 1j * xx)
+        # Gaussian: W(z) = exp(-yy + z <a>* - z* <a>), yy half the variance
+        # of the quadrature i(z* a - z a^dag); the exponent's imaginary part
+        # 2 Im(z <a>*) is taken in real arithmetic, which rounds alike over
+        # an array and on one element
+        g = mean_annihilation(state)
+        yy = 0.5 * x * (math.cosh(state.r) + math.sinh(state.r) * np.cos(2 * np.angle(z) + state.varphi))
+        w = np.exp(-yy + 2j * (z.imag * g.real - z.real * g.imag))
     elif isinstance(state, ThermalState):
         # phase-invariant; reduces to exp(-(zeta^2/2) coth(bw/2)) on z real*e^{iwt}
         w = np.exp(-0.5 * x / math.tanh(state.beta_omega / 2.0))
@@ -245,10 +249,6 @@ def _integer_orders(k, name: str = "harmonic k") -> np.ndarray:
     return ki
 
 
-# a_k carries i^k, exactly, for a coherent state
-_QUARTER_TURNS = np.array([1, 1j, -1, -1j])
-
-
 def weyl_time_average(state, c, k=0):
     """Harmonic k of the driven Weyl function: the average over theta of
     e^{-i k theta} W(i c e^{i theta}), for an integer k.
@@ -269,17 +269,9 @@ def weyl_time_average(state, c, k=0):
     # its limit 0, so those entries are computed at c = 0 and zeroed at the end
     far = np.abs(c) > 1e154
     c = np.where(far, 0j, c)
-    rho = np.abs(c)
-    x = rho * rho
     if isinstance(state, (NumberState, ThermalState)):
         # W is constant on the drive circle: it is a_0, and every other a_k is 0
-        avg = np.where(k == 0, weyl(state, rho), 0.0)
-    elif isinstance(state, CoherentState):
-        # Jacobi-Anger: W = e^{-|c|^2/2} exp(2 i |c| |A| cos(theta + delta))
-        a = complex(state.amplitude)
-        avg = np.exp(-x / 2.0) * specfun.jv(k, 2.0 * rho * abs(a))
-        if k.any():
-            avg = avg * (_QUARTER_TURNS[k % 4] * np.exp(1j * k * (np.angle(c) - cmath.phase(a))))
+        avg = np.where(k == 0, weyl(state, np.abs(c)), 0.0)
     elif isinstance(state, SqueezedState):
         pref, v, chi, w = _squeezed_drive(state, c)
         # where pref underflows every coefficient is 0, as |W| <= 1: such
@@ -295,9 +287,13 @@ def weyl_time_average(state, c, k=0):
         # and 0.  J_n is below 1e-18 past the order cutoff of |w|, as is
         # e^{-v} I_m(v) past v's; every harmonic shares the table of the
         # largest |k|
-        mmax = min(specfun.order_cutoff(v.max(initial=0.0)),
-                   (specfun.order_cutoff(absw.max(initial=0.0)) + int(np.abs(k).max(initial=0))) // 2)
-        ims = specfun.bessel_ive_all(v, mmax + 1)
+        if v.any():
+            mmax = min(specfun.order_cutoff(v.max(initial=0.0)),
+                       (specfun.order_cutoff(absw.max(initial=0.0)) + int(np.abs(k).max(initial=0))) // 2)
+            ims = specfun.bessel_ive_all(v, mmax + 1)
+        else:
+            # e^{-v} I_m(v) at v = 0 is delta_m0 (every r = 0 state): no table
+            mmax, ims = 0, [1.0]
         # one J row per |order| that a harmonic reaches, then J_{k+2m} of
         # every harmonic as row mmax + m of one table of the broadcast shape,
         # signed by J_{-n} = (-1)^n J_n
@@ -384,13 +380,10 @@ def fock_amplitudes(state, dim: int) -> np.ndarray:
         v = np.zeros(dim, dtype=complex)
         v[state.n] = 1.0
         return v
-    if isinstance(state, CoherentState):
-        s, t = 0.0, 0j
-    elif isinstance(state, SqueezedState):
-        s = state.r / 2.0
-        t = cmath.exp(-1j * state.varphi) * math.tanh(s)
-    else:
+    if not isinstance(state, SqueezedState):
         raise TypeError(f"{state!r} is not a pure state with a vector form")
+    s = state.r / 2.0
+    t = cmath.exp(-1j * state.varphi) * math.tanh(s)
     a = complex(state.amplitude)
     beta = a / math.cosh(s)
     roots = np.sqrt(np.arange(dim + 1.0)).tolist()
@@ -431,8 +424,6 @@ def mean_annihilation(state) -> complex:
     """<a> of the state."""
     if isinstance(state, (NumberState, ThermalState)):
         return 0j
-    if isinstance(state, CoherentState):
-        return complex(state.amplitude)
     if isinstance(state, SqueezedState):
         a = complex(state.amplitude)
         return a * math.cosh(state.r / 2.0) - a.conjugate() * cmath.exp(-1j * state.varphi) * math.sinh(state.r / 2.0)
@@ -443,8 +434,6 @@ def mean_photons(state) -> float:
     """Average photon number <a^dag a>."""
     if isinstance(state, NumberState):
         return float(state.n)
-    if isinstance(state, CoherentState):
-        return abs(state.amplitude) ** 2
     if isinstance(state, ThermalState):
         bw = state.beta_omega
         return math.exp(-bw) / -math.expm1(-bw)
@@ -511,10 +500,6 @@ def flux_stats(state, mode: ModeParams, t):
     xi, w = mode.xi, mode.omega
     if isinstance(state, NumberState):
         mean, sd = 0.0, xi * math.sqrt(state.n + 0.5)
-    elif isinstance(state, CoherentState):
-        a = complex(state.amplitude)
-        mean = math.sqrt(2.0) * xi * abs(a) * np.cos(w * t - cmath.phase(a))
-        sd = xi / math.sqrt(2.0)
     elif isinstance(state, ThermalState):
         mean, sd = 0.0, xi * math.sqrt(0.5 / math.tanh(state.beta_omega / 2.0))
     elif isinstance(state, SqueezedState):

@@ -323,6 +323,12 @@ def squid_suite(dim_cap: int = DIM_CAP) -> dict:
     # the closed-form ratios against ratio_c of those moments: 3.3e-16 here,
     # 6.7e-16 when the moments had Laguerre closed forms too
     checks.append(_check("number-ratios-vs-moments", np.max(ratio_errs), 1e-14))
+    # the odd-difference (tan-pole) branch of the entangled ratio, on the
+    # (1, 2) pair at the same times, where every ramp sine is at least 0.55;
+    # 4.4e-16 here
+    odd = squid.two_squid_currents_number(1, 2, True, coupling, w1, w2, w1, w2, ts[::4], ("ia", "ib", "ia_ib"))
+    err = np.max(np.abs(squid.ratio_c(odd) - squid.ratio_c_ent_number(1, 2, coupling, ts[::4], w1, w2, w1, w2)))
+    checks.append(_check("number-ratio-odd-vs-moments", err, 1e-14))
 
     # coherent-pair moments against the same oracle at one time; 1.0e-15
     # was the worst relative error over the 16 times of ts

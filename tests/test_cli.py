@@ -439,8 +439,11 @@ def test_verify_cli_reports(capsys, suite):
     ("squid", squid, "two_squid_currents_coherent", lambda a1, a2, entangled, *rest: entangled),
     # the entangled number ratio's last two times
     ("squid", squid, "ratio_c_ent_number", lambda n1, n2, coupling, t, *rest: t > 1e5),
+    # the same, on the odd-difference pair alone, which only the
+    # number-ratio-odd-vs-moments check reads
+    ("squid", squid, "ratio_c_ent_number", lambda n1, n2, coupling, t, *rest: (n1 - n2) % 2 == 1 and t > 1e5),
 ], ids=["closed-form", "oracle", "flux-stats", "twomode", "twomode-marginal", "squid", "squid-harmonic",
-        "squid-coherent", "squid-number-ratio"])
+        "squid-coherent", "squid-number-ratio", "squid-number-ratio-odd"])
 def test_verify_fails_a_nan_error(monkeypatch, suite, module, name, hit):
     real = getattr(module, name)
 

@@ -124,11 +124,13 @@ def test_quantum_current_of_a_time_array_equals_the_float_calls(state):
     assert got.shape == t.shape
     singles = [squid.quantum_current(state, COUPLING, 3.3e-4, W1, ti) for ti in t.ravel().tolist()]
     assert all(type(v) is float for v in singles)
-    # the current's own arithmetic is the same per element, so a squeezed or
-    # thermal state's are within 1 ulp (bit-equal on x86-64, numpy 2.4); the
-    # number and coherent Weyl functions round their 0-d and array arguments
-    # apart, by up to 2.8e-16 over 4,000 random times, and |I / I_c| <= 1
-    bound = 2 * np.finfo(float).eps if isinstance(state, (NumberState, CoherentState)) else 0.0
+    # the current's own arithmetic is the same per element, so a coherent,
+    # squeezed or thermal state's are within 1 ulp (bit-equal on x86-64,
+    # numpy 2.4, here and at 2 x 4,000 random times); the number state's
+    # Weyl function rounds its 0-d and array arguments apart
+    # (specfun.scaled_laguerre takes math.exp for one and np.exp for the
+    # other), by up to 2.8e-16 over 4,000 random times, and |I / I_c| <= 1
+    bound = 2 * np.finfo(float).eps if isinstance(state, NumberState) else 0.0
     assert np.all(np.abs(got.ravel() - singles) <= np.maximum(np.spacing(np.abs(singles)), bound))
 
 

@@ -21,6 +21,7 @@ from mesoweyl.states import (
     fock_amplitudes,
     match_mean_photons,
     matched_states,
+    mean_annihilation,
     mean_photons,
     number_displacement_element,
     photon_counting,
@@ -195,6 +196,15 @@ def test_photon_counting_coherent_stays_finite_where_its_amplitudes_underflow():
     p = photon_counting(state, 1600)
     assert p > 0.0
     assert p == pytest.approx(ref, rel=1e-12)  # worst seen 7.6e-14
+
+
+def test_photon_counting_coherent_is_the_poisson_value_at_a_mean_of_2000():
+    # e^{-1000} underflows too, and the squeezed route, which a coherent
+    # state takes everywhere else, would raise
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        ref = float(mpmath.exp(2000 * mpmath.log(2000) - 2000 - mpmath.loggamma(2001)))
+    assert photon_counting(CoherentState(math.sqrt(2000.0)), 2000) == pytest.approx(ref, rel=1e-12)
 
 
 def test_photon_counting_squeezed_raises_where_its_vacuum_amplitude_underflows():
@@ -534,6 +544,77 @@ def test_weyl_array_bound_and_conjugate_symmetry(family, data, zs):
     assert np.all(np.abs(w) <= 1.0 + 1e-12)
     assert np.max(np.abs(weyl(state, -z) - np.conj(w))) <= 1e-12
     assert np.max(np.abs(w - [weyl(state, zi) for zi in zs])) <= 1e-15
+
+
+# The coherent state's own closed forms.  The package takes a coherent state
+# as the squeezed state at r = 0, so these are the reference it is held to.
+def _coherent_weyl(a, z):
+    """W(z) = exp(-|z|^2 / 2 + z A* - z* A)."""
+    return np.exp(-np.abs(z) ** 2 / 2.0 + z * a.conjugate() - np.conj(z) * a)
+
+
+def _coherent_harmonic(a, c, k):
+    """Jacobi-Anger: W(i c e^{i theta}) = e^{-|c|^2/2} exp(2 i |c| |A|
+    cos(theta + arg c - arg A)), so a_k = e^{-|c|^2/2} J_k(2 |c| |A|) i^k
+    e^{i k (arg c - arg A)}."""
+    rho = abs(c)
+    return (math.exp(-rho * rho / 2.0) * float(sp.jv(k, 2.0 * rho * abs(a)))
+            * (1, 1j, -1, -1j)[k % 4] * cmath.exp(1j * k * (cmath.phase(c) - cmath.phase(a))))
+
+
+def _coherent_flux(a, mode, t):
+    """(mean, sd) of the flux: sqrt2 xi |A| cos(omega t - arg A) and xi / sqrt2."""
+    return (math.sqrt(2.0) * mode.xi * abs(a) * math.cos(mode.omega * t - cmath.phase(a)),
+            mode.xi / math.sqrt(2.0))
+
+
+@given(a=st.builds(cmath.rect, _grid(0.01, 8.0), _PHASES),
+       zs=st.lists(st.builds(cmath.rect, _grid(0.01, 6.0), _PHASES), min_size=1, max_size=4),
+       c=st.builds(cmath.rect, _grid(0.001, 3.0), _PHASES),
+       omega=st.floats(0.2, 3.0), xi=st.floats(0.5, 2.0), t=st.floats(0.0, 20.0))
+def test_a_coherent_state_is_the_squeezed_state_at_r_0(a, zs, c, omega, xi, t):
+    # every single-mode closed form against the coherent state's own; next
+    # to each bound is the worst error seen over 3,000 examples
+    state = CoherentState(a)
+    z = np.array(zs)
+    assert np.max(np.abs(weyl(state, z) - _coherent_weyl(a, z))) <= 5e-15  # 1.4e-15
+    ks = np.arange(-4, 5)
+    ref = np.array([_coherent_harmonic(a, c, k) for k in ks.tolist()])
+    assert np.max(np.abs(weyl_time_average(state, c, ks) - ref)) <= 4e-15  # 8.9e-16
+    # <a> = A and <n> = |A|^2 exactly
+    assert mean_annihilation(state) == a
+    assert mean_photons(state) == abs(a) ** 2
+    mode = ModeParams(omega, xi)
+    # emf(t) = omega flux(t + pi / (2 omega)); a mean's error scales with
+    # the phase omega t and with its size, so it is bounded relative to
+    # xi max(|A|, 1), times omega for the emf
+    for stats, ref, scale in ((flux_stats, _coherent_flux(a, mode, t), xi),
+                              (emf_stats, [omega * v for v in _coherent_flux(a, mode, t + math.pi / (2.0 * omega))],
+                               omega * xi)):
+        mean, sd = stats(state, mode, t)
+        assert abs(mean - ref[0]) <= 2e-14 * scale * max(abs(a), 1.0)  # 4.8e-15 * scale max(|A|, 1)
+        assert abs(sd - ref[1]) <= 4e-15  # 8.9e-16
+
+
+def test_a_coherent_state_takes_no_squeezing():
+    with pytest.raises(TypeError):
+        CoherentState(1.0, 0.5)
+
+
+def test_a_coherent_state_repr_names_its_amplitude_alone():
+    assert repr(CoherentState(0.5 + 1j)) == "CoherentState(amplitude=(0.5+1j))"
+
+
+def test_a_coherent_state_is_a_squeezed_state():
+    assert isinstance(CoherentState(0.5), SqueezedState)
+
+
+def test_a_coherent_time_average_builds_no_bessel_i_table(monkeypatch):
+    # v = |c|^2 sinh(r) / 2 is 0 at r = 0, where e^{-v} I_m(v) is delta_m0
+    calls, real = [], specfun.bessel_ive_all
+    monkeypatch.setattr(specfun, "bessel_ive_all", lambda *args: calls.append(1) or real(*args))
+    weyl_time_average(CoherentState(1.3 + 0.4j), np.linspace(0.1, 3.0, 50), np.arange(-4, 5)[:, None])
+    assert calls == []
 
 
 @given(state=st.builds(SqueezedState, st.builds(cmath.rect, _grid(0.01, 3.0), _PHASES), _grid(0.01, 4.2), _PHASES),
