@@ -141,8 +141,8 @@ def _autocorrelations(params, mode, taus):
     """The operator autocorrelations over taus of figs 6-7, one per matched
     state in column order num, coh, sq, th.  The squeezed one runs a Miller
     pass over about 2 q^2 sinh(r) Bessel orders at every distinct radius
-    (|c| <= 2q); fig7 takes 2.9-3.4 s at 1e4 as one process on a 2-core
-    x86-64 VM, growing as their square."""
+    (|c| <= 2q); fig7, which evaluates half its period, takes 1.8-2.1 s at
+    1e4 as one process on a 2-core x86-64 VM, growing as their square."""
     q = params["q"]
     if not 2.0 * q * q * math.sinh(params["squeezing_r"]) <= 1e4:
         raise ValueError(f"q = {q!r} is too large for the squeezed time average: "
@@ -152,6 +152,10 @@ def _autocorrelations(params, mode, taus):
 
 
 def _fig6(params, dim_cap):
+    # not folded by Gamma(T - tau) = Gamma(tau)* as fig7 is: the squeezed
+    # column's tiny-argument NaN rows at omega tau = pi, 2 pi and 4 pi (128,
+    # 256 and 512 at the defaults) are not mirrored at 3 pi (384, finite), so
+    # any fold of this grid would move the NaN cells the references pin
     mode = ModeParams(params["omega"])
     wtau = _phase_grid(params)
     taus = wtau / mode.omega
@@ -165,14 +169,24 @@ def _fig6(params, dim_cap):
     return ExperimentResult(cols, np.column_stack(parts))
 
 
+def _unfold(half, taus):
+    """The series over one period ``taus`` (m lags) from its lags 0 .. m // 2:
+    a stationary Gamma of period T has Gamma(T - tau) = Gamma(tau)*, so lag
+    k > m // 2 is the conjugate of lag m - k, which lies in 1 .. m // 2."""
+    tail = np.conj(half.values[(len(taus) - 1) // 2:0:-1])
+    return interference.CorrelationSeries(taus, np.concatenate((half.values, tail)), half.gamma0)
+
+
 def _fig7(params, dim_cap):
     mode = ModeParams(params["omega"])
     kmax = params["kmax"]
     nsamp = params["spectral_samples"]
     taus = np.arange(nsamp) / nsamp * (2.0 * math.pi / mode.omega)
-    gammas = [interference.autocorrelation_classical(params["classical_e_phi1"], mode.omega, taus),
-              *_autocorrelations(params, mode, taus)]
-    spectra = [interference.spectral_density(g, mode.omega, kmax).values for g in gammas]
+    # each Gamma is evaluated on half the period and unfolded
+    half = taus[:nsamp // 2 + 1]
+    gammas = [interference.autocorrelation_classical(params["classical_e_phi1"], mode.omega, half),
+              *_autocorrelations(params, mode, half)]
+    spectra = [interference.spectral_density(_unfold(g, taus), mode.omega, kmax).values for g in gammas]
     rows = np.column_stack([np.arange(-kmax, kmax + 1, dtype=float), *spectra])
     return ExperimentResult(["k", "s_cl", "s_num", "s_coh", "s_sq", "s_th"], rows)
 

@@ -136,7 +136,10 @@ def flux_stats_suite(dim_cap: int = DIM_CAP) -> dict:
     mode = ModeParams(omega=1.0e-4, xi=1.0)
     times = np.arange(8) * 2.0 * math.pi / (8.0 * mode.omega)
     checks = []
-    for fam, state in matched_states().items():
+    # the matched states all have arg A = varphi = 0; the phased squeezed
+    # state reads the terms that carry those phases
+    states = {**matched_states(), "squeezed-phased": SqueezedState(0.5 * cmath.exp(0.3j), 1.0, 0.7)}
+    for fam, state in states.items():
         # the state itself is converged (thermal weights or the pure vector),
         # and the sparse operators act on it: no dense matrix is formed
         thermal = isinstance(state, ThermalState)

@@ -7,7 +7,7 @@ import scipy.special as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mesoweyl import fockbench, interference, specfun, verify
+from mesoweyl import experiments, fockbench, interference, specfun, verify
 from mesoweyl.harmonics import HarmonicSeries
 from mesoweyl.states import (
     ChargeCoupling,
@@ -294,6 +294,60 @@ def test_quantum_gamma_takes_one_time_average_over_distinct_radii(monkeypatch):
     # q and q (1 +- e^{i omega tau}) over the 8 lags and lag 0, which
     # repeats tau = 0: at most 2 * 8 + 1 distinct radii of 19 arguments
     assert len(radii) <= 17
+
+
+def _fig7_series(monkeypatch, overrides=None):
+    """The five Gamma series fig7 hands to spectral_density, in column order."""
+    seen = []
+    density = interference.spectral_density
+
+    def captured(series, *args):
+        seen.append(series)
+        return density(series, *args)
+
+    monkeypatch.setattr(interference, "spectral_density", captured)
+    experiments.run_experiment("fig7", overrides)
+    return seen
+
+
+@pytest.mark.parametrize("n", [2, 3, 4095, 4096])
+def test_fig7_folded_gamma_equals_the_full_period_evaluation(monkeypatch, n):
+    # fig7 evaluates lags 0 .. n // 2 and takes the rest from
+    # Gamma(T - tau) = Gamma(tau)*; against every lag evaluated directly the
+    # worst move is 7.1e-15 absolute, 3.6e-15 Gamma(0) (number state, n = 4096)
+    p = experiments.EXPERIMENTS["fig7"].defaults
+    mode = ModeParams(p["omega"])
+    taus = np.arange(n) / n * (2.0 * math.pi / mode.omega)
+    direct = [
+        interference.autocorrelation_classical(p["classical_e_phi1"], mode.omega, taus),
+        *(interference.autocorrelation_quantum(s, ChargeCoupling(p["q"]), mode, taus)
+          for s in matched_states(p["mean_photons"], p["squeezing_r"]).values()),
+    ]
+    folded = _fig7_series(monkeypatch, {"spectral_samples": n})
+    assert len(folded) == len(direct) == 5
+    for f, d in zip(folded, direct):
+        assert np.array_equal(f.taus, d.taus) and f.gamma0 == d.gamma0
+        # the squeezed tiny-argument NaN at omega tau = pi stays where it was
+        assert np.array_equal(np.isnan(f.values), np.isnan(d.values))
+        finite = ~np.isnan(d.values)
+        assert np.max(np.abs(f.values[finite] - d.values[finite])) <= 1e-14 * d.gamma0
+
+
+def test_fig7_takes_one_time_average_per_state_over_the_half_period(monkeypatch):
+    calls = []
+
+    def counted(state, c, k=0):
+        calls.append(len(c))
+        return weyl_time_average(state, c, k)
+
+    monkeypatch.setattr(interference, "weyl_time_average", counted)
+    experiments.run_experiment("fig7")
+    n = experiments.EXPERIMENTS["fig7"].defaults["spectral_samples"]
+    # q and q (1 +- e^{i omega tau}) over lags 0 .. n // 2: at most
+    # 2 (n // 2 + 1) + 1 radii (3,328 for the squeezed state; every lag of
+    # the period gave it 5,834)
+    assert len(calls) == 4
+    assert max(calls) <= 2 * (n // 2 + 1) + 1
 
 
 def test_normalized_gamma_rejects_degenerate():

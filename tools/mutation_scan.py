@@ -14,7 +14,8 @@ Run it by hand from the repository root, for example::
     python tools/mutation_scan.py --suites squid --src other/src squid.ratio_c_ent_number
 
 Functions are named ``module.function`` after the ``mesoweyl`` package;
-only module-level functions are searched.  ``--src`` is the directory that
+only module-level functions are searched, and a target that names none
+exits 2 before any suite runs.  ``--src`` is the directory that
 holds the package (``src`` of this repository by default), so the same scan
 can score another tree.  It uses only the standard library.
 """
@@ -47,7 +48,7 @@ def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
     for node in tree.body:
         if isinstance(node, ast.FunctionDef) and node.name == name:
             return node
-    raise SystemExit(f"no module-level function {name!r}")
+    raise LookupError(f"no module-level function {name!r}")
 
 
 def _sites(func: ast.FunctionDef) -> list:
@@ -66,6 +67,22 @@ def mutants(source: str, name: str):
         old = type(node.op)
         node.op = FLIPS[old]()
         yield node.lineno, f"{SYMBOLS[old]} -> {SYMBOLS[FLIPS[old]]}", ast.unparse(tree)
+
+
+def _target_error(src: Path, target: str):
+    """Why ``target`` names no module-level function of the package under
+    ``src``, or None when it does."""
+    module, _, name = target.rpartition(".")
+    if not module or not name:
+        return f"target {target!r} is not module.function"
+    path = src / "mesoweyl" / f"{module}.py"
+    if not path.is_file():
+        return f"target {target!r}: no module mesoweyl.{module} under {src}"
+    try:
+        _function(ast.parse(path.read_text()), name)
+    except LookupError as exc:
+        return f"target {target!r}: {exc} in mesoweyl.{module}"
+    return None
 
 
 def _passes(src: Path, suites) -> bool:
@@ -117,7 +134,13 @@ def main(argv=None):
     unknown = sorted(set(suites) - set(SUITES))
     if unknown:
         parser.error(f"unknown suites {unknown}; choose from {list(SUITES)}")
-    scan(args.src.resolve(), args.targets, suites)
+    src = args.src.resolve()
+    # every target is checked before the unmutated run, so a typo costs nothing
+    for target in args.targets:
+        error = _target_error(src, target)
+        if error:
+            parser.error(error)
+    scan(src, args.targets, suites)
 
 
 if __name__ == "__main__":
