@@ -9,10 +9,12 @@ from it (flux, EMF and displacement generators) are scipy.sparse arrays;
 displacement and density matrices are dense complex numpy arrays.
 Truncation is explicit: one loop, ``converge``, doubles the dimension until
 the evaluated quantity moves by less than TOL, under a dimension cap (the
-only setting, DIM_CAP by default), and truncated density matrices are never
-renormalized; the trace deficit is reported instead of being hidden.  An
-array (a z grid, a list of two-mode observable pairs) converges as one, by
-its largest change.
+only setting, DIM_CAP by default).  It starts at ``default_dim``: the state's
+mean-photon width, doubled while the truncated state still loses at least
+TOL of its trace (squeezed and thermal tails fall only geometrically).
+Truncated density matrices are never renormalized; the trace deficit is
+reported instead of being hidden.  An array (a z grid, a list of two-mode
+observable pairs) converges as one, by its largest change.
 
 Pure state vectors are built once per (state, dim) and cached, so the
 doubling loops and every z share them; so are displacement bands, per
@@ -93,10 +95,31 @@ class ConvergenceInfo:
 TOL = 1e-11
 
 
-def default_dim(state) -> int:
-    """Starting truncation dimension for a single-mode state."""
+def default_dim(state, dim_cap: int) -> int:
+    """Starting truncation dimension for a single-mode state under dim_cap.
+
+    The base d0 = max(32, ceil(nbar + 10 sqrt(nbar + 1))) suits a Poisson-like
+    state, but squeezed and thermal tails fall only geometrically.  So d0 is
+    doubled while the next doubling stays within dim_cap and the truncated
+    state still loses at least TOL of its trace (``_lost_trace``).  The start
+    stays on converge's ladder d0 2^k and is never below d0, so the loop
+    converges at the same dimension, with the same values, as one started at
+    d0 whenever the start is at most half that dimension, and never below it.
+    """
     nbar = mean_photons(state)
-    return max(32, int(math.ceil(nbar + 10.0 * math.sqrt(nbar + 1.0))))
+    dim = max(32, int(math.ceil(nbar + 10.0 * math.sqrt(nbar + 1.0))))
+    while 2 * dim <= dim_cap and _lost_trace(state, dim) >= TOL:
+        dim *= 2
+    return dim
+
+
+def _lost_trace(state, dim: int) -> float:
+    """1 - Tr rho of the state truncated to dim: the thermal weights' or the
+    cached pure vector's deficit, the one ``_weyl_value`` reports."""
+    if isinstance(state, ThermalState):
+        return 1.0 - float(np.sum(thermal_weights(state, dim)))
+    vec = state_vector(state, dim)
+    return 1.0 - float(np.vdot(vec, vec).real)
 
 
 def ladder(dim: int) -> sparse.csr_array:
@@ -314,10 +337,10 @@ def _weyl_value(state, z, dim: int):
     them; returns (values of z's shape, deficit)."""
     z = np.asarray(z, dtype=complex)
     if isinstance(state, ThermalState):
-        p = thermal_weights(state, dim)
-        return displacement_diagonal(z, dim) @ p, 1.0 - float(np.sum(p))
-    vec = state_vector(state, dim)
-    return _pure_weyl(vec, z), 1.0 - float(np.vdot(vec, vec).real)
+        val = displacement_diagonal(z, dim) @ thermal_weights(state, dim)
+    else:
+        val = _pure_weyl(state_vector(state, dim), z)
+    return val, _lost_trace(state, dim)
 
 
 def _pure_weyl(vec: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -371,7 +394,7 @@ def weyl_numeric_report(state, z, dim_cap: int = DIM_CAP):
     gives a complex array of its shape and converges as a whole.
     """
     (val, deficit), dim, delta = converge(
-        lambda dim: _weyl_value(state, z, dim), default_dim(state), dim_cap,
+        lambda dim: _weyl_value(state, z, dim), default_dim(state, dim_cap), dim_cap,
         "weyl_numeric", lambda new, old: _max_change(new[0], old[0]),
     )
     return _scalar_or_array(val), ConvergenceInfo(dim=dim, delta=delta, trace_deficit=deficit)
@@ -454,7 +477,7 @@ def converged_two_mode_expectation(state2, build, dim_cap: int = DIM_CAP):
     """
     (val, norm), dim, delta = converge(
         lambda dim: _product_traces(state2, build(dim), dim, dim),
-        _default_two_mode_dim(state2), dim_cap, "two-mode expectation",
+        _default_two_mode_dim(state2, dim_cap), dim_cap, "two-mode expectation",
         lambda new, old: _max_change(new[0], old[0]),
     )
     return val, ConvergenceInfo(dim=dim, delta=delta, trace_deficit=1.0 - float(norm.real))
@@ -474,7 +497,7 @@ def two_squid_moments(state2, qp, wa, wb, w1, w2, t, dim_cap: int = DIM_CAP) -> 
     return TwoSquidMoments(*val.real.tolist())
 
 
-def _default_two_mode_dim(state2) -> int:
+def _default_two_mode_dim(state2, dim_cap: int) -> int:
     _, comps = two_mode_components(state2)
-    return max((default_dim(s) for _, sa, sb in comps for s in (sa, sb)), default=32)
+    return max((default_dim(s, dim_cap) for _, sa, sb in comps for s in (sa, sb)), default=32)
 

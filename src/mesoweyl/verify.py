@@ -135,6 +135,8 @@ def _content_change(new, old) -> float:
 def flux_stats_suite(dim_cap: int = DIM_CAP) -> dict:
     mode = ModeParams(omega=1.0e-4, xi=1.0)
     times = np.arange(8) * 2.0 * math.pi / (8.0 * mode.omega)
+    # at xi = 1 a product and a quotient by xi agree; xi = 0.7 tells them apart
+    modes = {"": mode, "-xi0.7": ModeParams(omega=mode.omega, xi=0.7)}
     checks = []
     # the matched states all have arg A = varphi = 0; the phased squeezed
     # state reads the terms that carry those phases
@@ -145,7 +147,7 @@ def flux_stats_suite(dim_cap: int = DIM_CAP) -> dict:
         thermal = isinstance(state, ThermalState)
         build = fockbench.thermal_weights if thermal else fockbench.state_vector
         psi, dim, _ = fockbench.converge(
-            partial(build, state), fockbench.default_dim(state), dim_cap,
+            partial(build, state), fockbench.default_dim(state, dim_cap), dim_cap,
             f"{fam} state", _content_change,
         )
 
@@ -159,13 +161,14 @@ def flux_stats_suite(dim_cap: int = DIM_CAP) -> dict:
                 v = float(np.vdot(w1, w1).real) - m * m
             return m, math.sqrt(v)
         # (mean, sd) rows over the times, closed form against oracle
-        flux = np.array([mean_var(fockbench.flux_matrix(mode, t, dim)) for t in times.tolist()]).T
-        emf = np.array([mean_var(fockbench.emf_matrix(mode, t, dim)) for t in times.tolist()]).T
-        err_f = np.abs(np.array(flux_stats(state, mode, times)) - flux)
-        # emf carries the omega scale; compare relative to it
-        err_e = np.abs(np.array(emf_stats(state, mode, times)) - emf) / mode.omega
-        checks.append(_check(f"flux-stats-vs-oracle-{fam}", np.max(err_f), 1e-8))
-        checks.append(_check(f"emf-stats-vs-oracle-{fam}", np.max(err_e), 1e-8))
+        for tag, m in modes.items():
+            flux = np.array([mean_var(fockbench.flux_matrix(m, t, dim)) for t in times.tolist()]).T
+            emf = np.array([mean_var(fockbench.emf_matrix(m, t, dim)) for t in times.tolist()]).T
+            err_f = np.abs(np.array(flux_stats(state, m, times)) - flux)
+            # emf carries the omega scale; compare relative to it
+            err_e = np.abs(np.array(emf_stats(state, m, times)) - emf) / m.omega
+            checks.append(_check(f"flux-stats-vs-oracle-{fam}{tag}", np.max(err_f), 1e-8))
+            checks.append(_check(f"emf-stats-vs-oracle-{fam}{tag}", np.max(err_e), 1e-8))
     # uncertainty product for the squeezed family
     sq = matched_states()["squeezed"]
     slack = np.min(flux_stats(sq, mode, times)[1] * emf_stats(sq, mode, times)[1]
@@ -213,7 +216,7 @@ def autocorr_suite(dim_cap: int = DIM_CAP) -> dict:
         exact = interference.autocorrelation_quantum(state, coupling, mode, lags).values
         window, _, _ = fockbench.converge(
             partial(gamma_window_oracle, state, coupling, mode, lags),
-            fockbench.default_dim(state), dim_cap, f"{fam} window oracle",
+            fockbench.default_dim(state, dim_cap), dim_cap, f"{fam} window oracle",
         )
         err = float(np.max(np.abs(exact - window)))
         checks.append(_check(f"quantum-gamma-vs-window-oracle-{fam}", err, 1e-6))

@@ -467,12 +467,20 @@ def test_one_pass_of_the_verify_workload_suites_makes_at_most_4_bessel_i_tables(
     assert len(calls) <= 4
 
 
-# the squeezed r = 4.2 Weyl oracle converges at dim 1920 (60 doubled five
-# times), so a cap of 1024 stops it one doubling short
+# the squeezed r = 4.2 Weyl oracle converges at dim 1920; a cap of 1024
+# starts it at 960, and its first doubling passes the cap
 @pytest.mark.parametrize("suite, cap", [pytest.param(suite, 8, id=suite) for suite in sorted(verify.SUITES)]
                          + [pytest.param("weyl-oracle", 1024, id="weyl-oracle-1024")])
 def test_verify_dim_cap_exhaustion_exits_3(suite, cap):
     assert cli.main(["verify", suite, "--dim-cap", str(cap)]) == 3
+
+
+@pytest.mark.parametrize("cap", [100, 500, 1024])
+def test_a_capped_weyl_oracle_evaluates_no_dim_above_the_cap(monkeypatch, cap):
+    dims, real = [], fockbench._weyl_value
+    monkeypatch.setattr(fockbench, "_weyl_value", lambda state, z, dim: dims.append(dim) or real(state, z, dim))
+    assert cli.main(["verify", "weyl-oracle", "--dim-cap", str(cap)]) == 3
+    assert dims and max(dims) <= cap
 
 
 def test_verify_weyl_oracle_converges_under_dim_cap_1920():

@@ -252,15 +252,16 @@ def test_jacobi_anger_rows_stop_at_their_own_order_bound(monkeypatch):
 
 
 def test_the_verify_grid_evaluates_one_jv_per_row_and_order_of_each_table(monkeypatch):
-    # 6 tables (one per state and dim) of 11 radii each
+    # 5 tables (one per pure state and dim: number 60, 120; coherent 240;
+    # squeezed 960, 1920) of 11 radii each
     count = _counted_jv(monkeypatch)
     tables, cached = [], fockbench._jacobi_anger
     monkeypatch.setattr(fockbench, "_jacobi_anger", lambda args: tables.append(args) or cached(args))
     cached.cache_clear()
     assert verify.run_suite("weyl-oracle")["passed"]
     distinct = set(tables)
-    assert [len(args) for args in distinct] == [11] * 6
-    assert count[0] == sum(int(np.sum(specfun.order_cutoff(np.array(args)) + 1)) for args in distinct) == 7611
+    assert [len(args) for args in distinct] == [11] * 5
+    assert count[0] == sum(int(np.sum(specfun.order_cutoff(np.array(args)) + 1)) for args in distinct) == 6320
 
 
 def test_weyl_oracle_dims_on_the_verify_grid():
@@ -268,6 +269,53 @@ def test_weyl_oracle_dims_on_the_verify_grid():
     grid = np.array(verify.weyl_z_grid())
     dims = {fam: fockbench.weyl_numeric_report(state, grid)[1].dim for fam, state in matched_states().items()}
     assert dims == {"number": 120, "coherent": 240, "squeezed": 1920, "thermal": 960}
+
+
+def test_one_weyl_oracle_run_evaluates_each_state_from_its_start(monkeypatch):
+    # number and coherent start at their mean-photon width 60; the squeezed
+    # state drops 8.2e-8 of its trace at 480 and the thermal state 1.1e-6 at
+    # 240, so they start at 960 and 480
+    pure, diagonal = [], []
+    real_pure, real_diagonal = fockbench._pure_weyl, fockbench.displacement_diagonal
+    monkeypatch.setattr(fockbench, "_pure_weyl", lambda vec, z: pure.append(vec.shape[0]) or real_pure(vec, z))
+    monkeypatch.setattr(fockbench, "displacement_diagonal",
+                        lambda z, dim: diagonal.append(dim) or real_diagonal(z, dim))
+    assert verify.run_suite("weyl-oracle")["passed"]
+    assert pure == [60, 120, 60, 120, 240, 960, 1920]
+    assert diagonal == [480, 960]
+
+
+HEAVY_TAILED = [
+    SqueezedState(0j, 4.2),
+    SqueezedState(2.0 * cmath.exp(0.4j), 3.5, 0.4),
+    SqueezedState(7.0, 4.0, 0.4),
+    ThermalState(0.02),
+    ThermalState(0.05),
+]
+
+
+@pytest.mark.parametrize("state", HEAVY_TAILED)
+def test_the_start_converges_where_a_loop_from_the_mean_photon_width_does(state):
+    # a cap below twice the mean-photon width leaves the start at that width
+    grid = np.array(verify.weyl_z_grid())
+    base = fockbench.default_dim(state, 1)
+    start = fockbench.default_dim(state, fockbench.DIM_CAP)
+    assert start in [base << k for k in range(1, 8)]
+    assert fockbench._lost_trace(state, start) < fockbench.TOL <= fockbench._lost_trace(state, start // 2)
+    (old, _), old_dim, _ = fockbench.converge(
+        lambda dim: fockbench._weyl_value(state, grid, dim), base, fockbench.DIM_CAP, "probe",
+        lambda new, old: fockbench._max_change(new[0], old[0]),
+    )
+    new, info = fockbench.weyl_numeric_report(state, grid)
+    assert info.dim == old_dim
+    assert np.array_equal(new, old)
+
+
+def test_the_start_doubles_only_while_the_next_doubling_stays_within_the_cap():
+    # the matched squeezed state drops at least TOL of its trace up to dim 480
+    caps = (1, 100, 479, 480, 959, 960, fockbench.DIM_CAP)
+    state = matched_states()["squeezed"]
+    assert [fockbench.default_dim(state, cap) for cap in caps] == [60, 60, 240, 480, 480, 960, 960]
 
 
 def test_weyl_numeric_raises_when_capped():

@@ -154,7 +154,7 @@ def test_quantum_gamma_zero_lag_vacuum_expansion():
     ],
 )
 def test_quantum_gamma_against_window_oracle(state):
-    dim = max(64, fockbench.default_dim(state))
+    dim = max(64, fockbench.default_dim(state, fockbench.DIM_CAP))
     for tau in (0.0, 0.23 * PERIOD, 0.61 * PERIOD):
         exact = interference.autocorrelation_quantum(state, COUPLING, MODE, [tau]).values[0]
         window = verify.gamma_window_oracle(state, COUPLING, MODE, tau, dim)
