@@ -7,7 +7,7 @@ Fock-space matrix oracle that every closed form is verified against.
 
 __version__ = "0.1.0"
 
-from .exceptions import IncommensurateError, SingularPointError, TruncationError
+from .exceptions import IncommensurateError, TruncationError
 from .harmonics import HarmonicSeries
 from .states import (
     ChargeCoupling,
@@ -35,7 +35,6 @@ __all__ = [
     "IncommensurateError",
     "ModeParams",
     "NumberState",
-    "SingularPointError",
     "SqueezedState",
     "ThermalState",
     "TruncationError",

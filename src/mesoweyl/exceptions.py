@@ -13,9 +13,5 @@ class TruncationError(RuntimeError):
     """A Fock-space computation underflowed, or failed to converge under its cap."""
 
 
-class SingularPointError(ValueError):
-    """A ratio was requested at a point where its denominator vanishes."""
-
-
 class IncommensurateError(ValueError):
     """Harmonic content is not commensurate with the requested base frequency."""

@@ -195,29 +195,18 @@ def _fig7(params, dim_cap):
 
 def _ratio_surface_rows(params, q, entangled, t):
     """The table of rows (x_a, x_b, R) over the square screen grid, x_a
-    outermost, the R surface and its number of poles."""
+    outermost, the R surface and its number of poles (NaN cells)."""
     n1, n2 = params["n1"], params["n2"]
     n = params["grid_points"]
     xs = np.linspace(-2.0 * math.pi, 2.0 * math.pi, n)
-    with np.errstate(divide="ignore", invalid="ignore"):  # poles are counted below
-        if entangled:
-            vals = twomode.ratio_ent_closed(
-                q, xs[:, None], xs[None, :], t, params["omega_1"], params["omega_2"], n1, n2
-            )
-        else:
-            vals = twomode.ratio_sep_closed(q, xs[:, None], xs[None, :], n1, n2)
-    n_sing = _poles_as_nan(vals)
+    if entangled:
+        vals = twomode.ratio_ent_closed(
+            q, xs[:, None], xs[None, :], t, params["omega_1"], params["omega_2"], n1, n2
+        )
+    else:
+        vals = twomode.ratio_sep_closed(q, xs[:, None], xs[None, :], n1, n2)
     rows = np.column_stack([np.repeat(xs, n), np.tile(xs, n), vals.ravel()])
-    return rows, vals, n_sing
-
-
-def _poles_as_nan(vals):
-    """Report the poles of R in place as nan and return their count.  A pole
-    is a marginal zero (1 + alpha cos x = 0, as alpha -> 1 at x = pi), where
-    the closed form gives 0/0 or c/0."""
-    pole = ~np.isfinite(vals)
-    vals[pole] = math.nan
-    return int(np.count_nonzero(pole))
+    return rows, vals, int(np.count_nonzero(np.isnan(vals)))
 
 
 def _fig9(params, dim_cap):
@@ -259,12 +248,10 @@ def _fig11(params, dim_cap):
     xa, xb = params["x_a"], params["x_b"]
     w1, w2 = params["omega_1"], params["omega_2"]
     phases = _phase_grid(params)
-    with np.errstate(divide="ignore", invalid="ignore"):  # poles are counted below
-        r_sep = twomode.ratio_sep_closed(q, xa, xb, n1, n2)
-        r_ent = twomode.ratio_ent_closed(q, xa, xb, phases / _beat(params, 1), w1, w2, n1, n2)
-    # a screen point on a marginal zero puts every row on the pole
-    r_sep = r_sep if math.isfinite(r_sep) else math.nan
-    n_sing = _poles_as_nan(r_ent)
+    # a screen point on a marginal zero makes r_sep, and so every r_ent, NaN
+    r_sep = twomode.ratio_sep_closed(q, xa, xb, n1, n2)
+    r_ent = twomode.ratio_ent_closed(q, xa, xb, phases / _beat(params, 1), w1, w2, n1, n2)
+    n_sing = int(np.count_nonzero(np.isnan(r_ent)))
     rows = [(ph, r_sep, v) for ph, v in zip(phases.tolist(), r_ent.tolist())]
     return ExperimentResult(["omega_sum_t", "r_sep", "r_ent"], rows, n_singular=n_sing)
 

@@ -318,18 +318,16 @@ def converge(evaluate, dim: int, dim_cap: int, what: str, distance=_max_change):
     so an array converges as a whole, at the largest dimension that any of
     its entries would need on its own.  Returns (value, dim, delta) at the
     first converged dimension, and raises TruncationError naming ``what``
-    once the next doubling would pass dim_cap.
+    once the next dimension would pass dim_cap, so a start above the cap
+    raises before any evaluation.
     """
-    val = evaluate(dim)
-    while True:
-        new_dim = 2 * dim
-        if new_dim > dim_cap:
-            raise TruncationError(f"{what} did not converge below dim cap {dim_cap}")
-        new_val = evaluate(new_dim)
-        delta = distance(new_val, val)
-        dim, val = new_dim, new_val
-        if delta < TOL:
+    prev = None
+    while dim <= dim_cap:
+        val = evaluate(dim)
+        if prev is not None and (delta := distance(val, prev)) < TOL:
             return val, dim, delta
+        prev, dim = val, 2 * dim
+    raise TruncationError(f"{what} did not converge below dim cap {dim_cap}")
 
 
 def _weyl_value(state, z, dim: int):

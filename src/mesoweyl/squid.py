@@ -37,6 +37,8 @@ import numpy as np
 from . import specfun
 from .states import ChargeCoupling, _integer_orders, _scalar_or_array, weyl, weyl_time_average
 from .twomode import (
+    _nan_at,
+    _ratio,
     coherent_pair_entangled,
     coherent_pair_separable,
     displacement_expectation,
@@ -227,24 +229,11 @@ def two_squid_currents_coherent(a1, a2, entangled: bool, coupling: ChargeCouplin
 
 
 # ---------------------------------------------------------------------------
-# correlation ratios; a pole (a vanishing denominator) gives NaN, so a whole
-# time axis is one call (twomode.ratio_*_closed give IEEE inf or NaN there,
-# which experiments._poles_as_nan turns into NaN)
+# correlation ratios; a pole gives NaN by twomode's one rule (|denominator|
+# < twomode._RATIO_EPS), so a whole time axis is one call
 
-_RATIO_EPS = 1e-12
 # a ramp sine below this marks a tan-pole of the odd-difference entangled ratio
 _POLE_MARGIN = 1e-6
-
-
-def _nan_at(pole, value):
-    """value with NaN where pole; a float when both are scalars."""
-    return _scalar_or_array(np.where(pole, np.nan, value))
-
-
-def _ratio(num, den):
-    """num / den, NaN where |den| < _RATIO_EPS."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return _nan_at(np.abs(den) < _RATIO_EPS, np.divide(num, den))
 
 
 def ratio_c(moments: TwoSquidMoments):

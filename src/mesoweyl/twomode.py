@@ -14,6 +14,11 @@ pair ``number_pair_crossed`` and the coherent pair alike) all take it, and
 pair uses the equal-occupation convention N(|n1 n1> + |n2 n2>) whose ratio
 surface has the alpha/gamma closed form; the coherent pair is the
 swapped-amplitude family N(|a1 a2> + |a2 a1>).
+
+Every correlation ratio of the package, R and its closed forms here and
+the ring ratios of ``squid``, divides through ``_ratio``: NaN where the
+denominator's modulus is below ``_RATIO_EPS``, so a figure counts its poles
+as its NaN cells.
 """
 
 import math
@@ -21,7 +26,6 @@ import math
 import numpy as np
 
 from . import specfun
-from .exceptions import SingularPointError
 from .states import (
     CoherentState,
     ChargeCoupling,
@@ -230,25 +234,28 @@ def joint_intensity(state2, coupling: ChargeCoupling, x_a, x_b, t):
     return _scalar_or_array(displacement_expectation(state2, [observable], *_lams(coupling, t))[0])
 
 
-_SINGULAR_EPS = 1e-12
+_RATIO_EPS = 1e-12
+
+
+def _nan_at(pole, value):
+    """value with NaN where pole; a float when both are scalars."""
+    return _scalar_or_array(np.where(pole, np.nan, value))
+
+
+def _ratio(num, den):
+    """num / den, NaN where |den| < _RATIO_EPS."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _nan_at(np.abs(den) < _RATIO_EPS, np.divide(num, den))
 
 
 def ratio_R(state2, coupling: ChargeCoupling, x_a, x_b, t):
     """R = I(x_a, x_b) / [I_A(x_a) I_B(x_b)]; unity iff the devices are
-    independent.  The two marginals and the joint fringe share one element
-    table per mode.  Raises SingularPointError naming the first point where
-    a marginal vanishes."""
+    independent, NaN where |I_A I_B| < _RATIO_EPS.  The two marginals and
+    the joint fringe share one element table per mode."""
     fringe_a, fringe_b = _fringe_terms(x_a), _fringe_terms(x_b)
     ia, ib, joint = displacement_expectation(
         state2, [(fringe_a, _ONE), (_ONE, fringe_b), (fringe_a, fringe_b)], *_lams(coupling, t))
-    small = (np.abs(ia) < _SINGULAR_EPS) | (np.abs(ib) < _SINGULAR_EPS)
-    if np.any(small):
-        xa, xb, tt, small = np.broadcast_arrays(x_a, x_b, t, small)
-        first = np.argmax(small)
-        raise SingularPointError(
-            f"marginal intensity vanishes at (x_a, x_b, t) = ({xa.flat[first]}, {xb.flat[first]}, {tt.flat[first]})"
-        )
-    return _scalar_or_array(joint / (ia * ib))
+    return _ratio(joint, ia * ib)
 
 
 def number_pair_alpha_gamma(q: float, n1: int = 0, n2: int = 1):
@@ -260,7 +267,7 @@ def number_pair_alpha_gamma(q: float, n1: int = 0, n2: int = 1):
 
 
 def _ratio_sep(alpha, gamma, ca, cb):
-    return (1.0 + alpha * (ca + cb) + gamma * ca * cb) / ((1.0 + alpha * ca) * (1.0 + alpha * cb))
+    return _ratio(1.0 + alpha * (ca + cb) + gamma * ca * cb, (1.0 + alpha * ca) * (1.0 + alpha * cb))
 
 
 def ratio_sep_closed(q: float, x_a, x_b, n1: int = 0, n2: int = 1):
@@ -268,7 +275,8 @@ def ratio_sep_closed(q: float, x_a, x_b, n1: int = 0, n2: int = 1):
 
     x_a and x_b broadcast against each other (a column of x_a and a row of
     x_b give the whole screen surface); each element is the same float as
-    the scalar call.
+    the scalar call, and NaN where the marginal product
+    (1 + alpha cos x_a)(1 + alpha cos x_b) is below _RATIO_EPS.
     """
     alpha, gamma = number_pair_alpha_gamma(q, n1, n2)
     return _ratio_sep(alpha, gamma, np.cos(x_a), np.cos(x_b))
@@ -289,7 +297,8 @@ def ratio_ent_closed(q: float, x_a, x_b, t,
     first-principles trace (matrix-oracle checked); the published (0,1) form
     carries the opposite sign, equivalent to a half-period shift in t.
 
-    x_a, x_b and t broadcast against each other, as in ratio_sep_closed.
+    x_a, x_b and t broadcast against each other, and the poles are NaN, as
+    in ratio_sep_closed.
     """
     alpha, gamma = number_pair_alpha_gamma(q, n1, n2)
     ca, cb = np.cos(x_a), np.cos(x_b)
@@ -304,7 +313,7 @@ def ratio_ent_closed(q: float, x_a, x_b, t,
     else:
         angular = ca * cb
     corr = g * osc * angular
-    return base + corr / ((1.0 + alpha * ca) * (1.0 + alpha * cb))
+    return base + _ratio(corr, (1.0 + alpha * ca) * (1.0 + alpha * cb))
 
 
 def sep_bounds(q: float, n1: int = 0, n2: int = 1):

@@ -272,6 +272,19 @@ def twomode_suite(dim_cap: int = DIM_CAP) -> dict:
     corner_err = np.max(np.abs(twomode.ratio_R(sep, coupling, corners, corners, t)
                                - twomode.sep_bounds(q)))
     checks.append(_check("corner-values-vs-bounds", corner_err, 1e-10))
+
+    # the closed forms that figs 9-11 ship against ratio_R, the route checked
+    # against the oracle above; (1, 3) is an even-difference pair, whose
+    # cross term is cos x_a cos x_b rather than sin x_a sin x_b
+    grid_a, grid_b = pts_a[:, None], pts_b[None, :]
+    errs = []
+    for n1, n2 in ((0, 1), (1, 3)):
+        for closed, pair in (
+            (twomode.ratio_sep_closed(q, grid_a, grid_b, n1, n2), twomode.number_pair_separable(n1, n2)),
+            (twomode.ratio_ent_closed(q, grid_a, grid_b, t, n1=n1, n2=n2), twomode.number_pair_entangled(n1, n2)),
+        ):
+            errs.append(np.abs(closed - twomode.ratio_R(pair, coupling, grid_a, grid_b, t)))
+    checks.append(_check("ratio-closed-vs-weyl-route", np.max(errs), 1e-12))
     return _report("twomode", checks)
 
 
@@ -308,6 +321,17 @@ def squid_suite(dim_cap: int = DIM_CAP) -> dict:
         even.append(np.max(current[4:]))
     checks.append(_check("squeezed-vacuum-odd-steps", np.max(odd), 1e-10))
     checks.append(_check("squeezed-vacuum-even-step-present", 1e-4 - np.min(even), 0.0))
+
+    # a displaced squeezed state (arg A and varphi nonzero) under the
+    # classical drive, against the 64-node period average of
+    # Im[e^{i(phase0 + n w t + u sin w t)} W(sigma(t))], W from the oracle
+    phased = SqueezedState(0.5 * cmath.exp(0.3j), 1.0, 0.7)
+    theta = 2.0 * math.pi * np.arange(64) / 64.0  # w t at the nodes
+    w = fockbench.weyl_numeric(phased, 1j * coupling.qprime * np.exp(1j * theta), dim_cap)
+    phase = drive.phase0 + steps[:, None] * theta + drive.u_phase * np.sin(theta)
+    oracle = np.mean(np.imag(np.exp(1j * phase) * w), axis=1)
+    err = np.max(np.abs(squid.quantum_shapiro(phased, drive, steps, coupling) - oracle))
+    checks.append(_check("squeezed-phased-steps-vs-oracle", err, 1e-10))
 
     # number-pair moments against the two-mode oracle; each ring ramps at
     # its mode's frequency

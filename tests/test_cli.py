@@ -372,6 +372,17 @@ def test_all_singular_exits_4(tmp_path):
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 4
 
 
+@pytest.mark.parametrize("q", [3e-8, 1e-6])
+def test_a_weakly_coupled_fringe_zero_exits_4(tmp_path, q):
+    # at x_a = pi and the default x_b = 1.025 pi both marginals are about
+    # q^2: the product is below 1e-12 but not zero, and the closed forms,
+    # dividing through, wrote R = 0.0 (q = 3e-8) or 1.0443 (q = 1e-6) where
+    # R is 1.0000000000000728
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiment": "fig11", "params": {"q": q, "x_a": math.pi}}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 4
+
+
 def test_fig14_number_pole_is_a_nan_column(tmp_path):
     # L_1(q'^2) = 0 at q' = 1/2 (config qprime 1.0): the separable number
     # ratio is 0/0, reported as nan in every row, not as a bad config
@@ -455,16 +466,17 @@ def test_verify_fails_a_nan_error(monkeypatch, suite, module, name, hit):
     assert any(math.isnan(c["max_error"]) and not c["passed"] for c in report["checks"])
 
 
-def test_one_pass_of_the_verify_workload_suites_makes_at_most_4_bessel_i_tables(monkeypatch):
-    # one per squeezed state's Shapiro steps (3) and one for the squeezed
-    # autocorrelation, whose series holds the -lags its property reads: 5
-    # when the property took a second call, 21 when every harmonic and each
-    # lag sign made its own
+def test_one_pass_of_the_verify_workload_suites_makes_at_most_5_bessel_i_tables(monkeypatch):
+    # one per squeezed state's Shapiro steps (3 squeezed vacua and the
+    # displaced squeezed state) and one for the squeezed autocorrelation,
+    # whose series holds the -lags its property reads: 6 when the property
+    # took a second call, 22 when every harmonic and each lag sign made its
+    # own
     calls, real = [], specfun.bessel_ive_all
     monkeypatch.setattr(specfun, "bessel_ive_all", lambda *args: calls.append(1) or real(*args))
     for suite in ("weyl-oracle", "autocorr", "twomode", "squid"):
         assert verify.run_suite(suite)["passed"]
-    assert len(calls) <= 4
+    assert len(calls) <= 5
 
 
 # the squeezed r = 4.2 Weyl oracle converges at dim 1920; a cap of 1024
@@ -481,6 +493,17 @@ def test_a_capped_weyl_oracle_evaluates_no_dim_above_the_cap(monkeypatch, cap):
     monkeypatch.setattr(fockbench, "_weyl_value", lambda state, z, dim: dims.append(dim) or real(state, z, dim))
     assert cli.main(["verify", "weyl-oracle", "--dim-cap", str(cap)]) == 3
     assert dims and max(dims) <= cap
+
+
+def test_a_weyl_oracle_capped_below_every_start_builds_no_state(monkeypatch):
+    # every start is at least 32, so a cap of 8 exits 3 before the first
+    # state vector or Weyl value (the first state was built and evaluated
+    # at dim 60 when converge took its start before testing the cap)
+    calls = []
+    for name in ("state_vector", "_weyl_value"):
+        monkeypatch.setattr(fockbench, name, lambda *args, name=name: calls.append(name))
+    assert cli.main(["verify", "weyl-oracle", "--dim-cap", "8"]) == 3
+    assert calls == []
 
 
 def test_verify_weyl_oracle_converges_under_dim_cap_1920():

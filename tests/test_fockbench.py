@@ -379,6 +379,13 @@ def test_converge_doubles_until_the_change_is_below_tol():
         fockbench.converge(evaluate, 4, 16, "probe")
 
 
+def test_converge_refuses_a_start_above_the_cap_before_evaluating_it():
+    seen = []
+    with pytest.raises(TruncationError, match="probe did not converge below dim cap 8$"):
+        fockbench.converge(seen.append, 60, 8, "probe")
+    assert seen == []
+
+
 def test_expectation_examples():
     dim = 96
     rho = fockbench.density_matrix(ThermalState(1.0), dim)

@@ -54,11 +54,13 @@ def test_classical_currents_of_a_time_array_equal_the_scalar_calls(u, phase0, ra
 
 
 def test_the_classical_check_takes_one_table_of_harmonics(monkeypatch):
-    drive_u = 3.0  # the squid suite's classical drive; its quantum steps use u = 0
+    # the squid suite's classical drive, which the displaced squeezed
+    # state's steps take too, so one more table; its other steps use u = 0
+    drive_u = 3.0
     calls, harmonics = [], specfun.bessel_j_harmonics
     monkeypatch.setattr(specfun, "bessel_j_harmonics", lambda x: calls.append(x) or harmonics(x))
     assert verify.run_suite("squid")["passed"]
-    assert calls.count(drive_u) == 1 and set(calls) == {0.0, drive_u}
+    assert calls.count(drive_u) == 2 and set(calls) == {0.0, drive_u}
 
 
 @given(

@@ -1,14 +1,12 @@
 import cmath
 import math
-import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mesoweyl import fockbench, squid, twomode, verify
-from mesoweyl.exceptions import SingularPointError
+from mesoweyl import fockbench, specfun, squid, twomode, verify
 from mesoweyl.states import (
     ChargeCoupling,
     CoherentState,
@@ -334,21 +332,67 @@ def test_fit_coupling_reproduces_anchors():
     assert abs(up - 1.2471) < 1.1e-3
 
 
-def test_ratio_raises_on_vanishing_marginal(monkeypatch):
-    # marginals only vanish in the zero-visibility limit, which no physical
-    # q > 0 reaches; widen the guard to exercise the reporting path
-    monkeypatch.setattr(twomode, "_SINGULAR_EPS", 2.5)
-    field = twomode.number_pair_separable(0, 1)
-    with pytest.raises(SingularPointError):
-        twomode.ratio_R(field, COUPLING, 0.0, 0.0, T0)
-    # I = 1 + alpha cos x with alpha = 0.955 is below 1 where cos x < 0 at
-    # every t, so of this grid, x_a outermost and t innermost, (2.5, 0.0, T0)
-    # is the first such point
-    monkeypatch.setattr(twomode, "_SINGULAR_EPS", 1.0)
-    first = re.escape(f"vanishes at (x_a, x_b, t) = (2.5, 0.0, {T0})")
-    with pytest.raises(SingularPointError, match=first + "$"):
-        twomode.ratio_R(field, COUPLING, np.array([0.0, 0.3, 2.5])[:, None, None],
-                        np.array([0.0, 0.1])[:, None], np.array([T0, 2.0 * T0]))
+# screen points (a column of x_a, a row of x_b) and times for the pole rule
+_XA = np.array([0.0, 0.9, 1.7, 2.5, math.pi])[:, None, None]
+_XB = np.array([0.0, 1.2, 2.2, math.pi])[:, None]
+_TS = T0 * np.array([0.5, 1.0, 7.0])
+_RING_COUPLING = ChargeCoupling(0.25)
+_RING_TS = (np.arange(8) + 0.5) / 8.0 * 2.0 * math.pi / (W1 - W2)
+_PAIR = twomode.coherent_pair_entangled(1.0, math.sqrt(3.0))
+_COUPLINGS = [ChargeCoupling(q) for q in np.linspace(0.1, 1.0, 7)]
+
+
+def _fringe_product(n1=0, n2=1):
+    """(1 + alpha cos x_a)(1 + alpha cos x_b), the closed forms' denominator."""
+    alpha, _ = twomode.number_pair_alpha_gamma(Q, n1, n2)
+    return (1.0 + alpha * np.cos(_XA)) * (1.0 + alpha * np.cos(_XB))
+
+
+def _ring_moments(entangled):
+    return squid.two_squid_currents_number(1, 3, entangled, _RING_COUPLING, W1, W2, W1, W2, _RING_TS)
+
+
+def _laguerre_sums():
+    """(L_1 + L_2)^2 at q'^2 of each coupling, ratio_c_sep_number's denominator."""
+    return np.array([(specfun.laguerre(1, 0, c.qprime ** 2) + specfun.laguerre(2, 0, c.qprime ** 2)) ** 2
+                     for c in _COUPLINGS])
+
+# name -> (the ratio over its grid, its denominator)
+_RATIOS = {
+    "ratio_R": (lambda: twomode.ratio_R(_PAIR, COUPLING, _XA, _XB, _TS),
+                lambda: twomode.marginal_intensity(_PAIR, "A", COUPLING, _XA, _TS)
+                * twomode.marginal_intensity(_PAIR, "B", COUPLING, _XB, _TS)),
+    "ratio_sep_closed": (lambda: twomode.ratio_sep_closed(Q, _XA, _XB), _fringe_product),
+    "ratio_ent_closed": (lambda: twomode.ratio_ent_closed(Q, _XA, _XB, _TS), _fringe_product),
+    "ratio_ent_closed-1-3": (lambda: twomode.ratio_ent_closed(Q, _XA, _XB, _TS, n1=1, n2=3),
+                             lambda: _fringe_product(1, 3)),
+    "ratio_c": (lambda: squid.ratio_c(_ring_moments(True)),
+                lambda: (lambda m: m.ia * m.ib)(_ring_moments(True))),
+    "ratio_c2": (lambda: squid.ratio_c2(_ring_moments(False)),
+                 lambda: (lambda m: m.ia2 * m.ib2)(_ring_moments(False))),
+    "ratio_c_sep_number": (lambda: np.array([squid.ratio_c_sep_number(1, 2, c) for c in _COUPLINGS]),
+                           _laguerre_sums),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RATIOS))
+def test_every_ratio_is_nan_exactly_where_its_denominator_is_below_the_one_eps(monkeypatch, name):
+    # denominators only reach 1e-12 in the zero-visibility limit, which no
+    # physical q > 0 reaches; so the one threshold, which squid reads from
+    # twomode too, is widened to the middle of the widest gap between the
+    # middle half of the |den| values: points fall on both sides of it, and
+    # none on its edge
+    ratio, den = _RATIOS[name]
+    den = np.abs(den())
+    values = np.unique(den)
+    lo = len(values) // 4
+    k = lo + int(np.argmax(np.diff(values[lo:len(values) - lo])))
+    monkeypatch.setattr(twomode, "_RATIO_EPS", 0.5 * (values[k] + values[k + 1]))
+    r = np.asarray(ratio())
+    pole = np.broadcast_to(den < twomode._RATIO_EPS, r.shape)
+    assert pole.any() and not pole.all()
+    assert np.array_equal(np.isnan(r), pole)
+    assert np.all(np.isfinite(r[~pole]))
 
 
 def test_two_mode_weyl_unsupported_component():
@@ -430,12 +474,15 @@ def test_intensities_and_ratio_of_arrays_equal_the_scalar_calls(field, n1, n2, a
         assert abs(ratio[i, j, k] - one[3]) * one_a * one_b <= 4e-15
 
 
-def test_one_twomode_suite_run_makes_at_most_18_weyl_40_number_and_16_coherent_elements(monkeypatch):
+def test_a_twomode_suite_run_makes_at_most_34_weyl_74_number_16_coherent_elements(monkeypatch):
     # every fringe and ratio reaches its single-mode values through
     # displacement_expectation's element tables, one call per check's points:
-    # 18 Weyl values, 40 number and 16 coherent elements, no two_mode_weyl
-    # (582 two_mode_weyl calls when ratio_R and the intensities took one
-    # point at a time)
+    # 34 Weyl values, 74 number and 16 coherent elements, no two_mode_weyl.
+    # Of these, the closed forms' check takes 16 Weyl values (4 per
+    # separable pair's ratio_R, 2 per closed form's alpha and gamma) and 34
+    # number elements (16 per entangled pair's ratio_R, 1 per entangled
+    # closed form); 582 two_mode_weyl calls when ratio_R and the intensities
+    # took one point at a time
     counts = {"weyl": 0, "number_displacement_element": 0, "coherent_displacement_element": 0,
               "two_mode_weyl": 0}
     for name in counts:
@@ -444,7 +491,7 @@ def test_one_twomode_suite_run_makes_at_most_18_weyl_40_number_and_16_coherent_e
             return real(*args)
         monkeypatch.setattr(twomode, name, counted)
     assert verify.run_suite("twomode")["passed"]
-    assert counts["weyl"] <= 18
-    assert counts["number_displacement_element"] <= 40
+    assert counts["weyl"] <= 34
+    assert counts["number_displacement_element"] <= 74
     assert counts["coherent_displacement_element"] <= 16
     assert counts["two_mode_weyl"] == 0
