@@ -252,16 +252,27 @@ def test_jacobi_anger_rows_stop_at_their_own_order_bound(monkeypatch):
 
 
 def test_the_verify_grid_evaluates_one_jv_per_row_and_order_of_each_table(monkeypatch):
-    # 5 tables (one per pure state and dim: number 60, 120; coherent 240;
-    # squeezed 960, 1920) of 11 radii each
+    # 5 tables (one per dim a pure state is evaluated at: number and coherent
+    # 60, 120; coherent 240; squeezed 960, 1920) of one row per grid radius:
+    # the grid's 5 radii are 5 floats (11 when its angles were the nominal
+    # ones, with 6,320 jv values)
     count = _counted_jv(monkeypatch)
     tables, cached = [], fockbench._jacobi_anger
     monkeypatch.setattr(fockbench, "_jacobi_anger", lambda args: tables.append(args) or cached(args))
     cached.cache_clear()
     assert verify.run_suite("weyl-oracle")["passed"]
     distinct = set(tables)
-    assert [len(args) for args in distinct] == [11] * 5
-    assert count[0] == sum(int(np.sum(specfun.order_cutoff(np.array(args)) + 1)) for args in distinct) == 6320
+    assert [len(args) for args in distinct] == [5] * 5
+    assert count[0] == sum(int(np.sum(specfun.order_cutoff(np.array(args)) + 1)) for args in distinct) == 3036
+
+
+def test_the_verify_grid_has_one_float_per_radius_and_per_angle():
+    grid = np.array(verify.weyl_z_grid())
+    assert grid.shape == (25,)
+    assert np.unique(np.abs(grid)).tolist() == [0.2, 0.5, 1.0, 2.0, 3.0]
+    angles = np.unique(np.angle(grid))
+    assert angles.size == 5
+    assert np.max(np.abs(angles - [0.0, 0.7, math.pi / 2.0, 2.2, 3.0])) <= 2e-15
 
 
 def test_weyl_oracle_dims_on_the_verify_grid():

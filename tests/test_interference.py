@@ -175,7 +175,7 @@ def _window_node_loop(state, coupling, tau, dim):
     return total / verify.WINDOW_POINTS
 
 
-@pytest.mark.parametrize("dim", [48, 100])  # 100 is above WINDOW_POINTS
+@pytest.mark.parametrize("dim", [48, 100, 200])  # 100 and 200 reach offsets +-96, 200 also +-192
 @pytest.mark.parametrize(
     "state",
     [CoherentState(0.7 + 0.4j), SqueezedState(0.4, 1.1, 0.3), ThermalState(0.5), NumberState(3)],
