@@ -42,20 +42,25 @@ def write_csv(path: str, columns, rows) -> None:
 
     rows is a float table of shape (n_rows, len(columns)); each cell reads as
     ``repr(float(cell))``.  Each column is formatted once per distinct value,
-    keyed on its bits, so -0.0 stays apart from 0.0, and the rows are joined
-    from those strings a block at a time.
+    keyed on its bits, so -0.0 stays apart from 0.0, and each text carries
+    the separator that follows it ("," or, in the last column, "\n").  A
+    block of rows is gathered into one (rows, columns) table of those texts
+    and written as one join.
     """
     rows = np.asarray(rows, dtype=float)
     texts, codes = [], []
-    for col in rows.T:
+    for j, col in enumerate(rows.T):
         bits, inverse = np.unique(col.view(np.uint64), return_inverse=True)
-        texts.append(np.array([repr(v) for v in bits.view(float).tolist()], dtype=object))
+        end = "\n" if j == len(columns) - 1 else ","
+        texts.append(np.array([repr(v) + end for v in bits.view(float).tolist()], dtype=object))
         codes.append(inverse)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for i in range(0, len(rows), CSV_BLOCK_ROWS):
-            cells = [text[code[i:i + CSV_BLOCK_ROWS]].tolist() for text, code in zip(texts, codes)]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+            cells = np.empty((min(CSV_BLOCK_ROWS, len(rows) - i), len(texts)), dtype=object)
+            for j, (text, code) in enumerate(zip(texts, codes)):
+                cells[:, j] = text[code[i:i + CSV_BLOCK_ROWS]]
+            fh.write("".join(cells.ravel().tolist()))
 
 
 def write_manifest(path: str, manifest: dict) -> None:

@@ -137,29 +137,34 @@ def _fig5(params, dim_cap):
     return ExperimentResult(["omega_t", "i_num", "i_coh", "i_sq", "i_th", "i_cl"], rows)
 
 
-def _autocorrelations(params, mode, taus):
-    """The operator autocorrelations over taus of figs 6-7, one per matched
-    state in column order num, coh, sq, th.  The squeezed one runs a Miller
-    pass over about 2 q^2 sinh(r) Bessel orders at every distinct radius
-    (|c| <= 2q); fig7, which evaluates half its period, takes 1.8-2.1 s at
-    1e4 as one process on a 2-core x86-64 VM, growing as their square."""
+def _autocorrelations(params, gamma, mode, taus):
+    """gamma(state, coupling, mode, taus), the operator autocorrelation of
+    ``interference``, for each matched state of figs 6-7 in column order num,
+    coh, sq, th.  The squeezed one runs a Miller pass over about
+    2 q^2 sinh(r) Bessel orders at every distinct radius (|c| <= 2q); fig7,
+    which evaluates half its period at N / 2 + 3 radii (N even), takes
+    1.5-1.6 s at 1e4 (q = 12.247) as one process on a 2-core x86-64 VM,
+    growing as their square."""
     q = params["q"]
     if not 2.0 * q * q * math.sinh(params["squeezing_r"]) <= 1e4:
         raise ValueError(f"q = {q!r} is too large for the squeezed time average: "
                          "2 q^2 sinh(squeezing_r) must be at most 1e4")
-    return [interference.autocorrelation_quantum(s, ChargeCoupling(q), mode, taus)
+    return [gamma(s, ChargeCoupling(q), mode, taus)
             for s in matched_states(params["mean_photons"], params["squeezing_r"]).values()]
 
 
 def _fig6(params, dim_cap):
-    # not folded by Gamma(T - tau) = Gamma(tau)* as fig7 is: the squeezed
-    # column's tiny-argument NaN rows at omega tau = pi, 2 pi and 4 pi (128,
-    # 256 and 512 at the defaults) are not mirrored at 3 pi (384, finite), so
-    # any fold of this grid would move the NaN cells the references pin
+    # neither folded by Gamma(T - tau) = Gamma(tau)* nor given radii by lag
+    # index, as fig7 is: the squeezed column's tiny-argument NaN rows at
+    # omega tau = pi, 2 pi and 4 pi (128, 256 and 512 at the defaults), where
+    # rounding leaves radii of 2.6e-17 to 1.0e-16, are not mirrored at 3 pi
+    # (384), whose rounded radius 7.9e-17 happens to give a finite average.
+    # A fold would mirror them, and radii by index would give 3 pi the
+    # radius of pi; either would move the NaN cells the references pin
     mode = ModeParams(params["omega"])
     wtau = _phase_grid(params)
     taus = wtau / mode.omega
-    gammas = [*_autocorrelations(params, mode, taus),
+    gammas = [*_autocorrelations(params, interference.autocorrelation_quantum, mode, taus),
               interference.autocorrelation_classical(params["classical_e_phi1"], mode.omega, taus)]
     cols, parts = ["omega_tau"], [wtau]
     for k, g in zip(("num", "coh", "sq", "th", "cl"), gammas):
@@ -182,10 +187,11 @@ def _fig7(params, dim_cap):
     kmax = params["kmax"]
     nsamp = params["spectral_samples"]
     taus = np.arange(nsamp) / nsamp * (2.0 * math.pi / mode.omega)
-    # each Gamma is evaluated on half the period and unfolded
+    # each Gamma is evaluated on half the period and unfolded; the quantum
+    # ones take their radii by lag index
     half = taus[:nsamp // 2 + 1]
     gammas = [interference.autocorrelation_classical(params["classical_e_phi1"], mode.omega, half),
-              *_autocorrelations(params, mode, half)]
+              *_autocorrelations(params, interference._half_period_autocorrelation, mode, taus)]
     spectra = [interference.spectral_density(_unfold(g, taus), mode.omega, kmax).values for g in gammas]
     rows = np.column_stack([np.arange(-kmax, kmax + 1, dtype=float), *spectra])
     return ExperimentResult(["k", "s_cl", "s_num", "s_coh", "s_sq", "s_th"], rows)

@@ -118,12 +118,39 @@ def autocorrelation_quantum(state, coupling: ChargeCoupling, mode: ModeParams, t
     taus = np.asarray(taus, dtype=float)
     lags = np.append(taus, 0.0)
     e = np.exp(1j * omega * lags)
-    s = np.sin(omega * lags)
-    # |q (1 +- e)| as formed, not 2 q |cos(omega tau / 2)| or |sin|: rounding
-    # leaves radii near 1e-16 q at omega tau = pi and 2 pi, where the squeezed
-    # average is the known tiny-argument NaN that the reference outputs pin
-    radii, where = np.unique(np.abs(np.concatenate(([q], q * (1.0 + e), q * (1.0 - e)))),
-                             return_inverse=True)
+    # the moduli as formed from e, for lags of any spacing; at omega tau = pi
+    # (mod 2 pi) rounding leaves |1 + e| at 1.2e-16, not 0, where the squeezed
+    # average is the tiny-argument NaN of specfun.bessel_ive_all
+    return _gamma(state, q, taus, np.sin(omega * lags), np.abs(q * (1.0 + e)), np.abs(q * (1.0 - e)))
+
+
+def _half_period_autocorrelation(state, coupling: ChargeCoupling, mode: ModeParams, taus) -> CorrelationSeries:
+    """autocorrelation_quantum over the first n // 2 + 1 of the n lags
+    taus = 2 pi k / (n omega), k = 0 .. n - 1, which span one period, with
+    its radii formed by index.
+
+    At theta_k = 2 pi k / n the moduli are |1 + e^{i theta_k}| = 2 cos(pi k / n)
+    and |1 - e^{i theta_k}| = 2 sin(pi k / n) = 2 cos(pi (n - 2k) / (2n)), so
+    both come from the one table c_j = 2 q cos(pi j / (2n)), j = 0 .. n, at
+    j = 2k and n - 2k: for an even n the two share its n / 2 + 1 even
+    entries, where their rounded moduli as formed would not repeat.  The
+    table keeps the NaN of the lag at pi: c_n is the rounding 2 q cos(pi / 2),
+    as |1 + e^{i pi}| is as formed.  The minus modulus at lag 0 is the exact
+    0 that it is as formed, not c_n.
+    """
+    q, n = coupling.q, len(taus)
+    half = taus[:n // 2 + 1]
+    j = 2 * np.append(np.arange(n // 2 + 1), 0)
+    c = 2.0 * q * np.cos(np.pi * np.arange(n + 1) / (2 * n))
+    minus = np.where(j == 0, 0.0, c[n - j])
+    return _gamma(state, q, half, np.sin(mode.omega * np.append(half, 0.0)), c[j], minus)
+
+
+def _gamma(state, q, taus, s, plus, minus) -> CorrelationSeries:
+    """Gamma over taus from the moduli plus = |q (1 + e^{i omega tau})| and
+    minus = |q (1 - e^{i omega tau})| and from s = sin(omega tau), each over
+    taus with lag 0 appended: one time-average call over the distinct moduli."""
+    radii, where = np.unique(np.concatenate(([q], plus, minus)), return_inverse=True)
     avg = weyl_time_average(state, radii)[where]
     plus, minus = np.split(avg[1:], 2)
     quad = np.exp(-1j * q * q * s) * plus + np.exp(1j * q * q * s) * minus

@@ -284,12 +284,12 @@ def weyl_time_average(state, c, k=0):
         # n = k - 2m: a_k = pref e^{i k psi} sum_m (-1)^m e^{-v} I_m J_{k-2m}
         # e^{i m phi}, phi = chi - 2 psi.  The +-m terms pair into the even
         # and odd halves of J_{k-2m} and J_{k+2m}, which at k = 0 are J_{2m}
-        # and 0.  J_n is below 1e-18 past the order cutoff of |w|, as is
-        # e^{-v} I_m(v) past v's; every harmonic shares the table of the
-        # largest |k|
+        # and 0.  J_n(|w|) is below 1e-18 past j_order_cutoff(|w|), and
+        # e^{-v} I_m(v) past order_cutoff(v); every harmonic shares the table
+        # of the largest |k|
         if v.any():
             mmax = min(specfun.order_cutoff(v.max(initial=0.0)),
-                       (specfun.order_cutoff(absw.max(initial=0.0)) + int(np.abs(k).max(initial=0))) // 2)
+                       (specfun.j_order_cutoff(absw.max(initial=0.0)) + int(np.abs(k).max(initial=0))) // 2)
             ims = specfun.bessel_ive_all(v, mmax + 1)
         else:
             # e^{-v} I_m(v) at v = 0 is delta_m0 (every r = 0 state): no table

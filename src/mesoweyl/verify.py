@@ -134,9 +134,15 @@ def _support_trace(rho, a, b, offsets) -> complex:
 # ---------------------------------------------------------------------------
 # suites
 
+# a displaced squeezed state with arg A and varphi both nonzero
+PHASED_SQUEEZED = SqueezedState(0.5 * cmath.exp(0.3j), 1.0, 0.7)
+
+
 def weyl_oracle_suite(dim_cap: int = DIM_CAP) -> dict:
     grid = np.array(weyl_z_grid())
-    states = matched_states()
+    # the matched states all have arg A = varphi = 0; the phased squeezed
+    # state reads the terms that carry those phases
+    states = {**matched_states(), "squeezed-phased": PHASED_SQUEEZED}
     checks = []
     for fam, state in states.items():
         diff = np.abs(weyl(state, grid) - fockbench.weyl_numeric(state, grid, dim_cap))
@@ -149,15 +155,21 @@ def weyl_oracle_suite(dim_cap: int = DIM_CAP) -> dict:
 
 
 def _content_change(new, old) -> float:
-    """Distance between successive truncations of a vector: the change of the
-    shared entries plus the weight of the new ones.
+    """Distance between successive truncations of a state: the change of the
+    shared entries plus the trace the old truncation dropped, which is the
+    sum of the new entries for thermal weights (a real vector) and of their
+    squared moduli for amplitudes (a complex one).  So the loop stops, as
+    default_dim's start rule and the weyl-oracle loop do, once less than
+    TOL of the trace is left out.
 
     It assumes nothing of the builder: a truncation that moves the entries
     it keeps while keeping its norm, which a norm or deficit test would
     pass, is caught too.
     """
     dim = old.shape[0]
-    return float(np.linalg.norm(new[:dim] - old)) + float(np.linalg.norm(new[dim:]))
+    tail = new[dim:]
+    dropped = np.sum(tail) if np.isrealobj(tail) else np.vdot(tail, tail).real
+    return float(np.linalg.norm(new[:dim] - old)) + float(dropped)
 
 
 def flux_stats_suite(dim_cap: int = DIM_CAP) -> dict:
@@ -166,9 +178,7 @@ def flux_stats_suite(dim_cap: int = DIM_CAP) -> dict:
     # at xi = 1 a product and a quotient by xi agree; xi = 0.7 tells them apart
     modes = {"": mode, "-xi0.7": ModeParams(omega=mode.omega, xi=0.7)}
     checks = []
-    # the matched states all have arg A = varphi = 0; the phased squeezed
-    # state reads the terms that carry those phases
-    states = {**matched_states(), "squeezed-phased": SqueezedState(0.5 * cmath.exp(0.3j), 1.0, 0.7)}
+    states = {**matched_states(), "squeezed-phased": PHASED_SQUEEZED}
     for fam, state in states.items():
         # the state itself is converged (thermal weights or the pure vector),
         # and the sparse operators act on it: no dense matrix is formed
@@ -231,6 +241,19 @@ def autocorr_suite(dim_cap: int = DIM_CAP) -> dict:
     num = interference.normalized_gamma(series["number"])
     im_max = float(np.max(np.abs(num.values[:n].imag)))
     checks.append(_check("number-17-im-gamma-present", 1e-4 - im_max, 0.0))
+
+    # fig7's radii by lag index against the radii as formed, over the first
+    # period of taus (its first 32 lags, whose first 17 the series above
+    # holds): the same NaN cells (the squeezed tiny-argument NaN at
+    # omega tau = pi), the rest within roundoff
+    errs = []
+    for fam, state in states.items():
+        by_index = interference._half_period_autocorrelation(state, coupling, mode, taus[:32]).values
+        formed = series[fam].values[:17]
+        nan = np.isnan(formed)
+        same = np.array_equal(np.isnan(by_index), nan)
+        errs.append(np.max(np.abs(by_index - formed)[~nan]) / series[fam].gamma0 if same else np.inf)
+    checks.append(_check("quantum-gamma-index-radii-vs-formed", np.max(errs), 1e-14))
 
     # displacement-algebra path against the finite-window matrix oracle
     small = {
@@ -353,12 +376,11 @@ def squid_suite(dim_cap: int = DIM_CAP) -> dict:
     # a displaced squeezed state (arg A and varphi nonzero) under the
     # classical drive, against the 64-node period average of
     # Im[e^{i(phase0 + n w t + u sin w t)} W(sigma(t))], W from the oracle
-    phased = SqueezedState(0.5 * cmath.exp(0.3j), 1.0, 0.7)
     theta = 2.0 * math.pi * np.arange(64) / 64.0  # w t at the nodes
-    w = fockbench.weyl_numeric(phased, 1j * coupling.qprime * np.exp(1j * theta), dim_cap)
+    w = fockbench.weyl_numeric(PHASED_SQUEEZED, 1j * coupling.qprime * np.exp(1j * theta), dim_cap)
     phase = drive.phase0 + steps[:, None] * theta + drive.u_phase * np.sin(theta)
     oracle = np.mean(np.imag(np.exp(1j * phase) * w), axis=1)
-    err = np.max(np.abs(squid.quantum_shapiro(phased, drive, steps, coupling) - oracle))
+    err = np.max(np.abs(squid.quantum_shapiro(PHASED_SQUEEZED, drive, steps, coupling) - oracle))
     checks.append(_check("squeezed-phased-steps-vs-oracle", err, 1e-10))
 
     # number-pair moments against the two-mode oracle; each ring ramps at

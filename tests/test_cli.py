@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import mesoweyl
 from mesoweyl import cli, experiments, fockbench, specfun, squid, twomode, verify
 from mesoweyl.experiments import EXPERIMENTS
-from mesoweyl.states import TwoModeProductSuperposition
+from mesoweyl.states import TwoModeProductSuperposition, matched_states
 
 ALL_FIGS = ["fig1", "fig4", "fig5", "fig6", "fig7", "fig9", "fig10", "fig11",
             "fig14", "fig15", "fig16", "fig17", "fig18"]
@@ -466,17 +466,18 @@ def test_verify_fails_a_nan_error(monkeypatch, suite, module, name, hit):
     assert any(math.isnan(c["max_error"]) and not c["passed"] for c in report["checks"])
 
 
-def test_one_pass_of_the_verify_workload_suites_makes_at_most_5_bessel_i_tables(monkeypatch):
+def test_one_pass_of_the_verify_workload_suites_makes_at_most_6_bessel_i_tables(monkeypatch):
     # one per squeezed state's Shapiro steps (3 squeezed vacua and the
-    # displaced squeezed state) and one for the squeezed autocorrelation,
-    # whose series holds the -lags its property reads: 6 when the property
+    # displaced squeezed state), one for the squeezed autocorrelation, whose
+    # series holds the -lags its property reads, and one for its half period
+    # with radii by lag index; the first two kinds made 6 when the property
     # took a second call, 22 when every harmonic and each lag sign made its
     # own
     calls, real = [], specfun.bessel_ive_all
     monkeypatch.setattr(specfun, "bessel_ive_all", lambda *args: calls.append(1) or real(*args))
     for suite in ("weyl-oracle", "autocorr", "twomode", "squid"):
         assert verify.run_suite(suite)["passed"]
-    assert len(calls) <= 5
+    assert len(calls) <= 6
 
 
 # the squeezed r = 4.2 Weyl oracle converges at dim 1920; a cap of 1024
@@ -508,6 +509,34 @@ def test_a_weyl_oracle_capped_below_every_start_builds_no_state(monkeypatch):
 
 def test_verify_weyl_oracle_converges_under_dim_cap_1920():
     assert cli.main(["verify", "weyl-oracle", "--dim-cap", "1920"]) == 0
+
+
+def test_flux_stats_and_weyl_oracle_stop_by_the_same_trace_rule(monkeypatch):
+    # both loops stop once less than TOL of the state's trace is left out
+    # (flux-stats took its square root, so its squeezed state ran on to
+    # 3840); the coherent Weyl values at |z| = 3 move by more than TOL
+    # between dims 60 and 120, so weyl-oracle confirms them at 240, one
+    # doubling past the state
+    dims, real = {}, fockbench.converge
+
+    def recorded(evaluate, dim, dim_cap, what, *args):
+        out = real(evaluate, dim, dim_cap, what, *args)
+        dims.setdefault(what, []).append(out[1])
+        return out
+
+    monkeypatch.setattr(fockbench, "converge", recorded)
+    for suite in ("flux-stats", "weyl-oracle"):
+        assert verify.run_suite(suite)["passed"]
+    # number, coherent, squeezed, thermal and the phased squeezed state
+    flux = [dims.pop(f"{fam} state") for fam in (*matched_states(), "squeezed-phased")]
+    assert flux == [[120], [120], [1920], [960], [128]]
+    assert dims == {"weyl_numeric": [120, 2 * 120, 1920, 960, 128]}
+
+
+@pytest.mark.parametrize("cap", [8, 100, 500, 1024, 1920, 4096])
+def test_flux_stats_and_weyl_oracle_exit_alike_under_a_dim_cap(capsys, cap):
+    codes = [cli.main(["verify", suite, "--dim-cap", str(cap)]) for suite in ("flux-stats", "weyl-oracle")]
+    assert codes[0] == codes[1] == (0 if cap >= 1920 else 3)
 
 
 # a cap below one used to reach the oracle (fig16 exited 3 with "dim cap -3")

@@ -252,18 +252,19 @@ def test_jacobi_anger_rows_stop_at_their_own_order_bound(monkeypatch):
 
 
 def test_the_verify_grid_evaluates_one_jv_per_row_and_order_of_each_table(monkeypatch):
-    # 5 tables (one per dim a pure state is evaluated at: number and coherent
-    # 60, 120; coherent 240; squeezed 960, 1920) of one row per grid radius:
-    # the grid's 5 radii are 5 floats (11 when its angles were the nominal
-    # ones, with 6,320 jv values)
+    # 7 tables (one per dim a pure state is evaluated at: number and coherent
+    # 60, 120; coherent 240; squeezed 960, 1920; phased squeezed 64, 128) of
+    # one row per grid radius: the grid's 5 radii are 5 floats (11 when its
+    # angles were the nominal ones, with 6,320 jv values for the first 5
+    # tables, 3,036 at 5 floats)
     count = _counted_jv(monkeypatch)
     tables, cached = [], fockbench._jacobi_anger
     monkeypatch.setattr(fockbench, "_jacobi_anger", lambda args: tables.append(args) or cached(args))
     cached.cache_clear()
     assert verify.run_suite("weyl-oracle")["passed"]
     distinct = set(tables)
-    assert [len(args) for args in distinct] == [5] * 5
-    assert count[0] == sum(int(np.sum(specfun.order_cutoff(np.array(args)) + 1)) for args in distinct) == 3036
+    assert [len(args) for args in distinct] == [5] * 7
+    assert count[0] == sum(int(np.sum(specfun.order_cutoff(np.array(args)) + 1)) for args in distinct) == 3816
 
 
 def test_the_verify_grid_has_one_float_per_radius_and_per_angle():
@@ -285,14 +286,15 @@ def test_weyl_oracle_dims_on_the_verify_grid():
 def test_one_weyl_oracle_run_evaluates_each_state_from_its_start(monkeypatch):
     # number and coherent start at their mean-photon width 60; the squeezed
     # state drops 8.2e-8 of its trace at 480 and the thermal state 1.1e-6 at
-    # 240, so they start at 960 and 480
+    # 240, so they start at 960 and 480; the phased squeezed state starts at
+    # 64, twice its width 32
     pure, diagonal = [], []
     real_pure, real_diagonal = fockbench._pure_weyl, fockbench.displacement_diagonal
     monkeypatch.setattr(fockbench, "_pure_weyl", lambda vec, z: pure.append(vec.shape[0]) or real_pure(vec, z))
     monkeypatch.setattr(fockbench, "displacement_diagonal",
                         lambda z, dim: diagonal.append(dim) or real_diagonal(z, dim))
     assert verify.run_suite("weyl-oracle")["passed"]
-    assert pure == [60, 120, 60, 120, 240, 960, 1920]
+    assert pure == [60, 120, 60, 120, 240, 960, 1920, 64, 128]
     assert diagonal == [480, 960]
 
 

@@ -161,17 +161,22 @@ def test_quantum_gamma_against_window_oracle(state):
         assert abs(exact - window) <= 1e-6
 
 
-def _window_node_loop(state, coupling, tau, dim):
-    """Reference for verify.gamma_window_oracle: the trapezoid as a loop over
-    its nodes, two dense intensity operators and their product per node."""
+def _window_node_loop(state, coupling, taus, dim):
+    """Reference for verify.gamma_window_oracle at each lag of taus: the
+    trapezoid as a loop over its nodes, Tr[(rho I(t)) I(t + tau)] from dense
+    intensity operators.  Each node's I(t) is built once, and so is its
+    product rho I(t), which every lag shares; a lag of 0 takes I(t) as
+    I(t + tau) too."""
     q, w = coupling.q, MODE.omega
     rho = fockbench.density_matrix(state, dim)
     ts = np.arange(verify.WINDOW_POINTS) / verify.WINDOW_POINTS * (2.0 * math.pi / w)
-    total = 0j
+    total = np.zeros(len(taus), dtype=complex)
     for t in ts:
         op1 = verify.intensity_operator(dim, q, w, 0.0, t)
-        op2 = verify.intensity_operator(dim, q, w, 0.0, t + tau)
-        total += fockbench.expectation(rho, op1 @ op2)
+        left = rho @ op1
+        for i, tau in enumerate(taus):
+            op2 = op1 if tau == 0.0 else verify.intensity_operator(dim, q, w, 0.0, t + tau)
+            total[i] += fockbench.expectation(left, op2)
     return total / verify.WINDOW_POINTS
 
 
@@ -183,10 +188,9 @@ def _window_node_loop(state, coupling, tau, dim):
 def test_window_oracle_equals_the_node_loop(state, dim):
     lags = np.array([-0.37, 0.123, 1.7]) * PERIOD
     got = verify.gamma_window_oracle(state, COUPLING, MODE, lags, dim)
-    ref = np.array([_window_node_loop(state, COUPLING, tau, dim) for tau in lags])
-    scale = abs(_window_node_loop(state, COUPLING, 0.0, dim))
+    *ref, at_zero = _window_node_loop(state, COUPLING, [*lags, 0.0], dim)
     assert got.shape == lags.shape
-    assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+    assert np.max(np.abs(got - ref)) <= 1e-13 * abs(at_zero)
     assert isinstance(verify.gamma_window_oracle(state, COUPLING, MODE, lags[1], dim), complex)
 
 
@@ -195,7 +199,7 @@ def test_window_oracle_keeps_the_node_aliasing():
     # a wide squeezed state under a strong coupling reaches those entries, so
     # weighting rho by delta_mn instead misses the node loop by about 3e-5.
     coupling, state, dim, tau = ChargeCoupling(4.0), SqueezedState(0j, 3.0), 120, 0.2 * PERIOD
-    ref = _window_node_loop(state, coupling, tau, dim)
+    (ref,) = _window_node_loop(state, coupling, [tau], dim)
     assert abs(verify.gamma_window_oracle(state, coupling, MODE, tau, dim) - ref) <= 1e-13 * abs(ref)
     rho_diag = np.diag(np.diag(fockbench.density_matrix(state, dim)))
     ops = [verify.intensity_operator(dim, coupling.q, MODE.omega, 0.0, t) for t in (0.0, tau)]
@@ -343,11 +347,38 @@ def test_fig7_takes_one_time_average_per_state_over_the_half_period(monkeypatch)
     monkeypatch.setattr(interference, "weyl_time_average", counted)
     experiments.run_experiment("fig7")
     n = experiments.EXPERIMENTS["fig7"].defaults["spectral_samples"]
-    # q and q (1 +- e^{i omega tau}) over lags 0 .. n // 2: at most
-    # 2 (n // 2 + 1) + 1 radii (3,328 for the squeezed state; every lag of
-    # the period gave it 5,834)
+    # q, the n // 2 + 1 radii 2 q cos(pi k / n), k = 0 .. n // 2, that both
+    # q |1 +- e^{i omega tau}| take over lags 0 .. n // 2, and the exact 0
+    # of the minus radius at lag 0: 2,051 (3,328 as formed, 5,834 over every
+    # lag of the period)
     assert len(calls) == 4
-    assert max(calls) <= 2 * (n // 2 + 1) + 1
+    assert max(calls) <= n // 2 + 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 4095, 4096])
+def test_fig7_radii_by_index_are_the_moduli_as_formed(monkeypatch, n):
+    # the radii fig7 forms from the lag index are within a few ulps of
+    # q |1 +- e^{i omega tau}| as autocorrelation_quantum forms them; the
+    # near-zero ends match bit for bit, so the squeezed NaN stays at
+    # omega tau = pi and lag 0 stays finite
+    seen = []
+    gamma = interference._gamma
+
+    def captured(state, q, taus, s, plus, minus):
+        seen.append((plus, minus))
+        return gamma(state, q, taus, s, plus, minus)
+
+    monkeypatch.setattr(interference, "_gamma", captured)
+    taus = np.arange(n) / n * PERIOD
+    interference._half_period_autocorrelation(_MATCHED["squeezed"], COUPLING, MODE, taus)
+    interference.autocorrelation_quantum(_MATCHED["squeezed"], COUPLING, MODE, taus[:n // 2 + 1])
+    (plus, minus), (plus_formed, minus_formed) = seen
+    ulp = np.spacing(2.0 * Q)
+    assert np.max(np.abs(plus - plus_formed)) <= 4 * ulp
+    assert np.max(np.abs(minus - minus_formed)) <= 4 * ulp
+    assert minus[0] == minus[-1] == minus_formed[0] == 0.0
+    if n % 2 == 0:
+        assert plus[n // 2] == plus_formed[n // 2] > 0.0
 
 
 def test_normalized_gamma_rejects_degenerate():

@@ -6,6 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.special as sp
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mesoweyl import specfun
 
@@ -178,6 +180,41 @@ def test_order_cutoff_saturates_past_the_int64_range():
         assert [specfun.order_cutoff(x) for x in xs] == cuts.tolist()
     assert cuts[0] == 18 and np.all(np.diff(cuts) >= 0)
     assert cuts[-4:].tolist() == [2 ** 62 + 2] * 4
+
+
+def _j_bound(n, x):
+    """(x/2)^n / n!, the bound on |J_n(x)| of DLMF 10.14.4."""
+    h = 0.5 * x
+    return 0.0 if h == 0.0 else math.exp(n * math.log(h) - math.lgamma(n + 1))
+
+
+@given(x=st.floats(0.0, 4.0), k=st.integers(-6, 6))
+def test_j_rows_past_the_j_cutoff_are_below_1e_18(x, k):
+    # weyl_time_average's harmonic k reads J_{|k + 2m|}(|w|) for
+    # |m| <= (j_order_cutoff(|w|) + |k|) // 2 (when the I side does not bind,
+    # as at every |w| <= 4): the table holds every order of k's parity up to
+    # the cutoff, and each order past it, up to the table's reach, is below
+    # 1e-18 in scipy's jv and in the bound
+    cut = specfun.j_order_cutoff(x)
+    assert cut <= specfun.order_cutoff(x)
+    assert cut > 0.5 * x and _j_bound(cut, x) < 1e-18
+    # the first such order: the one before it is at most x / 2, or above 1e-18
+    assert cut - 1 <= 0.5 * x or _j_bound(cut - 1, x) >= 1e-18
+    mmax = (cut + abs(k)) // 2
+    orders = set(np.abs(k + 2 * np.arange(-mmax, mmax + 1)).tolist())
+    assert set(range(abs(k) % 2, cut + 1, 2)) <= orders
+    past = np.arange(cut, cut + 2 * abs(k) + 3)
+    assert np.all(np.abs(sp.jv(past, x)) < 1e-18)
+    assert all(_j_bound(n, x) < 1e-18 for n in past.tolist())
+
+
+def test_j_order_cutoff_is_capped_by_the_order_cutoff():
+    for x in (0.0, 0.78, 10.0, 158.0, 200.0, 1e6, 1e18, 1e300, math.inf):
+        assert specfun.j_order_cutoff(x) <= specfun.order_cutoff(x)
+    assert specfun.j_order_cutoff(0.0) == 1 and specfun.j_order_cutoff(0.78) == 15
+    # past x ~ 158 the order cutoff is the tighter
+    assert specfun.j_order_cutoff(200.0) == specfun.order_cutoff(200.0)
+    assert specfun.j_order_cutoff(math.inf) == 2 ** 62 + 2
 
 
 def test_bessel_j_basics():
